@@ -155,8 +155,8 @@ def _coerce(opt: _Opt, raw: object) -> object:
     try:
         if opt.kind == "float":
             value = float(text)
-            if math.isnan(value):
-                raise ValueError("nan")
+            if not math.isfinite(value):
+                raise ValueError("non-finite")
             return value
         if opt.kind == "int":
             return int(text)
@@ -242,7 +242,10 @@ def _csv_document(header: list[str], rows: list[list[object]]) -> str:
 
 
 def _json_document(obj: object) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"non-finite value in JSON output: {exc}") from exc
 
 
 def _cmd_constants(params: dict[str, object]) -> str:
@@ -533,7 +536,7 @@ def run(argv: list[str]) -> int:
         document = _DISPATCH[ns.command](params)
         _write_output(document, params.get("out"))
         return 0
-    except (NumericalError,) as exc:
+    except (NumericalError, ArithmeticError) as exc:
         print(f"casnuc: numerical error: {exc}", file=sys.stderr)
         return 3
     except (DomainError, UnitError, ValueError, OSError) as exc:

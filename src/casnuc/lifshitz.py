@@ -2,18 +2,16 @@
 pair plasma.
 
 The zero-frequency Matsubara term is evaluated by an exact exponential
-series; an adaptive-quadrature evaluator of the same integral is retained
-purely as an independent oracle.  Asymptotic forms, the full Matsubara sum,
-and the distance-coupled closed forms mirror one another and are
-cross-checked in the test suite.
+series; the test suite checks it against an independent adaptive-quadrature
+oracle of the same integral.  Asymptotic forms, the full Matsubara sum, and
+the distance-coupled closed forms mirror one another and are cross-checked
+in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.integrate import quad
 
 from .constants import (
     C,
@@ -49,8 +47,6 @@ _SERIES_MAX_TERMS = 500_000
 _MATSUBARA_RTOL = 1e-12
 _MATSUBARA_MAX_TERMS = 200_000
 
-_LN2 = math.log(2.0)
-
 SWEEP_METHODS = ("asymptote", "exact", "full")
 SWEEP_MODES = ("coupled", "fixed")
 
@@ -68,7 +64,7 @@ class FreeEnergyBreakdown:
     zero_freq: float    # n = 0 term [J/m^2]
     finite_freq: float  # n > 0 terms [J/m^2]
     total: float        # zero_freq + finite_freq [J/m^2]
-    method: str         # exact_series | quadrature | asymptote | full_matsubara
+    method: str         # exact_series | asymptote
     kappa: float        # screening wavevector sqrt(mu_ep) omega_ep / c [1/m]
     per_pair: float     # total x plate area [J]
 
@@ -256,13 +252,6 @@ def _mode_series(a: float) -> float:
     )
 
 
-def _log1mexp(u: float) -> float:
-    """log(1 - e^-u) for u > 0, stable at both ends."""
-    if u < _LN2:
-        return math.log(-math.expm1(-u))
-    return math.log1p(-math.exp(-u))
-
-
 def zero_freq_exact(kappa: float, L: float, T: float) -> float:
     """Zero-frequency free energy per area, exact series evaluation.
 
@@ -289,32 +278,6 @@ def zero_freq_exact(kappa: float, L: float, T: float) -> float:
     if not L > 0.0 or not T > 0.0:
         raise DomainError(f"L and T must be positive, got L={L}, T={T}")
     return -K_B * T / (8.0 * math.pi * L * L) * _mode_series(2.0 * kappa * L)
-
-
-def zero_freq_quadrature(kappa: float, L: float, T: float) -> float:
-    """Zero-frequency free energy per area by adaptive quadrature.
-
-    Independent oracle for zero_freq_exact: integrates
-    (k_B T / 8 pi L^2) u ln(1 - e^-u) over u in [a, a + 60], a = 2 kappa L
-    (the integrand is below 1e-24 of its peak beyond the cap).
-    """
-    if kappa < 0.0:
-        raise DomainError(f"kappa must be non-negative, got {kappa}")
-    if not L > 0.0 or not T > 0.0:
-        raise DomainError(f"L and T must be positive, got L={L}, T={T}")
-    a = 2.0 * kappa * L
-    if a > 745.0:
-        return 0.0
-
-    def integrand(u: float) -> float:
-        return u * _log1mexp(u) if u > 0.0 else 0.0
-
-    value, abserr = quad(integrand, a, a + 60.0, epsabs=0.0, epsrel=1e-10, limit=200)
-    if value != 0.0 and abserr > 1e-6 * abs(value):
-        raise ConvergenceError(
-            f"quadrature failed to converge: a={a}, value={value}, abserr={abserr}"
-        )
-    return K_B * T / (8.0 * math.pi * L * L) * value
 
 
 def zero_freq_asymptote(kappa: float, L: float, T: float) -> float:

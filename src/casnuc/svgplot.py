@@ -7,8 +7,8 @@ input must yield byte-identical output.
 from __future__ import annotations
 
 import math
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 from .errors import DomainError, NumericalError
 
@@ -154,23 +154,25 @@ def render_line_chart(
         )
         out.append(
             f'<text x="{_fmt(lx + 27)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="11" fill="#333333">{escape(label)}</text>'
+            f'font-size="11" fill="#333333">{escape(label, quote=False)}</text>'
         )
 
     if title:
         out.append(
             f'<text x="{_fmt(width / 2)}" y="20" font-family="sans-serif" '
-            f'font-size="13" text-anchor="middle" fill="#000000">{escape(title)}</text>'
+            f'font-size="13" text-anchor="middle" fill="#000000">'
+            f'{escape(title, quote=False)}</text>'
         )
     out.append(
         f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(height - 14)}" '
         f'font-family="sans-serif" font-size="12" text-anchor="middle" '
-        f'fill="#000000">{escape(x_label)}</text>'
+        f'fill="#000000">{escape(x_label, quote=False)}</text>'
     )
     out.append(
         f'<text x="16" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" font-family="sans-serif" '
         f'font-size="12" text-anchor="middle" fill="#000000" '
-        f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">{escape(y_label)}</text>'
+        f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">'
+        f'{escape(y_label, quote=False)}</text>'
     )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -23,7 +23,6 @@ from casnuc.lifshitz import (
     screening_wavevector,
     zero_freq_asymptote,
     zero_freq_exact,
-    zero_freq_quadrature,
 )
 from casnuc.nuclear import balance_cubic_residual, equilibrium_distance, solve_balance_cubic
 from casnuc.plasma import (
@@ -33,6 +32,8 @@ from casnuc.plasma import (
     plasma_state_from_distance,
     temperature_from_distance,
 )
+
+from _oracles import zero_freq_quadrature
 
 UNITY = PermeabilityModel.unity()
 SPIN = PermeabilityModel.static_spin()

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +44,28 @@ class TestParsing:
     def test_nan_rejected(self, capsys):
         code, _, _ = run_cli(["state", "--L", "nan"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["equilibrium", "--R", "inf"], 2),
+            (["state", "--L", "1e-200"], 3),
+            (["state", "--L", "1e200"], 3),
+        ],
+    )
+    def test_hostile_values_exit_cleanly(self, argv, expected, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == expected
+        assert out == ""
+        assert err.startswith("casnuc: ")
+        assert "Traceback" not in err
+
+    def test_non_finite_json_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(lifshitz, "screening_wavevector", lambda rho, mu: math.inf)
+        code, out, err = run_cli(["state"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "casnuc: numerical error:" in err
 
 
 class TestConstants:
@@ -384,3 +410,19 @@ class TestDeterminism:
         code_b, out_b, _ = run_cli(argv, capsys)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+
+class TestImports:
+    def test_cli_imports_only_the_standard_library(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = (
+            "import casnuc.cli, sys; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('scipy', 'numpy') or m.startswith('xml.sax')))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"

@@ -25,7 +25,6 @@ from casnuc.lifshitz import (
     zero_freq_amplitudes,
     zero_freq_asymptote,
     zero_freq_exact,
-    zero_freq_quadrature,
 )
 from casnuc.plasma import (
     PermeabilityModel,
@@ -34,6 +33,8 @@ from casnuc.plasma import (
     plasma_state_from_distance,
     temperature_from_distance,
 )
+
+from _oracles import zero_freq_quadrature
 
 UNITY = PermeabilityModel.unity()
 SPIN = PermeabilityModel.static_spin()
