@@ -20,20 +20,15 @@ from .errors import (
 from .lifshitz import (
     DEFAULT_PLATE_AREA,
     FreeEnergyBreakdown,
-    LayerResponse,
     SweepRow,
     SweepSpec,
     distance_coupled_breakdown,
     finite_freq_asymptote,
     finite_freq_sum,
     full_matsubara,
-    kappa_perp,
     matsubara_term,
-    reflection_pair,
     screening_wavevector,
     sweep_rows,
-    total_free_energy,
-    zero_freq_amplitudes,
     zero_freq_asymptote,
     zero_freq_exact,
 )
@@ -95,12 +90,8 @@ __all__ = [
     "pair_permeability_in_field",
     "plasma_state_from_distance",
     "distance_closed_forms",
-    "LayerResponse",
     "FreeEnergyBreakdown",
     "DEFAULT_PLATE_AREA",
-    "kappa_perp",
-    "reflection_pair",
-    "zero_freq_amplitudes",
     "zero_freq_exact",
     "zero_freq_asymptote",
     "finite_freq_asymptote",
@@ -109,7 +100,6 @@ __all__ = [
     "full_matsubara",
     "screening_wavevector",
     "distance_coupled_breakdown",
-    "total_free_energy",
     "SweepSpec",
     "SweepRow",
     "sweep_rows",

@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import lifshitz, nuclear, plasma, svgplot
 from ._version import __version__
@@ -46,32 +46,25 @@ class _Opt:
     help: str = ""
 
 
-_FORMAT_CHOICES = {
-    "constants": ("json",),
-    "state": ("json",),
-    "table": ("csv", "json"),
-    "sweep": ("csv", "json"),
-    "equilibrium": ("json",),
-    "meson": ("json",),
-    "linewidth": ("json",),
-    "plot": ("svg",),
-}
+def _output_opts(*formats: str) -> list[_Opt]:
+    """--out and --format, shared by every subcommand; formats[0] is the default."""
+    return [
+        _Opt("out", "--out", "str", None, help="output path (atomic write); stdout if omitted"),
+        _Opt("format", "--format", "str", formats[0], formats, help="|".join(formats)),
+    ]
 
-_COMMON_OPTS = [
-    _Opt("out", "--out", "str", None, help="output path (atomic write); stdout if omitted"),
-]
 
 _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
-    "constants": [],
+    "constants": _output_opts("json"),
     "state": [
         _Opt("L", "--L", "float", 1.0, help="plate separation [fm]"),
         _Opt("mu_model", "--mu-model", "str", "spin", ("unity", "spin", "field")),
         _Opt("H", "--H", "float", 0.0, help="applied field [A/m], field model only"),
         _Opt("convention", "--convention", "str", "table", ("table", "literal")),
-    ],
+    ] + _output_opts("json"),
     "table": [
         _Opt("which", "--which", "int", 2, help="1: closed-form check, 2: state table"),
-    ],
+    ] + _output_opts("csv", "json"),
     "sweep": [
         _Opt("Lmin", "--Lmin", "float", 1.0, help="smallest separation [fm]"),
         _Opt("Lmax", "--Lmax", "float", 3.0, help="largest separation [fm]"),
@@ -83,21 +76,21 @@ _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
         _Opt("Linit", "--Linit", "float", None,
              help="fixed mode: separation the state is pinned at [fm]; default Lmin"),
         _Opt("convention", "--convention", "str", "table", ("table", "literal")),
-    ],
+    ] + _output_opts("csv", "json"),
     "equilibrium": [
         _Opt("R", "--R", "float", R_PROTON_DEFAULT / 1e-15, help="plate radius [fm]"),
-    ],
+    ] + _output_opts("json"),
     "meson": [
         _Opt("L", "--L", "float", 1.0, help="plate separation [fm]"),
         _Opt("mu_model", "--mu-model", "str", "spin", ("unity", "spin")),
         _Opt("convention", "--convention", "str", "table", ("table", "literal")),
-    ],
+    ] + _output_opts("json"),
     "linewidth": [
         _Opt("L", "--L", "float", 1.0, help="plate separation [fm]"),
         _Opt("q_ratio", "--q-ratio", "float", 0.1, help="wavevector over q_F"),
         _Opt("total_density", "--total-density", "bool", False,
              help="use the full pair density instead of the per-species half"),
-    ],
+    ] + _output_opts("json"),
     "plot": [
         _Opt("which", "--which", "int", 1, help="1: zero-freq comparison, 2: breakdown"),
         _Opt("Lmin", "--Lmin", "float", 1.0),
@@ -107,7 +100,7 @@ _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
         _Opt("mu_model", "--mu-model", "str", "unity", ("unity", "spin"),
              help="permeability model for the breakdown plot"),
         _Opt("convention", "--convention", "str", "table", ("table", "literal")),
-    ],
+    ] + _output_opts("svg"),
 }
 
 _CONVENTIONS = {"table": "table_consistent", "literal": "equation_literal"}
@@ -124,14 +117,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, opts in _SUBCOMMAND_OPTS.items():
         p = sub.add_parser(name)
-        for o in opts + _COMMON_OPTS:
+        for o in opts:
             if o.kind == "bool":
                 p.add_argument(o.flag, dest=o.dest, action="store_const", const=True,
                                default=None, help=o.help)
             else:
                 p.add_argument(o.flag, dest=o.dest, default=None, help=o.help)
-        p.add_argument("--format", dest="format", default=None,
-                       help="|".join(_FORMAT_CHOICES[name]))
         p.add_argument("--config", dest="config", default=None,
                        help="key=value file supplying defaults")
     return parser
@@ -192,7 +183,7 @@ def _load_config(path: str) -> dict[str, str]:
 def _resolve_params(command: str, ns: argparse.Namespace) -> dict[str, object]:
     config = _load_config(ns.config) if ns.config else {}
     params: dict[str, object] = {}
-    for o in _SUBCOMMAND_OPTS[command] + _COMMON_OPTS:
+    for o in _SUBCOMMAND_OPTS[command]:
         raw = getattr(ns, o.dest)
         if raw is None:
             raw = os.environ.get(ENV_PREFIX + o.dest.upper())
@@ -200,16 +191,6 @@ def _resolve_params(command: str, ns: argparse.Namespace) -> dict[str, object]:
             raw = config.get(o.dest)
         value = _coerce(o, raw)
         params[o.dest] = o.default if value is None else value
-
-    fmt_opt = _Opt("format", "--format", "str", _FORMAT_CHOICES[command][0],
-                   _FORMAT_CHOICES[command])
-    raw = ns.format
-    if raw is None:
-        raw = os.environ.get(ENV_PREFIX + "FORMAT")
-    if raw is None:
-        raw = config.get("format")
-    value = _coerce(fmt_opt, raw)
-    params["format"] = fmt_opt.default if value is None else value
     return params
 
 
@@ -226,9 +207,10 @@ def _model_from_params(params: dict[str, object]) -> plasma.PermeabilityModel:
 
 
 def _fmt_cell(value: object) -> str:
-    # 9 significant digits, scientific: lossless enough for regression CSVs
+    # 9 significant digits, scientific: lossless enough for regression CSVs;
+    # adding 0.0 turns -0.0 into 0.0 and leaves every other float unchanged
     if isinstance(value, float):
-        return f"{value:.8e}"
+        return f"{value + 0.0:.8e}"
     return str(value)
 
 
@@ -241,9 +223,21 @@ def _csv_document(header: list[str], rows: list[list[object]]) -> str:
     return buf.getvalue()
 
 
+def _unsigned_zeros(obj: object) -> object:
+    # json prints -0.0 as "-0.0"; other floats are passed on as they are, not
+    # copied, so a large document costs no extra float objects
+    if isinstance(obj, dict):
+        return {k: _unsigned_zeros(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_unsigned_zeros(v) for v in obj]
+    if isinstance(obj, float) and obj == 0.0:
+        return 0.0
+    return obj
+
+
 def _json_document(obj: object) -> str:
     try:
-        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        return json.dumps(_unsigned_zeros(obj), indent=2, allow_nan=False) + "\n"
     except ValueError as exc:
         raise NumericalError(f"non-finite value in JSON output: {exc}") from exc
 
@@ -348,29 +342,11 @@ def _cmd_sweep(params: dict[str, object]) -> str:
         R_fm=float(params["R"]),
         L_init_fm=None if params["Linit"] is None else float(params["Linit"]),
     )
-    rows = lifshitz.sweep_rows(spec)
-    header = ["L_fm", "T_K", "rho_m3", "omega_ep", "mu_ep", "kappa_1_m",
-              "F0_MeV", "Fn_MeV", "Ftot_MeV"]
+    rows = [vars(r) for r in lifshitz.sweep_rows(spec)]
     if params["format"] == "json":
-        return _json_document(
-            [
-                {
-                    "L_fm": r.L_fm, "T_K": r.T_K, "rho_m3": r.rho_m3,
-                    "omega_ep": r.omega_ep, "mu_ep": r.mu_ep,
-                    "kappa_1_m": r.kappa_1_m, "F0_MeV": r.F0_MeV,
-                    "Fn_MeV": r.Fn_MeV, "Ftot_MeV": r.Ftot_MeV,
-                }
-                for r in rows
-            ]
-        )
-    return _csv_document(
-        header,
-        [
-            [r.L_fm, r.T_K, r.rho_m3, r.omega_ep, r.mu_ep, r.kappa_1_m,
-             r.F0_MeV, r.Fn_MeV, r.Ftot_MeV]
-            for r in rows
-        ],
-    )
+        return _json_document(rows)
+    header = [f.name for f in fields(lifshitz.SweepRow)]
+    return _csv_document(header, [list(r.values()) for r in rows])
 
 
 def _cmd_equilibrium(params: dict[str, object]) -> str:
@@ -437,21 +413,13 @@ def _cmd_linewidth(params: dict[str, object]) -> str:
     )
 
 
-def emit_plot(series: list[tuple[str, list[float], list[float]]],
-              axes: tuple[str, ...]) -> str:
-    """Render labelled series through the deterministic SVG writer.
-
-    axes is (x_label, y_label) or (x_label, y_label, title).
-    """
-    title = axes[2] if len(axes) > 2 else None
-    return svgplot.render_line_chart(series, axes[0], axes[1], title=title)
-
-
 def _plot_grid(params: dict[str, object]) -> list[float]:
     lmin, lmax = float(params["Lmin"]), float(params["Lmax"])
     points = int(params["points"])
     if not lmin > 0.0 or not lmax > lmin or points < 2:
         raise DomainError("plot grid requires 0 < Lmin < Lmax and points >= 2")
+    if points > lifshitz.MAX_GRID_POINTS:
+        raise DomainError(f"--points must be at most {lifshitz.MAX_GRID_POINTS}, got {points}")
     step = (lmax - lmin) / (points - 1)
     return [lmin + i * step for i in range(points)]
 
@@ -471,9 +439,9 @@ def _cmd_plot(params: dict[str, object]) -> str:
             b_s = lifshitz.distance_coupled_breakdown(L, spin, area)
             ys_unity.append(convert(b_u.zero_freq * area, "J", "MeV"))
             ys_spin.append(convert(b_s.zero_freq * area, "J", "MeV"))
-        return emit_plot(
+        return svgplot.render_line_chart(
             [("mu = 1", grid_fm, ys_unity), ("spin permeability", grid_fm, ys_spin)],
-            ("L (fm)", "F0 per plate pair (MeV)", "Zero-frequency interaction energy"),
+            "L (fm)", "F0 per plate pair (MeV)", title="Zero-frequency interaction energy",
         )
     if which == 2:
         model = _model_from_params(params)
@@ -483,13 +451,14 @@ def _cmd_plot(params: dict[str, object]) -> str:
             zero.append(convert(b.zero_freq * area, "J", "MeV"))
             finite.append(convert(b.finite_freq * area, "J", "MeV"))
             total.append(convert(b.total * area, "J", "MeV"))
-        return emit_plot(
+        return svgplot.render_line_chart(
             [
                 ("zero frequency", grid_fm, zero),
                 ("finite frequency", grid_fm, finite),
                 ("total", grid_fm, total),
             ],
-            ("L (fm)", "free energy per plate pair (MeV)", "Interaction free energy breakdown"),
+            "L (fm)", "free energy per plate pair (MeV)",
+            title="Interaction free energy breakdown",
         )
     raise DomainError(f"plot --which must be 1 or 2, got {which}")
 

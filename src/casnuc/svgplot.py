@@ -44,7 +44,10 @@ def _tick_positions(lo: float, hi: float, target: int = 5) -> list[float]:
     ticks = []
     v = first
     while v <= hi + 1e-9 * span:
-        ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v >= lo - 1e-9 * span:  # on a sub-ulp span, first can round below lo
+            ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:
+            break  # step below half an ulp of v (sub-ulp span): v would never advance
         v += step
     return ticks
 

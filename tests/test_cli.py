@@ -51,6 +51,8 @@ class TestParsing:
             (["equilibrium", "--R", "inf"], 2),
             (["state", "--L", "1e-200"], 3),
             (["state", "--L", "1e200"], 3),
+            (["sweep", "--points", "100000000000000000000"], 2),
+            (["plot", "--points", "100000000000000000000"], 2),
         ],
     )
     def test_hostile_values_exit_cleanly(self, argv, expected, capsys):
@@ -59,6 +61,8 @@ class TestParsing:
         assert out == ""
         assert err.startswith("casnuc: ")
         assert "Traceback" not in err
+        if "--points" in argv:
+            assert "--points" in err
 
     def test_non_finite_json_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(lifshitz, "screening_wavevector", lambda rho, mu: math.inf)
@@ -287,6 +291,14 @@ class TestPlot:
         for label in ("zero frequency", "finite frequency", "total"):
             assert label in out
 
+    def test_sub_ulp_axis_span(self, capsys):
+        argv = ["plot", "--which", "1", "--Lmin", "1", "--Lmax", "1.0000000000000002",
+                "--points", "5"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert out.startswith("<svg") and out.endswith("</svg>\n")
+        assert '="-' not in out  # no element placed left of or above the canvas
+
     def test_unknown_plot(self, capsys):
         code, _, _ = run_cli(["plot", "--which", "7"], capsys)
         assert code == 2
@@ -410,6 +422,41 @@ class TestDeterminism:
         code_b, out_b, _ = run_cli(argv, capsys)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+
+class TestSignedZero:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--mode", "fixed", "--Linit", "1", "--Lmin", "1", "--Lmax", "2000",
+             "--points", "3"],
+            ["sweep", "--mode", "fixed", "--Linit", "1", "--Lmin", "1", "--Lmax", "2000",
+             "--points", "3", "--format", "json"],
+            ["linewidth", "--L", "1e9", "--q-ratio", "1e-200"],
+        ],
+    )
+    def test_no_negative_zero(self, argv, capsys):
+        # these values underflow to -0.0 in the engine
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        cells = out.replace(",", " ").split()
+        assert "-0.00000000e+00" not in cells
+        assert "-0.0" not in cells
+        assert "0.00000000e+00" in cells or "0.0" in cells
+
+
+class TestGoldenOutput:
+    def test_reference_documents_replay_byte_identical(self, capsys):
+        path = Path(__file__).resolve().parents[1] / "bench" / "reference" / "cli_cold.json"
+        with open(path, encoding="utf-8") as fh:
+            reference = json.load(fh)
+        assert len(reference) > 100
+        mismatched = []
+        for key, document in reference.items():
+            code, out, _ = run_cli(key.split(" "), capsys)
+            if code != 0 or out != document:
+                mismatched.append(key)
+        assert mismatched == []
 
 
 class TestImports:

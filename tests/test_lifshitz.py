@@ -6,30 +6,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from casnuc import ConvergenceError, DomainError, convert
-from casnuc.constants import C, K_B, HBAR_C, ZETA_3
+from casnuc.constants import K_B, HBAR_C, ZETA_3
 from casnuc.lifshitz import (
     DEFAULT_PLATE_AREA,
+    MAX_GRID_POINTS,
     XBAR_CROSSOVER_10PCT,
-    LayerResponse,
     SweepSpec,
     distance_coupled_breakdown,
     finite_freq_asymptote,
     finite_freq_sum,
     full_matsubara,
-    kappa_perp,
     matsubara_term,
-    reflection_pair,
     screening_wavevector,
     sweep_rows,
-    total_free_energy,
-    zero_freq_amplitudes,
     zero_freq_asymptote,
     zero_freq_exact,
 )
 from casnuc.plasma import (
     PermeabilityModel,
     density_from_distance,
-    pair_density,
     plasma_state_from_distance,
     temperature_from_distance,
 )
@@ -47,84 +42,6 @@ def state_at(L):
 
 def per_pair_mev(f_per_area):
     return convert(f_per_area * DEFAULT_PLATE_AREA, "J", "MeV")
-
-
-class TestKappaPerp:
-    def test_vacuum_identity(self):
-        assert kappa_perp(7.3e14, 0.0, 1.0, 1.0) == 7.3e14
-
-    def test_plasma_zero_frequency_limit(self):
-        layer = LayerResponse.plasma_layer(2.5e23, mu_static=360.8)
-        expected = math.sqrt(1e30 + 360.8 * (2.5e23 / C) ** 2)
-        assert layer.kappa(1e15, 0.0) == pytest.approx(expected, rel=1e-15)
-        assert expected == pytest.approx(1.58e16, rel=0.01)
-
-    def test_plasma_normal_incidence(self):
-        layer = LayerResponse.plasma_layer(2.5e23, mu_static=360.8)
-        assert layer.kappa(0.0, 0.0) == pytest.approx(
-            math.sqrt(360.8) * 2.5e23 / C, rel=1e-15
-        )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            kappa_perp(-1.0, 0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            kappa_perp(1.0, -1.0, 1.0, 1.0)
-
-
-class TestReflection:
-    def test_identical_media(self):
-        r_tm, r_te = reflection_pair(2.0, 3.0, 2.0, 3.0, 1e14, 1e20)
-        assert r_tm == 0.0
-        assert r_te == 0.0
-
-    def test_perfect_conductor_limit(self):
-        xi = 1e18
-        eps_pc = 1.0 + (1e30 / xi) ** 2
-        r_tm, _ = reflection_pair(1.0, 1.0, eps_pc, 1.0, 1e15, xi)
-        assert abs(r_tm - 1.0) < 1e-6
-
-    @given(
-        eps_i=st.floats(min_value=1.0, max_value=1e6),
-        mu_i=st.floats(min_value=1.0, max_value=1e3),
-        eps_j=st.floats(min_value=1.0, max_value=1e6),
-        mu_j=st.floats(min_value=1.0, max_value=1e3),
-        k=st.floats(min_value=0.0, max_value=1e16),
-        xi=st.floats(min_value=1e10, max_value=1e24),
-    )
-    def test_magnitudes_bounded(self, eps_i, mu_i, eps_j, mu_j, k, xi):
-        r_tm, r_te = reflection_pair(eps_i, mu_i, eps_j, mu_j, k, xi)
-        assert abs(r_tm) <= 1.0
-        assert abs(r_te) <= 1.0
-
-    def test_degenerate_media(self):
-        with pytest.raises(DomainError):
-            reflection_pair(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-class TestZeroFreqAmplitudes:
-    def test_perfect_conductor_plates(self):
-        plate = LayerResponse.perfect_conductor()
-        medium = LayerResponse.plasma_layer(2.5e23, mu_static=360.8)
-        assert zero_freq_amplitudes(plate, medium, 1e15) == (1.0, 1.0)
-        assert zero_freq_amplitudes(plate, LayerResponse.vacuum(), 0.0) == (1.0, 1.0)
-
-    def test_conducting_medium_rejected(self):
-        with pytest.raises(DomainError):
-            zero_freq_amplitudes(
-                LayerResponse.perfect_conductor(),
-                LayerResponse.perfect_conductor(),
-                1e15,
-            )
-
-    def test_plasma_pair_amplitudes_bounded(self):
-        plate = LayerResponse.plasma_layer(1e30)
-        medium = LayerResponse.plasma_layer(2.5e23, mu_static=360.8)
-        a_tm, a_te = zero_freq_amplitudes(plate, medium, 1e15)
-        assert 0.0 <= a_tm <= 1.0
-        assert 0.0 <= a_te <= 1.0
-        # a 1e30 rad/s plate plasma frequency is effectively a mirror
-        assert a_tm > 1.0 - 1e-6
 
 
 class TestZeroFreqExact:
@@ -303,6 +220,22 @@ class TestFullMatsubara:
             finite_freq_sum(L, T, rho, SPIN), rel=1e-9
         )
 
+    def test_dynamic_rolloff_shared_by_term_and_sum(self):
+        # with omega_mu near xi_1 the rolled-off permeability screens the
+        # n > 0 terms; single terms and the sum must apply the same rule
+        L = 1e-15
+        T, rho, _ = state_at(L)
+        dyn = PermeabilityModel.dynamic(omega_mu=1e23)
+        total, n = 0.0, 1
+        while True:
+            term = matsubara_term(n, L, T, rho, dyn)
+            total += term
+            if abs(term) <= 1e-12 * abs(total):
+                break
+            n += 1
+        assert finite_freq_sum(L, T, rho, dyn) == pytest.approx(total, rel=1e-12)
+        assert abs(total) < 1e-3 * abs(finite_freq_sum(L, T, rho, SPIN))
+
 
 class TestDistanceCoupled:
     def test_kappa_unity_1fm(self):
@@ -349,27 +282,6 @@ class TestDistanceCoupled:
         with pytest.raises(DomainError):
             distance_coupled_breakdown(1e-15, PermeabilityModel.dynamic())
 
-
-class TestTotalFreeEnergy:
-    def test_sum_identity(self):
-        b = total_free_energy(1.3e-15, UNITY)
-        assert b.total == b.zero_freq + b.finite_freq
-
-    def test_coupled_equals_breakdown(self):
-        assert total_free_energy(1e-15, SPIN) == distance_coupled_breakdown(1e-15, SPIN)
-
-    def test_fixed_mode_pins_state(self):
-        T0 = temperature_from_distance(1e-15)
-        b = total_free_energy(2e-15, UNITY, ("fixed", T0))
-        rho0 = pair_density(T0)
-        kappa0 = screening_wavevector(rho0, 1.0)
-        assert b.method == "exact_series"
-        assert b.kappa == pytest.approx(kappa0, rel=1e-15)
-        assert b.zero_freq == pytest.approx(zero_freq_exact(kappa0, 2e-15, T0), rel=1e-15)
-        assert b.finite_freq == pytest.approx(
-            finite_freq_asymptote(rho0, T0, 2e-15), rel=1e-15
-        )
-
     def test_figure_ordering_magnetic_above_unity(self):
         for i in range(41):
             L = (1.0 + 0.05 * i) * 1e-15
@@ -385,12 +297,6 @@ class TestTotalFreeEnergy:
         ]
         for a, b in zip(values, values[1:]):
             assert b < a
-
-    def test_mode_validation(self):
-        with pytest.raises(DomainError):
-            total_free_energy(1e-15, UNITY, "pinned")
-        with pytest.raises(DomainError):
-            total_free_energy(1e-15, UNITY, ("fixed", -3.0))
 
 
 class TestSweep:
@@ -427,31 +333,9 @@ class TestSweep:
             dict(L_min_fm=1.0, L_max_fm=3.0, points=5, mode="periodic"),
             dict(L_min_fm=1.0, L_max_fm=3.0, points=5, method="magic"),
             dict(L_min_fm=1.0, L_max_fm=3.0, points=5, R_fm=0.0),
+            dict(L_min_fm=1.0, L_max_fm=3.0, points=MAX_GRID_POINTS + 1),
         ],
     )
     def test_spec_validation(self, kwargs):
         with pytest.raises(DomainError):
             SweepSpec(model=UNITY, **kwargs)
-
-
-class TestLayerResponse:
-    def test_plasma_eps_divergence(self):
-        layer = LayerResponse.plasma_layer(2.5e23)
-        assert layer.eps(0.0) == math.inf
-        assert layer.eps(2.5e23) == 2.0
-
-    def test_dielectric_stays_finite(self):
-        layer = LayerResponse.dielectric(4.0)
-        assert layer.eps(0.0) == 4.0
-        assert layer.q2(0.0) == 0.0
-
-    def test_perfect_conductor_kappa(self):
-        assert LayerResponse.perfect_conductor().kappa(1e15, 1e20) == math.inf
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            LayerResponse(eps_kind="metallic")
-        with pytest.raises(DomainError):
-            LayerResponse(eps_kind="finite", mu_static=0.5)
-        with pytest.raises(DomainError):
-            LayerResponse(eps_kind="plasma", omega_p=-1.0)

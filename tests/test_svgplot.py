@@ -3,7 +3,7 @@ import math
 import pytest
 
 from casnuc.errors import DomainError, NumericalError
-from casnuc.svgplot import render_line_chart
+from casnuc.svgplot import _tick_positions, render_line_chart
 
 XS = [1.0, 2.0, 3.0]
 SERIES = [
@@ -61,3 +61,13 @@ def test_non_finite_rejected():
         render_line_chart([("s", XS, [1.0, math.nan, 2.0])], "x", "y")
     with pytest.raises(NumericalError):
         render_line_chart([("s", XS, [1.0, math.inf, 2.0])], "x", "y")
+
+
+def test_sub_ulp_span_terminates():
+    # the tick step is below one ulp of 1.0, so stepping cannot advance
+    ticks = _tick_positions(1.0, 1.0000000000000002)
+    assert len(ticks) <= 2
+    assert all(1.0 <= t <= 1.0000000000000002 for t in ticks)
+    doc = render_line_chart([("s", [1.0, 1.0000000000000002], [-3.3, -3.3000000000000003])],
+                            "x", "y")
+    assert doc.endswith("</svg>\n")
