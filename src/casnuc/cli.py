@@ -202,7 +202,10 @@ def _model_from_params(params: dict[str, object]) -> plasma.PermeabilityModel:
     if name == "spin":
         return plasma.PermeabilityModel.static_spin(convention)
     if name == "field":
-        return plasma.PermeabilityModel.in_field(float(params.get("H", 0.0)))
+        H = float(params.get("H", 0.0))
+        if not H > 0.0:
+            raise DomainError(f"--H must be > 0 for --mu-model field, got {H}")
+        return plasma.PermeabilityModel.in_field(H)
     raise DomainError(f"unknown permeability model {name!r}")
 
 

@@ -75,8 +75,8 @@ class PermeabilityModel:
             raise DomainError(f"unknown convention {self.convention!r}")
         if self.kind == "dynamic" and not self.omega_mu > 0.0:
             raise DomainError("dynamic permeability requires omega_mu > 0")
-        if self.kind == "field_dependent" and self.H < 0.0:
-            raise DomainError("field_dependent permeability requires H >= 0")
+        if self.kind == "field_dependent" and not self.H > 0.0:
+            raise DomainError("field_dependent permeability requires H > 0")
 
     @classmethod
     def unity(cls) -> "PermeabilityModel":

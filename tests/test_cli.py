@@ -112,6 +112,11 @@ class TestState:
         assert code == 2
         assert "casnuc: error:" in err
 
+    def test_field_model_error_names_the_flag(self, capsys):
+        code, _, err = run_cli(["state", "--mu-model", "field"], capsys)
+        assert code == 2
+        assert "--H" in err and "--mu-model field" in err
+
     def test_field_model(self, capsys):
         code, out, _ = run_cli(
             ["state", "--mu-model", "field", "--H", "1e12"], capsys

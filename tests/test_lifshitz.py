@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,8 @@ from casnuc.lifshitz import (
     MAX_GRID_POINTS,
     XBAR_CROSSOVER_10PCT,
     SweepSpec,
+    _SERIES_SPLIT,
+    _mode_series,
     distance_coupled_breakdown,
     finite_freq_asymptote,
     finite_freq_sum,
@@ -42,6 +45,41 @@ def state_at(L):
 
 def per_pair_mev(f_per_area):
     return convert(f_per_area * DEFAULT_PLATE_AREA, "J", "MeV")
+
+
+class TestModeSeries:
+    def test_matches_mpmath_polylogs(self):
+        mp = pytest.importorskip("mpmath")
+        grid = [0.0] + [10.0 ** (-300 + k * (300 + math.log10(745.0)) / 599)
+                        for k in range(600)]
+        grid += [math.nextafter(_SERIES_SPLIT, 0.0), _SERIES_SPLIT,
+                 math.nextafter(_SERIES_SPLIT, math.inf)]
+        with mp.workdps(40):
+            for a in grid:
+                z = mp.exp(-mp.mpf(a))
+                exact = a * mp.polylog(2, z) + mp.polylog(3, z)
+                # one subnormal spacing: S itself is subnormal above a ~ 715
+                tol = 1e-14 * abs(exact) + 5e-324
+                assert abs(_mode_series(a) - exact) <= tol, a
+
+    def test_continuous_across_split(self):
+        below = _mode_series(math.nextafter(_SERIES_SPLIT, 0.0))
+        assert _mode_series(_SERIES_SPLIT) == pytest.approx(below, rel=1e-15)
+
+    def test_small_arguments_are_cheap(self):
+        # summed term by term, S needs ~1e5 terms as a -> 0; the expansion
+        # costs the same at every a below the split
+        start = time.perf_counter()
+        for k in range(100):
+            _mode_series((0.0, 1e-6, 1e-3)[k % 3])
+        assert time.perf_counter() - start < 0.1
+
+    def test_domain(self):
+        assert _mode_series(0.0) == ZETA_3
+        assert _mode_series(math.inf) == 0.0
+        for bad in (-1e-300, math.nan):
+            with pytest.raises(DomainError):
+                _mode_series(bad)
 
 
 class TestZeroFreqExact:
@@ -182,7 +220,8 @@ class TestFullMatsubara:
         T = xbar * HBAR_C / (2.0 * K_B * L)
         total = full_matsubara(L, T, 0.0, UNITY)
         classical = -ZETA_3 * K_B * T / (8.0 * math.pi * L**2)
-        assert total == pytest.approx(classical, rel=0.01)
+        # the n > 0 terms add about 1e-12 at xbar = 5
+        assert abs(total / classical - 1.0) < 1e-11
 
     def test_frozen_totals_at_1fm(self):
         L = 1e-15

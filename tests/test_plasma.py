@@ -323,6 +323,10 @@ class TestPermeabilityModel:
         with pytest.raises(DomainError):
             PermeabilityModel(kind="field_dependent", H=-1.0)
 
+    def test_field_needs_positive_h(self):
+        with pytest.raises(DomainError):
+            PermeabilityModel.in_field(0.0)
+
     def test_unity_static_mu(self):
         assert PermeabilityModel.unity().static_mu(2e43, 8.7e11) == 1.0
 
