@@ -50,17 +50,13 @@ from .plasma import (
     PlasmaState,
     density_from_distance,
     distance_closed_forms,
-    lande_g,
     langevin,
     pair_density,
-    pair_permeability_dynamic,
     pair_permeability_in_field,
     pair_permeability_static,
     plasma_frequency,
     plasma_state_from_distance,
-    spin_susceptibility,
     temperature_from_distance,
-    temperature_from_force,
 )
 from .units import convert
 
@@ -78,15 +74,11 @@ __all__ = [
     "PlasmaState",
     "PermeabilityModel",
     "temperature_from_distance",
-    "temperature_from_force",
     "pair_density",
     "density_from_distance",
     "plasma_frequency",
     "langevin",
-    "lande_g",
-    "spin_susceptibility",
     "pair_permeability_static",
-    "pair_permeability_dynamic",
     "pair_permeability_in_field",
     "plasma_state_from_distance",
     "distance_closed_forms",

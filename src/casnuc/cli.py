@@ -287,9 +287,10 @@ def _cmd_state(params: dict[str, object]) -> str:
     return _json_document(payload)
 
 
-def emit_table(which: int, fmt: str = "csv") -> str:
-    """Reference tables: which=2 is the five-row state table, which=1 the
-    closed-form vs composed-pipeline consistency report."""
+def _cmd_table(params: dict[str, object]) -> str:
+    # --which 2 is the five-row state table, --which 1 the closed-form vs
+    # composed-pipeline consistency report
+    which, fmt = int(params["which"]), str(params["format"])
     if which == 2:
         header = ["L_fm", "T_K", "rho_m3", "omega_ep_rad_s", "mu_ep"]
         rows: list[list[object]] = []
@@ -297,9 +298,7 @@ def emit_table(which: int, fmt: str = "csv") -> str:
             s = plasma.plasma_state_from_distance(L_fm * 1e-15)
             rows.append([L_fm, s.T, s.rho, s.omega_ep, s.mu_ep])
         if fmt == "json":
-            return _json_document(
-                [dict(zip(header, row)) for row in rows]
-            )
+            return _json_document([dict(zip(header, row)) for row in rows])
         return _csv_document(header, rows)
     if which == 1:
         ratio = (_CHECK_L_MAX_FM / _CHECK_L_MIN_FM) ** (1.0 / (_CHECK_GRID_POINTS - 1))
@@ -328,10 +327,6 @@ def emit_table(which: int, fmt: str = "csv") -> str:
             ["quantity", "max_rel_dev"], [[k, v] for k, v in deviations.items()]
         )
     raise DomainError(f"table --which must be 1 or 2, got {which}")
-
-
-def _cmd_table(params: dict[str, object]) -> str:
-    return emit_table(int(params["which"]), str(params["format"]))
 
 
 def _cmd_sweep(params: dict[str, object]) -> str:

@@ -8,10 +8,12 @@ in a bounded number of operations: a closed small-argument expansion below
 a = 1.5, the exponential sum with a geometric tail bound above.  On top of
 that series sit the zero-frequency term (exact and its large-screening
 asymptote), the finite-frequency asymptote, the full Matsubara sum, the
-distance-coupled closed forms and separation sweeps.  The test suite checks
-the series against mpmath's polylogarithms and an independent
-adaptive-quadrature oracle, and the closed forms against the composed plasma
-pipeline.
+distance-coupled closed forms and separation sweeps.  The permeability model
+enters only the n = 0 term; every n > 0 term has mu = 1, and the n > 0 sum
+stops once a bound on its neglected tail is below 1e-12 of it.  The test
+suite checks the series against mpmath's polylogarithms and an independent
+adaptive-quadrature oracle, the truncated Matsubara sum against the fully
+summed terms, and the closed forms against the composed plasma pipeline.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import ConvergenceError, DomainError
 from .plasma import (
     PermeabilityModel,
     pair_density,
-    pair_permeability_dynamic,
     plasma_frequency,
     plasma_state_from_distance,
     temperature_from_distance,
@@ -73,7 +74,7 @@ _SMALL_A_COEFFS = (
     0.010416666666666666,
 )
 
-# Matsubara truncation: term magnitude below this fraction of the partial sum
+# Matsubara truncation: bound on the neglected tail, relative to the sum
 _MATSUBARA_RTOL = 1e-12
 _MATSUBARA_MAX_TERMS = 200_000
 
@@ -97,7 +98,6 @@ class FreeEnergyBreakdown:
     zero_freq: float    # n = 0 term [J/m^2]
     finite_freq: float  # n > 0 terms [J/m^2]
     total: float        # zero_freq + finite_freq [J/m^2]
-    method: str         # always "asymptote" (distance-coupled closed forms)
     kappa: float        # screening wavevector sqrt(mu_ep) omega_ep / c [1/m]
     per_pair: float     # total x plate area [J]
 
@@ -214,9 +214,9 @@ def matsubara_term(
 ) -> float:
     """Single Matsubara term of the free energy per area (n = 0 at half weight).
 
-    The n = 0 term carries the static permeability.  At n > 0 only the
-    dynamic model keeps a (rolled-off) magnetic response; every other model
-    has mu = 1 there, its static response having died far below xi_1.
+    The n = 0 term carries the model's static permeability.  Every n > 0
+    term has mu = 1 whatever the model: the spin response has died out far
+    below the first Matsubara frequency xi_1 = 2 pi k_B T/hbar.
     """
     if n < 0:
         raise DomainError("Matsubara index must be non-negative")
@@ -228,45 +228,40 @@ def matsubara_term(
         model = PermeabilityModel()
     omega = plasma_frequency(rho)
     xi = 2.0 * math.pi * n * K_B * T / HBAR
-    if n == 0:
-        mu_n = model.static_mu(rho, T)
-    elif model.kind == "dynamic":
-        mu_n = pair_permeability_dynamic(xi, rho, T, model.omega_mu, model.convention)
-    else:
-        mu_n = 1.0
+    mu_n = model.static_mu(rho, T) if n == 0 else 1.0
     a = 2.0 * L * math.sqrt(mu_n * (xi * xi + omega * omega)) / C
     weight = 0.5 if n == 0 else 1.0
     return -weight * K_B * T / (4.0 * math.pi * L * L) * _mode_series(a)
 
 
-def finite_freq_sum(
-    L: float, T: float, rho: float, model: PermeabilityModel | None = None
-) -> float:
-    """Sum of all n > 0 Matsubara terms, truncated at 1e-12 relative.
+def finite_freq_sum(L: float, T: float, rho: float) -> float:
+    """Sum of all n > 0 Matsubara terms; the neglected tail is below 1e-12
+    of the sum.
 
-    Permeability as in matsubara_term: rolled off for the dynamic model,
-    1 for every other.
+    Model-free: every n > 0 term has mu = 1 (see matsubara_term), so
+    a_n = (2L/c) sqrt(xi_n^2 + omega_ep^2) rises and is convex in n.  With
+    the integral int_a^inf S = sum_j e^(-j a) (a/j^3 + 2/j^4) <= 2 S(a), the
+    terms after t_n sum to at most 2 |t_n|/a'(n), where
+    a'(n) = (2L/c) xi_1 xi_n/sqrt(xi_n^2 + omega_ep^2); the sum stops once
+    that bound is below 1e-12 of the partial sum.
     """
     if not L > 0.0 or not T > 0.0:
         raise DomainError(f"L and T must be positive, got L={L}, T={T}")
     if rho < 0.0:
         raise DomainError(f"density must be non-negative, got {rho}")
-    if model is None:
-        model = PermeabilityModel()
-    dynamic = model.kind == "dynamic"
     omega = plasma_frequency(rho)
     prefactor = -K_B * T / (4.0 * math.pi * L * L)
     xi_1 = 2.0 * math.pi * K_B * T / HBAR
+    tail_scale = _MATSUBARA_RTOL * L * xi_1 / C  # rtol a'(n) root/(2 xi), any n
     total = 0.0
     for n in range(1, _MATSUBARA_MAX_TERMS + 1):
         xi = n * xi_1
-        k2 = xi * xi + omega * omega
-        if dynamic:
-            k2 *= pair_permeability_dynamic(xi, rho, T, model.omega_mu, model.convention)
-        a = 2.0 * L * math.sqrt(k2) / C
+        root = math.sqrt(xi * xi + omega * omega)
+        a = 2.0 * L * root / C
         term = prefactor * _mode_series(a)
         total += term
-        if term == 0.0 or abs(term) <= _MATSUBARA_RTOL * abs(total):
+        # the tail bound 2 |term|/a'(n) <= rtol |total|, times a'(n) root/2
+        if term == 0.0 or abs(term) * root <= tail_scale * xi * abs(total):
             return total
     raise ConvergenceError(
         f"Matsubara sum did not converge: L={L}, T={T}, rho={rho}, "
@@ -283,7 +278,7 @@ def full_matsubara(
     the n = 0 term at half weight.  Both polarizations contribute equally in
     the perfect-conductor limit.
     """
-    return matsubara_term(0, L, T, rho, model) + finite_freq_sum(L, T, rho, model)
+    return matsubara_term(0, L, T, rho, model) + finite_freq_sum(L, T, rho)
 
 
 def screening_wavevector(rho: float, mu_ep: float) -> float:
@@ -357,7 +352,6 @@ def distance_coupled_breakdown(
         zero_freq=zero,
         finite_freq=finite,
         total=total,
-        method="asymptote",
         kappa=kappa,
         per_pair=total * area,
     )
@@ -447,7 +441,7 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
             finite = finite_freq_asymptote(rho, T, L)
         else:
             zero = matsubara_term(0, L, T, rho, spec.model)
-            finite = finite_freq_sum(L, T, rho, spec.model)
+            finite = finite_freq_sum(L, T, rho)
         rows.append(
             SweepRow(
                 L_fm=L_fm,

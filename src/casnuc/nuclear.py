@@ -8,8 +8,9 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .constants import C, E_CHARGE, EPS_0, HBAR, HBAR_C, K_B, M_E
+from .constants import E_CHARGE, EPS_0, HBAR, HBAR_C, K_B, M_E
 from .errors import DomainError, NumericalError
+from .lifshitz import screening_wavevector
 from .plasma import plasma_frequency
 
 # bracket of the linewidth formula changes sign at this hbar*omega_p/(2 eps_F)
@@ -159,7 +160,7 @@ def screening_length(mass_energy: float) -> float:
 def yukawa_quantities(rho: float, mu_ep: float) -> YukawaQuantities:
     """Meson rest energy, its range, and the screening wavevector they share."""
     mass = meson_mass(rho, mu_ep)
-    kappa = math.sqrt(mu_ep) * plasma_frequency(rho) / C
+    kappa = screening_wavevector(rho, mu_ep)
     return YukawaQuantities(
         meson_mass_energy=mass,
         screening_length=screening_length(mass),

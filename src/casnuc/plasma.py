@@ -5,6 +5,12 @@ separation, the temperature fixes the pair density, and the density fixes the
 plasma frequency and magnetic permeability.  The pair-density formula is the
 relativistic-gas result and assumes k_B*T >> m_e*c^2; at femtometer
 separations this holds by orders of magnitude (see state_assumptions()).
+
+Every permeability model here is a static (zero-frequency) response: the
+spin paramagnetism, with or without Langevin saturation in an applied
+field.  It enters the Lifshitz sum only through its n = 0 term; by the
+first Matsubara frequency, xi_1 = 2 pi k_B T/hbar (about 7e23 rad/s at
+1 fm), the spin response has died out, so every n > 0 term uses mu = 1.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from .constants import (
     E_CHARGE,
     EPS_0,
     GAMMA_BALANCE,
-    HBAR,
     HBAR_C,
     K_B,
     M_E,
@@ -28,13 +33,10 @@ from .constants import (
 from .errors import DomainError
 
 CONVENTIONS = ("table_consistent", "equation_literal")
-MODEL_KINDS = ("unity", "static_spin", "dynamic", "field_dependent")
+MODEL_KINDS = ("unity", "static_spin", "field_dependent")
 
 # Langevin series branch below this |y|; see langevin()
 Y_SWITCH = 1e-4
-
-# default magnetic proper frequency for the dynamic permeability [rad/s]
-OMEGA_MU_DEFAULT = 1e10
 
 
 @dataclass(frozen=True)
@@ -55,8 +57,8 @@ class PermeabilityModel:
     kind:
         unity           -- mu = 1 everywhere
         static_spin     -- zero-frequency spin paramagnetism
-        dynamic         -- static value rolled off above omega_mu
-        field_dependent -- Langevin saturation in an applied field H
+        field_dependent -- Langevin saturation of the electron moment mu_B
+                           in an applied field H
     convention:
         table_consistent -- chi = 2*mu0*rho*mu_B^2/(k_B*T)
         equation_literal -- chi = mu0*rho*mu_B^2/(k_B*T), half the above
@@ -64,17 +66,13 @@ class PermeabilityModel:
 
     kind: str = "static_spin"
     convention: str = "table_consistent"
-    omega_mu: float = OMEGA_MU_DEFAULT   # [rad/s], dynamic kind only
-    H: float = 0.0                       # applied field [A/m], field kind only
-    mu_bar: float = MU_B                 # moment per particle [J/T], field kind only
+    H: float = 0.0    # applied field [A/m], field kind only
 
     def __post_init__(self) -> None:
         if self.kind not in MODEL_KINDS:
             raise DomainError(f"unknown permeability kind {self.kind!r}")
         if self.convention not in CONVENTIONS:
             raise DomainError(f"unknown convention {self.convention!r}")
-        if self.kind == "dynamic" and not self.omega_mu > 0.0:
-            raise DomainError("dynamic permeability requires omega_mu > 0")
         if self.kind == "field_dependent" and not self.H > 0.0:
             raise DomainError("field_dependent permeability requires H > 0")
 
@@ -87,25 +85,17 @@ class PermeabilityModel:
         return cls(kind="static_spin", convention=convention)
 
     @classmethod
-    def dynamic(
-        cls,
-        omega_mu: float = OMEGA_MU_DEFAULT,
-        convention: str = "table_consistent",
-    ) -> "PermeabilityModel":
-        return cls(kind="dynamic", omega_mu=omega_mu, convention=convention)
-
-    @classmethod
-    def in_field(cls, H: float, mu_bar: float = MU_B) -> "PermeabilityModel":
-        return cls(kind="field_dependent", H=H, mu_bar=mu_bar)
+    def in_field(cls, H: float) -> "PermeabilityModel":
+        return cls(kind="field_dependent", H=H)
 
     def static_mu(self, rho: float, T: float) -> float:
         """Zero-frequency permeability of the plasma state (rho, T)."""
         if self.kind == "unity":
             return 1.0
-        if self.kind in ("static_spin", "dynamic"):
+        if self.kind == "static_spin":
             return pair_permeability_static(rho, T, self.convention)
         # field_dependent: N enters per species
-        return pair_permeability_in_field(self.H, 0.5 * rho, self.mu_bar, T)
+        return pair_permeability_in_field(self.H, 0.5 * rho, T)
 
 
 def temperature_from_distance(L: float) -> float:
@@ -113,16 +103,6 @@ def temperature_from_distance(L: float) -> float:
     if not L > 0.0:
         raise DomainError(f"separation must be positive, got {L}")
     return HBAR_C / (K_B * GAMMA_BALANCE * L)
-
-
-def temperature_from_force(force_per_area: float) -> float:
-    """Temperature at which black-body radiation balances the given pressure.
-
-    T = (5 hbar^3 c^3 (F/A) / (pi^2 k_B^4))^(1/4), F/A a positive magnitude.
-    """
-    if not force_per_area > 0.0:
-        raise DomainError("force per area must be a positive magnitude")
-    return (5.0 * HBAR**3 * C**3 * force_per_area / (math.pi**2 * K_B**4)) ** 0.25
 
 
 def pair_density(T: float) -> float:
@@ -173,29 +153,6 @@ def langevin(y: float) -> float:
     return math.copysign((u * x - (u - 2.0 * x)) / (u * x), y)
 
 
-def lande_g(S: float, Lq: float, J: float) -> float:
-    """Lande g-factor, g = 1 + [J(J+1) + S(S+1) - Lq(Lq+1)] / [2 J(J+1)]."""
-    if J <= 0.0:
-        raise DomainError("total angular momentum J must be positive")
-    if S < 0.0 or Lq < 0.0:
-        raise DomainError("S and Lq must be non-negative")
-    jj = J * (J + 1.0)
-    return 1.0 + (jj + S * (S + 1.0) - Lq * (Lq + 1.0)) / (2.0 * jj)
-
-
-def spin_susceptibility(N: float, mu_bar: float, T: float) -> float:
-    """Curie-law susceptibility chi = mu0 N mu_bar^2 / (3 k_B T).
-
-    With mu_bar = g mu_B sqrt(J(J+1)) this is the quantum result; for the
-    electron (g = 2, J = 1/2) it reduces to mu0 N mu_B^2 / (k_B T).
-    """
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T}")
-    if N < 0.0:
-        raise DomainError(f"moment density must be non-negative, got {N}")
-    return MU_0 * N * mu_bar**2 / (3.0 * K_B * T)
-
-
 def pair_permeability_static(
     rho_total: float, T: float, convention: str = "table_consistent"
 ) -> float:
@@ -217,33 +174,11 @@ def pair_permeability_static(
     return 1.0 + chi
 
 
-def pair_permeability_dynamic(
-    xi: float,
-    rho_total: float,
-    T: float,
-    omega_mu: float = OMEGA_MU_DEFAULT,
-    convention: str = "table_consistent",
-) -> float:
-    """Permeability on the imaginary frequency axis.
-
-    mu(i xi) = 1 + (mu_static - 1)/(1 + xi^2/omega_mu^2); reduces to the
-    static value at xi = 0 and rolls off above the proper frequency omega_mu.
-    """
-    if xi < 0.0:
-        raise DomainError(f"imaginary frequency must be non-negative, got {xi}")
-    if not omega_mu > 0.0:
-        raise DomainError(f"proper frequency must be positive, got {omega_mu}")
-    chi0 = pair_permeability_static(rho_total, T, convention) - 1.0
-    return 1.0 + chi0 / (1.0 + (xi / omega_mu) ** 2)
-
-
-def pair_permeability_in_field(
-    H: float, N_per_species: float, mu_bar: float, T: float
-) -> float:
-    """Field-dependent permeability mu(H) = 1 + 6 N mu_bar L(y)/H, y = mu_bar mu0 H/(k_B T).
+def pair_permeability_in_field(H: float, N_per_species: float, T: float) -> float:
+    """Field-dependent permeability mu(H) = 1 + 6 N mu_B L(y)/H, y = mu_B mu0 H/(k_B T).
 
     N is the per-species moment density.  As H -> 0 this recovers
-    1 + 2 mu0 N mu_bar^2/(k_B T); as H -> infinity mu -> 1 (saturation).
+    1 + 2 mu0 N mu_B^2/(k_B T); as H -> infinity mu -> 1 (saturation).
     """
     if not H > 0.0:
         raise DomainError("H must be positive; use pair_permeability_static for H = 0")
@@ -251,8 +186,8 @@ def pair_permeability_in_field(
         raise DomainError(f"temperature must be positive, got {T}")
     if N_per_species < 0.0:
         raise DomainError(f"moment density must be non-negative, got {N_per_species}")
-    y = mu_bar * MU_0 * H / (K_B * T)
-    return 1.0 + 6.0 * N_per_species * mu_bar * langevin(y) / H
+    y = MU_B * MU_0 * H / (K_B * T)
+    return 1.0 + 6.0 * N_per_species * MU_B * langevin(y) / H
 
 
 def plasma_state_from_distance(

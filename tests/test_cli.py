@@ -1,11 +1,17 @@
+import contextlib
+import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from casnuc import cli, lifshitz, plasma
 from casnuc.lifshitz import FreeEnergyBreakdown
@@ -311,7 +317,7 @@ class TestPlot:
     def test_non_finite_exits_3(self, capsys, monkeypatch):
         bad = FreeEnergyBreakdown(
             zero_freq=math.nan, finite_freq=math.nan, total=math.nan,
-            method="asymptote", kappa=math.nan, per_pair=math.nan,
+            kappa=math.nan, per_pair=math.nan,
         )
         monkeypatch.setattr(
             lifshitz, "distance_coupled_breakdown", lambda L, model, area: bad
@@ -448,6 +454,67 @@ class TestSignedZero:
         assert "-0.00000000e+00" not in cells
         assert "-0.0" not in cells
         assert "0.00000000e+00" in cells or "0.0" in cells
+
+
+# three in four floats are positive, so that many argv get past validation
+_HOSTILE_FLOATS = st.integers(0, 3).flatmap(
+    lambda k: st.floats(min_value=1e-300, max_value=1e300) if k else st.sampled_from(
+        [math.inf, -math.inf, math.nan, 0.0, -1e-300, -1e300]
+    )
+)
+
+
+def _hostile_value(opt):
+    if opt.kind == "float":
+        return _HOSTILE_FLOATS.map(repr)
+    if opt.kind == "int":
+        # at most 3 grid points keeps every example cheap
+        return st.sampled_from(["2", "3", "2", "3", "0", str(10**20)])
+    if opt.kind == "bool":
+        return st.just(None)
+    return st.sampled_from(list(opt.choices) * 3 + ["bogus"])
+
+
+def _check_document(fmt, out):
+    if fmt == "json":
+        def reject(token):
+            raise ValueError(f"non-finite JSON constant {token}")
+        json.loads(out, parse_constant=reject)
+    elif fmt == "csv":
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert rows
+        for row in rows:
+            assert len(row) == len(header)
+            for cell in row:
+                try:
+                    assert math.isfinite(float(cell))
+                except ValueError:
+                    assert cell.isidentifier()  # the table's quantity names
+    else:
+        ET.fromstring(out)
+
+
+class TestHostileArgv:
+    """Every argv yields a valid, finite document (exit 0) or a message on
+    stderr with exit 2 (usage/domain) or 3 (numerical)."""
+
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMAND_OPTS))
+    @given(data=st.data())
+    def test_exit_code_and_output_contract(self, command, data):
+        opts = {o.dest: o for o in cli._SUBCOMMAND_OPTS[command] if o.dest != "out"}
+        chosen = {dest: data.draw(_hostile_value(o))
+                  for dest, o in opts.items() if data.draw(st.booleans())}
+        argv = [command] + [opts[d].flag if v is None else f"{opts[d].flag}={v}"
+                            for d, v in chosen.items()]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        if code == 0:
+            _check_document(chosen.get("format", opts["format"].default), out.getvalue())
+        else:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("casnuc: "), (argv, err.getvalue())
 
 
 class TestGoldenOutput:

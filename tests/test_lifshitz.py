@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from casnuc import ConvergenceError, DomainError, convert
-from casnuc.constants import K_B, HBAR_C, ZETA_3
+from casnuc.constants import C, HBAR, HBAR_C, K_B, ZETA_3
 from casnuc.lifshitz import (
     DEFAULT_PLATE_AREA,
     MAX_GRID_POINTS,
@@ -28,6 +28,7 @@ from casnuc.lifshitz import (
 from casnuc.plasma import (
     PermeabilityModel,
     density_from_distance,
+    plasma_frequency,
     plasma_state_from_distance,
     temperature_from_distance,
 )
@@ -242,38 +243,57 @@ class TestFullMatsubara:
 
         def deviation(xbar):
             T = xbar * HBAR_C / (2.0 * K_B * L)
-            full = finite_freq_sum(L, T, rho, UNITY)
+            full = finite_freq_sum(L, T, rho)
             return abs(finite_freq_asymptote(rho, T, L) - full) / abs(full)
 
         assert XBAR_CROSSOVER_10PCT == 1.65
         assert deviation(XBAR_CROSSOVER_10PCT) < 0.10
         assert deviation(XBAR_CROSSOVER_10PCT - 0.01) >= 0.10
 
-    def test_dynamic_model_changes_nothing_measurable(self):
-        # the dynamic permeability has rolled off by the first Matsubara
-        # frequency, so enabling it must not move the sum
+    @pytest.mark.parametrize("rho", [0.0, 1e44])
+    @pytest.mark.parametrize("xbar", [0.002, 0.005, 0.02])
+    def test_truncation_within_stated_tolerance(self, xbar, rho):
+        # small xbar: the terms decay slowly, so a small last term does not
+        # bound the tail.  Oracle: the same terms summed with math.fsum out
+        # to a_n > 80, past which the rest is below 1e-30 of the sum
         L = 1e-15
-        T, rho, _ = state_at(L)
-        dyn = PermeabilityModel.dynamic()
-        assert finite_freq_sum(L, T, rho, dyn) == pytest.approx(
-            finite_freq_sum(L, T, rho, SPIN), rel=1e-9
-        )
+        T = xbar * HBAR_C / (2.0 * K_B * L)
+        xi_1 = 2.0 * math.pi * K_B * T / HBAR
+        omega = plasma_frequency(rho)
+        prefactor = -K_B * T / (4.0 * math.pi * L * L)
+        terms, n, a = [], 1, 0.0
+        while a <= 80.0:
+            a = 2.0 * L * math.hypot(n * xi_1, omega) / C
+            terms.append(prefactor * _mode_series(a))
+            n += 1
+        exact = math.fsum(terms)
+        assert abs(finite_freq_sum(L, T, rho) / exact - 1.0) <= 1e-12
 
-    def test_dynamic_rolloff_shared_by_term_and_sum(self):
-        # with omega_mu near xi_1 the rolled-off permeability screens the
-        # n > 0 terms; single terms and the sum must apply the same rule
+    def test_finite_terms_are_model_free(self):
+        # the permeability enters at n = 0 only: every n > 0 term has mu = 1
         L = 1e-15
         T, rho, _ = state_at(L)
-        dyn = PermeabilityModel.dynamic(omega_mu=1e23)
+        models = [UNITY, SPIN, PermeabilityModel.static_spin("equation_literal"),
+                  PermeabilityModel.in_field(1e15)]
+        for n in range(1, 6):
+            assert len({matsubara_term(n, L, T, rho, m) for m in models}) == 1
+        assert len({matsubara_term(0, L, T, rho, m) for m in models}) == len(models)
+        for m in models:
+            finite = full_matsubara(L, T, rho, m) - matsubara_term(0, L, T, rho, m)
+            assert finite == pytest.approx(finite_freq_sum(L, T, rho), rel=1e-12)
+
+    def test_terms_and_sum_share_one_rule(self):
+        # single terms, summed until they stop adding, give the truncated sum
+        L = 1e-15
+        T, rho, _ = state_at(L)
         total, n = 0.0, 1
         while True:
-            term = matsubara_term(n, L, T, rho, dyn)
-            total += term
-            if abs(term) <= 1e-12 * abs(total):
+            term = matsubara_term(n, L, T, rho, SPIN)
+            if total + term == total:
                 break
+            total += term
             n += 1
-        assert finite_freq_sum(L, T, rho, dyn) == pytest.approx(total, rel=1e-12)
-        assert abs(total) < 1e-3 * abs(finite_freq_sum(L, T, rho, SPIN))
+        assert finite_freq_sum(L, T, rho) == pytest.approx(total, rel=1e-12)
 
 
 class TestDistanceCoupled:
@@ -314,12 +334,11 @@ class TestDistanceCoupled:
             assert b.zero_freq <= 0.0
             assert b.finite_freq <= 0.0
             assert b.total == b.zero_freq + b.finite_freq
-            assert b.method == "asymptote"
             assert b.per_pair == b.total * DEFAULT_PLATE_AREA
 
-    def test_dynamic_model_rejected(self):
+    def test_field_model_rejected(self):
         with pytest.raises(DomainError):
-            distance_coupled_breakdown(1e-15, PermeabilityModel.dynamic())
+            distance_coupled_breakdown(1e-15, PermeabilityModel.in_field(1.0))
 
     def test_figure_ordering_magnetic_above_unity(self):
         for i in range(41):

@@ -5,24 +5,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from casnuc import DomainError, plasma_state_from_distance
-from casnuc.constants import E_CHARGE, EPS_0, K_B, M_E, MU_0, MU_B
+from casnuc.constants import C, E_CHARGE, EPS_0, HBAR, K_B, M_E, MU_0, MU_B
 from casnuc.plasma import (
-    OMEGA_MU_DEFAULT,
     Y_SWITCH,
     PermeabilityModel,
     density_from_distance,
     distance_closed_forms,
-    lande_g,
     langevin,
     pair_density,
-    pair_permeability_dynamic,
     pair_permeability_in_field,
     pair_permeability_static,
     plasma_frequency,
-    spin_susceptibility,
     state_assumptions,
     temperature_from_distance,
-    temperature_from_force,
 )
 from casnuc.nuclear import ideal_casimir
 
@@ -63,24 +58,13 @@ class TestTemperature:
 
 class TestTemperatureFromForce:
     def test_matches_distance_route(self):
-        # the pressure generated by ideal mirrors at L must map back to the
-        # same balance temperature as the distance formula
+        # the temperature at which black-body radiation balances the pressure
+        # F/A of ideal mirrors at L, T = (5 hbar^3 c^3 (F/A)/(pi^2 k_B^4))^(1/4),
+        # must be the distance formula's T
         L = 1e-15
         _, force = ideal_casimir(L, 1.0)
-        assert temperature_from_force(abs(force)) == pytest.approx(
-            temperature_from_distance(L), rel=1e-12
-        )
-
-    def test_quartic_root_scaling(self):
-        T1 = temperature_from_force(1e20)
-        assert temperature_from_force(16e20) == pytest.approx(2 * T1, rel=1e-12)
-
-    def test_small_force_small_temperature(self):
-        assert temperature_from_force(1e-30) < 1.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            temperature_from_force(0.0)
+        T_force = (5.0 * HBAR**3 * C**3 * abs(force) / (math.pi**2 * K_B**4)) ** 0.25
+        assert T_force == pytest.approx(temperature_from_distance(L), rel=1e-12)
 
 
 class TestPairDensity:
@@ -184,43 +168,33 @@ class TestLangevin:
             langevin(float("nan"))
 
 
-class TestLandeG:
-    def test_electron(self):
-        assert lande_g(0.5, 0.0, 0.5) == pytest.approx(2.0, rel=1e-15)
-
-    @pytest.mark.parametrize("J", [0.5, 1.0, 1.5, 2.0])
-    def test_pure_orbital(self, J):
-        assert lande_g(0.0, J, J) == pytest.approx(1.0, rel=1e-15)
-
-    def test_mixed(self):
-        assert lande_g(0.5, 1.0, 1.5) == pytest.approx(4.0 / 3.0, rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            lande_g(0.5, 0.0, 0.0)
-
-
 class TestSpinSusceptibility:
+    """chi = mu - 1 of the pair plasma's spin paramagnetism."""
+
     def test_electron_reduction(self):
-        # mu_bar = g mu_B sqrt(J(J+1)) with g = 2, J = 1/2 collapses the
-        # quantum form to mu0 N mu_B^2/(k_B T)
+        # the quantum Curie law mu0 N mu_bar^2/(3 k_B T), with
+        # mu_bar = g mu_B sqrt(J(J+1)) at g = 2, J = 1/2, is the literal
+        # convention's mu0 N mu_B^2/(k_B T)
         N, T = 1e43, 8.7e11
         mu_bar = 2.0 * MU_B * math.sqrt(0.5 * 1.5)
-        expected = MU_0 * N * MU_B**2 / (K_B * T)
-        assert spin_susceptibility(N, mu_bar, T) == pytest.approx(expected, rel=1e-14)
+        expected = MU_0 * N * mu_bar**2 / (3.0 * K_B * T)
+        chi = pair_permeability_static(N, T, "equation_literal") - 1.0
+        assert chi == pytest.approx(expected, rel=1e-14)
 
     def test_vacuum(self):
-        assert spin_susceptibility(0.0, MU_B, 1e11) == 0.0
+        assert pair_permeability_in_field(1e15, 0.0, 1e11) == 1.0
 
     @given(T=st.floats(min_value=1e8, max_value=1e14))
     def test_curie_decay(self, T):
-        assert spin_susceptibility(1e40, MU_B, 2 * T) == pytest.approx(
-            spin_susceptibility(1e40, MU_B, T) / 2.0, rel=1e-12
+        # rho large enough that chi >> 1e-3 and mu - 1 keeps its digits
+        rho = 1e50
+        assert pair_permeability_static(rho, 2 * T) - 1.0 == pytest.approx(
+            (pair_permeability_static(rho, T) - 1.0) / 2.0, rel=1e-12
         )
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            spin_susceptibility(1e40, MU_B, 0.0)
+            pair_permeability_static(1e40, 0.0)
 
 
 class TestStaticPermeability:
@@ -245,33 +219,6 @@ class TestStaticPermeability:
             pair_permeability_static(2e43, 8.7e11, "majority_vote")
 
 
-class TestDynamicPermeability:
-    def test_zero_frequency_reduction(self):
-        rho, T = 2e43, 8.7e11
-        assert pair_permeability_dynamic(0.0, rho, T) == pair_permeability_static(rho, T)
-
-    def test_first_matsubara_negligible(self):
-        # at the first Matsubara frequency the static response has fully
-        # rolled off, justifying mu = 1 in every finite-frequency term
-        T = 8.70e11
-        xi1 = 2.0 * math.pi * K_B * T / 1.054571817e-34
-        assert xi1 == pytest.approx(7.2e23, rel=0.02)
-        mu = pair_permeability_dynamic(xi1, 2e43, T, OMEGA_MU_DEFAULT)
-        assert mu - 1.0 < 1e-20
-
-    def test_half_width_point(self):
-        rho, T = 2e43, 8.7e11
-        chi0 = pair_permeability_static(rho, T) - 1.0
-        mu = pair_permeability_dynamic(OMEGA_MU_DEFAULT, rho, T, OMEGA_MU_DEFAULT)
-        assert mu - 1.0 == pytest.approx(chi0 / 2.0, rel=1e-12)
-
-    def test_strictly_decreasing(self):
-        rho, T = 2e43, 8.7e11
-        xis = [0.0, 1e9, 1e10, 1e11, 1e12]
-        mus = [pair_permeability_dynamic(x, rho, T) for x in xis]
-        assert all(a > b for a, b in zip(mus, mus[1:]))
-
-
 class TestFieldPermeability:
     N, T = 1e43, 8.7e11
 
@@ -281,14 +228,14 @@ class TestFieldPermeability:
     def test_small_y_matches_zero_field(self):
         H = self._field_for_y(1e-6)
         zero_field = 1.0 + 2.0 * MU_0 * self.N * MU_B**2 / (K_B * self.T)
-        assert pair_permeability_in_field(H, self.N, MU_B, self.T) == pytest.approx(
+        assert pair_permeability_in_field(H, self.N, self.T) == pytest.approx(
             zero_field, rel=1e-10
         )
 
     def test_saturation_suppression(self):
         H = self._field_for_y(50.0)
         chi0 = 2.0 * MU_0 * self.N * MU_B**2 / (K_B * self.T)
-        chi_H = pair_permeability_in_field(H, self.N, MU_B, self.T) - 1.0
+        chi_H = pair_permeability_in_field(H, self.N, self.T) - 1.0
         assert chi_H < 0.07 * chi0
 
     def test_high_field_limit(self):
@@ -296,14 +243,14 @@ class TestFieldPermeability:
         # susceptibility; drive y high enough for mu -> 1 in absolute terms
         chi0 = 2.0 * MU_0 * self.N * MU_B**2 / (K_B * self.T)
         H = self._field_for_y(1e6)
-        chi = pair_permeability_in_field(H, self.N, MU_B, self.T) - 1.0
+        chi = pair_permeability_in_field(H, self.N, self.T) - 1.0
         assert chi / chi0 == pytest.approx(3e-6, rel=1e-3)
         H = self._field_for_y(1e12)
-        assert pair_permeability_in_field(H, self.N, MU_B, self.T) - 1.0 < 1e-6
+        assert pair_permeability_in_field(H, self.N, self.T) - 1.0 < 1e-6
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            pair_permeability_in_field(0.0, self.N, MU_B, self.T)
+            pair_permeability_in_field(0.0, self.N, self.T)
 
 
 class TestPermeabilityModel:
@@ -315,9 +262,10 @@ class TestPermeabilityModel:
         with pytest.raises(DomainError):
             PermeabilityModel(convention="consensus")
 
-    def test_dynamic_needs_frequency(self):
+    def test_dynamic_kind_retired(self):
+        # every model is static; n > 0 Matsubara terms use mu = 1 for all
         with pytest.raises(DomainError):
-            PermeabilityModel(kind="dynamic", omega_mu=0.0)
+            PermeabilityModel(kind="dynamic")
 
     def test_field_needs_nonnegative_h(self):
         with pytest.raises(DomainError):
