@@ -6,14 +6,15 @@ series S(a) = sum_j e^(-j a) (a/j^2 + 1/j^3) = a Li2(e^-a) + Li3(e^-a) of a
 single screening argument a = 2 kappa L.  S is evaluated to double precision
 in a bounded number of operations: a closed small-argument expansion below
 a = 1.5, the exponential sum with a geometric tail bound above.  On top of
-that series sit the zero-frequency term (exact and its large-screening
-asymptote), the finite-frequency asymptote, the full Matsubara sum, the
-distance-coupled closed forms and separation sweeps.  The permeability model
-enters only the n = 0 term; every n > 0 term has mu = 1, and the n > 0 sum
-stops once a bound on its neglected tail is below 1e-12 of it.  The test
-suite checks the series against mpmath's polylogarithms and an independent
-adaptive-quadrature oracle, the truncated Matsubara sum against the fully
-summed terms, and the closed forms against the composed plasma pipeline.
+that series sit the zero-frequency term (zero_freq_exact, its one evaluator;
+the large-screening asymptote is the j = 1 term of S), the finite-frequency
+asymptote, the full Matsubara sum, the distance-coupled closed forms and
+separation sweeps.  The permeability model enters only the n = 0 term; every
+n > 0 term has mu = 1, and the n > 0 sum stops once a bound on its neglected
+tail is below 1e-12 of it.  The test suite checks the series against
+mpmath's polylogarithms, a summed-series and an adaptive-quadrature oracle,
+the truncated Matsubara sum against the fully summed terms, and the closed
+forms against the composed plasma pipeline.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .constants import (
 from .errors import ConvergenceError, DomainError
 from .plasma import (
     PermeabilityModel,
+    _separation_cube,
     pair_density,
     plasma_frequency,
     plasma_state_from_distance,
@@ -150,12 +152,23 @@ def _mode_series(a: float) -> float:
     )
 
 
+def _zero_freq_prefactor(kappa: float, L: float, T: float) -> float:
+    # -k_B T/(8 pi L^2), the factor in front of S(a) in the n = 0 term
+    if kappa < 0.0:
+        raise DomainError(f"kappa must be non-negative, got {kappa}")
+    if not L > 0.0 or not T > 0.0:
+        raise DomainError(f"L and T must be positive, got L={L}, T={T}")
+    return -K_B * T / (8.0 * math.pi * L * L)
+
+
 def zero_freq_exact(kappa: float, L: float, T: float) -> float:
     """Zero-frequency free energy per area, exact series evaluation.
 
     F0/A = (k_B T / 2 pi) int_0^inf dk k ln(1 - e^(-2 kappa_2 L)) with
     kappa_2 = sqrt(k^2 + kappa^2), evaluated exactly as
     -(k_B T / 8 pi L^2) sum_j e^(-j a) (a/j^2 + 1/j^3), a = 2 kappa L.
+    The only evaluator of the n = 0 term: matsubara_term(0, ...),
+    full_matsubara and the exact and full sweeps all call it.
 
     Parameters
     ----------
@@ -171,25 +184,21 @@ def zero_freq_exact(kappa: float, L: float, T: float) -> float:
     float
         Free energy per unit area [J/m^2], always <= 0.
     """
-    if kappa < 0.0:
-        raise DomainError(f"kappa must be non-negative, got {kappa}")
-    if not L > 0.0 or not T > 0.0:
-        raise DomainError(f"L and T must be positive, got L={L}, T={T}")
-    return -K_B * T / (8.0 * math.pi * L * L) * _mode_series(2.0 * kappa * L)
+    return _zero_freq_prefactor(kappa, L, T) * _mode_series(2.0 * kappa * L)
 
 
 def zero_freq_asymptote(kappa: float, L: float, T: float) -> float:
-    """Large-screening asymptote of the zero-frequency term.
+    """Large-screening asymptote of the zero-frequency term: the exact series
+    truncated at j = 1,
 
-    F0/A = -(k_B T / 2 pi) kappa^2 e^(-2 kappa L) [1/(2 kappa L) + 1/(2 kappa L)^2];
-    identically the j = 1 term of the exact series.
+    F0/A = -(k_B T / 8 pi L^2) e^(-a) (1 + a),  a = 2 kappa L.
     """
     if not kappa > 0.0:
         raise DomainError("asymptote undefined at kappa = 0; use zero_freq_exact")
-    if not L > 0.0 or not T > 0.0:
-        raise DomainError(f"L and T must be positive, got L={L}, T={T}")
+    prefactor = _zero_freq_prefactor(kappa, L, T)
     a = 2.0 * kappa * L
-    return -K_B * T / (2.0 * math.pi) * kappa**2 * math.exp(-a) * (1.0 / a + 1.0 / a**2)
+    # the j = 1 term of S is 0.0 beyond a = 746; the cut keeps a = inf from 0 x inf
+    return prefactor * (math.exp(-a) * (1.0 + a) if a < 760.0 else 0.0)
 
 
 def finite_freq_asymptote(rho: float, T: float, L: float) -> float:
@@ -214,9 +223,9 @@ def matsubara_term(
 ) -> float:
     """Single Matsubara term of the free energy per area (n = 0 at half weight).
 
-    The n = 0 term carries the model's static permeability.  Every n > 0
-    term has mu = 1 whatever the model: the spin response has died out far
-    below the first Matsubara frequency xi_1 = 2 pi k_B T/hbar.
+    n = 0 delegates to zero_freq_exact with the model's static permeability.
+    Every n > 0 term has mu = 1 whatever the model: the spin response has
+    died out far below the first Matsubara frequency xi_1 = 2 pi k_B T/hbar.
     """
     if n < 0:
         raise DomainError("Matsubara index must be non-negative")
@@ -224,14 +233,13 @@ def matsubara_term(
         raise DomainError(f"L and T must be positive, got L={L}, T={T}")
     if rho < 0.0:
         raise DomainError(f"density must be non-negative, got {rho}")
-    if model is None:
-        model = PermeabilityModel()
+    if n == 0:
+        mu = (model or PermeabilityModel()).static_mu(rho, T)
+        return zero_freq_exact(screening_wavevector(rho, mu), L, T)
     omega = plasma_frequency(rho)
     xi = 2.0 * math.pi * n * K_B * T / HBAR
-    mu_n = model.static_mu(rho, T) if n == 0 else 1.0
-    a = 2.0 * L * math.sqrt(mu_n * (xi * xi + omega * omega)) / C
-    weight = 0.5 if n == 0 else 1.0
-    return -weight * K_B * T / (4.0 * math.pi * L * L) * _mode_series(a)
+    a = 2.0 * L * math.sqrt(xi * xi + omega * omega) / C
+    return -K_B * T / (4.0 * math.pi * L * L) * _mode_series(a)
 
 
 def finite_freq_sum(L: float, T: float, rho: float) -> float:
@@ -322,14 +330,13 @@ def distance_coupled_breakdown(
     These must agree with composing the plasma pipeline into the generic
     asymptotes to relative 1e-10 (checked in the tests).
     """
-    if not L > 0.0:
-        raise DomainError(f"separation must be positive, got {L}")
+    cube = _separation_cube(L)
     if not area > 0.0:
         raise DomainError(f"area must be positive, got {area}")
     if model is None:
         model = PermeabilityModel()
     kappa = (3.0**0.125 / (2.0 * math.pi)) * math.sqrt(
-        E_CHARGE**2 * MU_0 * ZETA_3 / (2.0 * L**3 * M_E) * _coupled_mu_factor(L, model)
+        E_CHARGE**2 * MU_0 * ZETA_3 / (2.0 * cube * M_E) * _coupled_mu_factor(L, model)
     )
     a = 2.0 * kappa * L
     zero = (
@@ -420,28 +427,27 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
         pinned = (T0, rho0, plasma_frequency(rho0), mu0, screening_wavevector(rho0, mu0))
 
     rows: list[SweepRow] = []
+    closed = spec.mode == "coupled" and spec.method == "asymptote"
+    zero_freq = zero_freq_asymptote if spec.method == "asymptote" else zero_freq_exact
     for L_fm in grid_fm:
         L = L_fm * 1e-15
-        if spec.mode == "coupled":
+        if spec.mode == "fixed":
+            T, rho, omega, mu, kappa = pinned
+        else:
             state = plasma_state_from_distance(L, spec.model)
             T, rho, omega, mu = state.T, state.rho, state.omega_ep, state.mu_ep
-            kappa = screening_wavevector(rho, mu)
+        if closed:
+            # the distance-coupled closed forms, with their own kappa
+            b = distance_coupled_breakdown(L, spec.model, area)
+            zero, finite, kappa = b.zero_freq, b.finite_freq, b.kappa
         else:
-            T, rho, omega, mu, kappa = pinned
-        if spec.method == "asymptote":
             if spec.mode == "coupled":
-                # the distance-coupled closed forms, with their own kappa
-                b = distance_coupled_breakdown(L, spec.model, area)
-                zero, finite, kappa = b.zero_freq, b.finite_freq, b.kappa
+                kappa = screening_wavevector(rho, mu)
+            zero = zero_freq(kappa, L, T)
+            if spec.method == "full":
+                finite = finite_freq_sum(L, T, rho)
             else:
-                zero = zero_freq_asymptote(kappa, L, T)
                 finite = finite_freq_asymptote(rho, T, L)
-        elif spec.method == "exact":
-            zero = zero_freq_exact(kappa, L, T)
-            finite = finite_freq_asymptote(rho, T, L)
-        else:
-            zero = matsubara_term(0, L, T, rho, spec.model)
-            finite = finite_freq_sum(L, T, rho)
         rows.append(
             SweepRow(
                 L_fm=L_fm,

@@ -9,7 +9,7 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import E_CHARGE, EPS_0, HBAR, HBAR_C, K_B, M_E
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .lifshitz import screening_wavevector
 from .plasma import plasma_frequency
 
@@ -80,58 +80,35 @@ def balance_cubic_residual(x: float, D: float) -> float:
     return x**3 - D * x - 2.0 * D
 
 
-def solve_balance_cubic(D: float, method: str = "cardano") -> float:
-    """Largest positive root of x^3 - D x - 2 D = 0 for D > 0.
+def solve_balance_cubic(D: float) -> float:
+    """Largest positive root of x^3 - D x - 2 D = 0 for D > 0, in closed form.
 
-    "cardano" uses the closed form (trigonometric branch when the
-    discriminant turns negative, D > 27); "bisection" brackets and halves.
+    Cardano's formula, switching to the trigonometric branch where the
+    discriminant turns negative (D > 27, three real roots).  The test suite
+    checks it against an independent bisection.
     """
     if not D > 0.0:
         raise DomainError(f"balance constant must be positive, got {D}")
-    if method == "cardano":
-        # depressed cubic t^3 + p t + q with p = -D, q = -2D
-        disc = D * D - D**3 / 27.0  # (q/2)^2 + (p/3)^3
-        if disc >= 0.0:
-            s = math.sqrt(disc)
-            return _cbrt(D + s) + _cbrt(D - s)
-        # three real roots; k = 0 picks the largest
-        return 2.0 * math.sqrt(D / 3.0) * math.cos(math.acos(math.sqrt(27.0 / D)) / 3.0)
-    if method == "bisection":
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            if balance_cubic_residual(hi, D) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise NumericalError(f"failed to bracket the cubic root for D={D}")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if balance_cubic_residual(mid, D) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-    raise DomainError(f"unknown cubic method {method!r}")
+    # depressed cubic t^3 + p t + q with p = -D, q = -2D
+    disc = D * D - D**3 / 27.0  # (q/2)^2 + (p/3)^3
+    if disc >= 0.0:
+        s = math.sqrt(disc)
+        return _cbrt(D + s) + _cbrt(D - s)
+    # three real roots; k = 0 picks the largest
+    return 2.0 * math.sqrt(D / 3.0) * math.cos(math.acos(math.sqrt(27.0 / D)) / 3.0)
 
 
 def equilibrium_distance(R: float) -> EquilibriumResult:
     """Separation at which Casimir attraction balances Coulomb repulsion.
 
     With x = L/R the balance condition reduces to x^3 - D x - 2 D = 0,
-    D = pi^4 eps0 hbar c/(180 e^2).  The closed-form root is cross-checked
-    against bisection before being accepted.
+    D = pi^4 eps0 hbar c/(180 e^2).  D is a constant (about 5.9, so
+    Cardano's single-real-root branch applies), hence so is x = L_eq/R.
     """
     if not R > 0.0:
         raise DomainError(f"radius must be positive, got {R}")
     D = math.pi**4 * EPS_0 * HBAR_C / (180.0 * E_CHARGE**2)
-    x = solve_balance_cubic(D, "cardano")
-    x_check = solve_balance_cubic(D, "bisection")
-    if abs(x - x_check) > 1e-12 * abs(x):
-        raise NumericalError(
-            f"cubic root cross-check failed: cardano={x!r}, bisection={x_check!r}"
-        )
+    x = solve_balance_cubic(D)
     return EquilibriumResult(
         D=D, x_tilde=x, L_eq=x * R, residual=balance_cubic_residual(x, D)
     )

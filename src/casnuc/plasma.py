@@ -16,6 +16,7 @@ first Matsubara frequency, xi_1 = 2 pi k_B T/hbar (about 7e23 rad/s at
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import (
@@ -116,11 +117,20 @@ def pair_density(T: float) -> float:
     return 3.0 * ZETA_3 / math.pi**2 * (K_B * T / HBAR_C) ** 3
 
 
-def density_from_distance(L: float) -> float:
-    """Pair density at the balance temperature: rho = 3^(1/4) zeta(3)/(8 pi^2 L^3)."""
+def _separation_cube(L: float) -> float:
+    # L^3 of a plate separation; below about 2.8e-103 m it is no longer a
+    # normal double, and the densities that scale as 1/L^3 overflow
     if not L > 0.0:
         raise DomainError(f"separation must be positive, got {L}")
-    return 3.0**0.25 * ZETA_3 / (8.0 * math.pi**2 * L**3)
+    cube = L**3
+    if cube < sys.float_info.min:
+        raise DomainError(f"separation too small: L = {L} m, L^3 underflows")
+    return cube
+
+
+def density_from_distance(L: float) -> float:
+    """Pair density at the balance temperature: rho = 3^(1/4) zeta(3)/(8 pi^2 L^3)."""
+    return 3.0**0.25 * ZETA_3 / (8.0 * math.pi**2 * _separation_cube(L))
 
 
 def plasma_frequency(rho: float) -> float:

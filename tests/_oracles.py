@@ -11,7 +11,8 @@ import math
 from scipy.integrate import quad
 
 from casnuc.constants import K_B
-from casnuc.errors import ConvergenceError, DomainError
+from casnuc.errors import ConvergenceError, DomainError, NumericalError
+from casnuc.nuclear import balance_cubic_residual
 
 _LN2 = math.log(2.0)
 
@@ -47,3 +48,50 @@ def zero_freq_quadrature(kappa: float, L: float, T: float) -> float:
             f"quadrature failed to converge: a={a}, value={value}, abserr={abserr}"
         )
     return K_B * T / (8.0 * math.pi * L * L) * value
+
+
+def zero_freq_series(kappa: float, L: float, T: float, terms: int | None = None) -> float:
+    """Zero-frequency free energy per area from its defining sum.
+
+    Independent oracle for zero_freq_exact (stdlib only): math.fsum of
+    -(k_B T / 8 pi L^2) e^(-j a) (a/j^2 + 1/j^3), a = 2 kappa L, over
+    j <= terms.  By default j runs to 50/a + 1, which needs a >= 0.1: each
+    neglected term is then below e^-50 of the first, so together they are
+    below 1e-20 of the sum.  terms=1 gives the large-screening asymptote.
+    """
+    if not L > 0.0 or not T > 0.0:
+        raise DomainError(f"L and T must be positive, got L={L}, T={T}")
+    a = 2.0 * kappa * L
+    if terms is None:
+        if not a >= 0.1:
+            raise DomainError(f"the summed series needs a = 2 kappa L >= 0.1, got {a}")
+        terms = int(50.0 / a) + 1
+    parts = [math.exp(-j * a) * (a / j**2 + 1.0 / j**3) for j in range(1, terms + 1)]
+    return -K_B * T / (8.0 * math.pi * L * L) * math.fsum(parts)
+
+
+def balance_cubic_bisection(D: float) -> float:
+    """Largest positive root of x^3 - D x - 2 D = 0 by bisection.
+
+    Independent oracle for nuclear.solve_balance_cubic: doubles an upper
+    bracket from 1 until the residual turns positive, then halves [0, hi]
+    until the midpoint stops moving.
+    """
+    if not D > 0.0:
+        raise DomainError(f"balance constant must be positive, got {D}")
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if balance_cubic_residual(hi, D) > 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise NumericalError(f"failed to bracket the cubic root for D={D}")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if balance_cubic_residual(mid, D) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -55,10 +55,15 @@ class TestParsing:
         "argv, expected",
         [
             (["equilibrium", "--R", "inf"], 2),
-            (["state", "--L", "1e-200"], 3),
+            (["state", "--L", "1e-200"], 2),
             (["state", "--L", "1e200"], 3),
             (["sweep", "--points", "100000000000000000000"], 2),
             (["plot", "--points", "100000000000000000000"], 2),
+            (["state", "--L", "1e-120"], 2),
+            (["meson", "--L", "1e-120"], 2),
+            (["linewidth", "--L", "1e-120"], 2),
+            (["sweep", "--Lmin", "1e-120", "--Lmax", "2e-120"], 2),
+            (["plot", "--which", "2", "--Lmin", "1e-120", "--Lmax", "2e-120"], 2),
         ],
     )
     def test_hostile_values_exit_cleanly(self, argv, expected, capsys):
@@ -69,6 +74,8 @@ class TestParsing:
         assert "Traceback" not in err
         if "--points" in argv:
             assert "--points" in err
+        if any(v.endswith(("e-120", "e-200")) for v in argv):
+            assert "separation too small" in err
 
     def test_non_finite_json_exits_3(self, capsys, monkeypatch):
         monkeypatch.setattr(lifshitz, "screening_wavevector", lambda rho, mu: math.inf)
@@ -226,6 +233,28 @@ class TestSweep:
             assert float(r[8]) == pytest.approx(
                 float(r[6]) + float(r[7]), rel=1e-6
             )
+
+    @pytest.mark.parametrize("mu_model", ["spin", "unity"])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ["--points", "200"],
+            ["--mode", "fixed", "--points", "200"],
+            ["--mode", "fixed", "--Linit", "100", "--Lmin", "0.1", "--Lmax", "100",
+             "--points", "2000"],
+        ],
+        ids=["coupled", "fixed", "fixed-Linit100"],
+    )
+    def test_exact_and_full_share_the_zero_frequency_term(self, grid, mu_model, capsys):
+        # one n = 0 evaluator: the two methods differ only in the n > 0 terms
+        f0 = {}
+        for method in ("exact", "full"):
+            argv = ["sweep", "--format", "json", "--mu-model", mu_model,
+                    "--method", method, *grid]
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0
+            f0[method] = [row["F0_MeV"] for row in json.loads(out)]
+        assert f0["exact"] == f0["full"]
 
 
 class TestEquilibrium:

@@ -33,7 +33,7 @@ from casnuc.plasma import (
     temperature_from_distance,
 )
 
-from _oracles import zero_freq_quadrature
+from _oracles import zero_freq_quadrature, zero_freq_series
 
 UNITY = PermeabilityModel.unity()
 SPIN = PermeabilityModel.static_spin()
@@ -177,6 +177,11 @@ class TestZeroFreqAsymptote:
         with pytest.raises(DomainError):
             zero_freq_asymptote(0.0, 1e-15, 8.7e11)
 
+    def test_infinite_argument_gives_zero(self):
+        # a = 2 kappa L overflows to inf (fixed-mode sweeps reach L = 1e293 m):
+        # the j = 1 term is 0, not 0 x inf = nan
+        assert zero_freq_asymptote(1.6e16, 1e293, 8.7e11) == 0.0
+
 
 class TestFiniteFreqAsymptote:
     def test_frozen_coupled_1fm(self):
@@ -213,7 +218,7 @@ class TestFullMatsubara:
             T, rho, mu = state_at(L)
             term0 = matsubara_term(0, L, T, rho, SPIN)
             kappa = screening_wavevector(rho, mu)
-            assert term0 == pytest.approx(zero_freq_exact(kappa, L, T), rel=1e-12)
+            assert term0 == pytest.approx(zero_freq_series(kappa, L, T), rel=1e-12)
 
     def test_classical_limit(self):
         L = 1e-15

@@ -28,6 +28,8 @@ from casnuc.plasma import (
     temperature_from_distance,
 )
 
+from _oracles import balance_cubic_bisection
+
 AREA = math.pi * (0.84e-15) ** 2
 
 
@@ -102,28 +104,23 @@ class TestCoulomb:
 class TestBalanceCubic:
     @pytest.mark.parametrize("D", [5.9013556946663135, 26.5, 27.5, 30.0, 500.0])
     def test_cardano_matches_bisection(self, D):
-        x_c = solve_balance_cubic(D, method="cardano")
-        x_b = solve_balance_cubic(D, method="bisection")
-        assert x_c == pytest.approx(x_b, rel=1e-12)
+        x_c = solve_balance_cubic(D)
+        assert x_c == pytest.approx(balance_cubic_bisection(D), rel=1e-12)
         assert abs(balance_cubic_residual(x_c, D)) < 1e-9 * max(abs(x_c) ** 3, 1.0)
 
     @given(D=st.floats(min_value=0.1, max_value=1000.0))
     def test_root_agreement_property(self, D):
-        x_c = solve_balance_cubic(D, method="cardano")
-        x_b = solve_balance_cubic(D, method="bisection")
-        assert x_c == pytest.approx(x_b, rel=1e-12)
+        assert solve_balance_cubic(D) == pytest.approx(balance_cubic_bisection(D), rel=1e-12)
 
     def test_root_is_positive_and_beyond_sqrt_D(self):
         # x^3 = D(x + 2) with D > 0 forces x > sqrt(D)
         for D in (0.5, 5.9, 40.0):
-            x = solve_balance_cubic(D, method="cardano")
+            x = solve_balance_cubic(D)
             assert x > math.sqrt(D)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            solve_balance_cubic(0.0, method="cardano")
-        with pytest.raises(DomainError):
-            solve_balance_cubic(5.9, method="newton")
+            solve_balance_cubic(0.0)
 
 
 class TestEquilibrium:
