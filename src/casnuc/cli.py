@@ -3,21 +3,21 @@
 Subcommands: constants, state, table, sweep, equilibrium, meson, linewidth,
 plot.  Parameter precedence is CLI flag > environment variable (CASNUC_
 prefix) > --config key=value file > built-in default.  Output is written
-atomically when --out is given, to stdout otherwise.  Exit codes: 0 success,
-2 usage/domain error, 3 numerical error.
+atomically when --out is given, to stdout otherwise.  Every printed float is
+finite or exits 3, and -0.0 prints as 0.0; JSON keeps the json.dumps(indent=2)
+layout.  Exit codes: 0 success, 2 usage/domain error, 3 numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
 from . import lifshitz, nuclear, plasma, svgplot
@@ -209,40 +209,41 @@ def _model_from_params(params: dict[str, object]) -> plasma.PermeabilityModel:
     raise DomainError(f"unknown permeability model {name!r}")
 
 
-def _fmt_cell(value: object) -> str:
-    # 9 significant digits, scientific: lossless enough for regression CSVs;
+def _finite(value: float) -> float:
+    # the one rule for every printed float: a non-finite value exits 3, and
     # adding 0.0 turns -0.0 into 0.0 and leaves every other float unchanged
-    if isinstance(value, float):
-        return f"{value + 0.0:.8e}"
-    return str(value)
+    if not math.isfinite(value):
+        raise NumericalError(f"non-finite value in output: {value}")
+    return value + 0.0
 
 
-def _csv_document(header: list[str], rows: list[list[object]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+def _csv_document(header: list[str], rows: Iterable[Iterable[object]]) -> str:
+    # floats to 9 significant digits, scientific: lossless enough for
+    # regression CSVs; no cell holds a comma, quote or newline to quote
+    lines = [",".join(header)]
     for row in rows:
-        writer.writerow([_fmt_cell(v) for v in row])
-    return buf.getvalue()
+        lines.append(",".join(f"{_finite(v):.8e}" if isinstance(v, float) else str(v)
+                              for v in row))
+    return "\n".join(lines) + "\n"
 
 
-def _unsigned_zeros(obj: object) -> object:
-    # json prints -0.0 as "-0.0"; other floats are passed on as they are, not
-    # copied, so a large document costs no extra float objects
-    if isinstance(obj, dict):
-        return {k: _unsigned_zeros(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_unsigned_zeros(v) for v in obj]
-    if isinstance(obj, float) and obj == 0.0:
-        return 0.0
-    return obj
+def _json_text(obj: object, newline: str) -> str:
+    # obj in exactly the json.dumps(indent=2) layout, nested at newline; json
+    # escapes only the keys and strings
+    if isinstance(obj, float):
+        return repr(_finite(obj))
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        items = (json.dumps(key) + ": " + _json_text(value, inner) for key, value in obj.items())
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, list) and obj:
+        items = (_json_text(value, inner) for value in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(obj)  # str, int, bool, None, {} or []
 
 
 def _json_document(obj: object) -> str:
-    try:
-        return json.dumps(_unsigned_zeros(obj), indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise NumericalError(f"non-finite value in JSON output: {exc}") from exc
+    return _json_text(obj, "\n") + "\n"
 
 
 def _cmd_constants(params: dict[str, object]) -> str:
@@ -329,22 +330,27 @@ def _cmd_table(params: dict[str, object]) -> str:
     raise DomainError(f"table --which must be 1 or 2, got {which}")
 
 
-def _cmd_sweep(params: dict[str, object]) -> str:
-    spec = lifshitz.SweepSpec(
+def _sweep_spec(params: dict[str, object]) -> lifshitz.SweepSpec:
+    # the separation grid, --points cap and plate area of sweep and plot;
+    # plot has no --mode, --method or --Linit and keeps the SweepSpec defaults
+    extras = {k: params[p] for k, p in (("mode", "mode"), ("method", "method"),
+                                        ("L_init_fm", "Linit")) if p in params}
+    return lifshitz.SweepSpec(
         L_min_fm=float(params["Lmin"]),
         L_max_fm=float(params["Lmax"]),
         points=int(params["points"]),
         model=_model_from_params(params),
-        mode=str(params["mode"]),
-        method=str(params["method"]),
         R_fm=float(params["R"]),
-        L_init_fm=None if params["Linit"] is None else float(params["Linit"]),
+        **extras,
     )
-    rows = [vars(r) for r in lifshitz.sweep_rows(spec)]
+
+
+def _cmd_sweep(params: dict[str, object]) -> str:
+    rows = [vars(r) for r in lifshitz.sweep_rows(_sweep_spec(params))]
     if params["format"] == "json":
         return _json_document(rows)
     header = [f.name for f in fields(lifshitz.SweepRow)]
-    return _csv_document(header, [list(r.values()) for r in rows])
+    return _csv_document(header, (r.values() for r in rows))
 
 
 def _cmd_equilibrium(params: dict[str, object]) -> str:
@@ -411,53 +417,30 @@ def _cmd_linewidth(params: dict[str, object]) -> str:
     )
 
 
-def _plot_grid(params: dict[str, object]) -> list[float]:
-    lmin, lmax = float(params["Lmin"]), float(params["Lmax"])
-    points = int(params["points"])
-    if not lmin > 0.0 or not lmax > lmin or points < 2:
-        raise DomainError("plot grid requires 0 < Lmin < Lmax and points >= 2")
-    if points > lifshitz.MAX_GRID_POINTS:
-        raise DomainError(f"--points must be at most {lifshitz.MAX_GRID_POINTS}, got {points}")
-    step = (lmax - lmin) / (points - 1)
-    return [lmin + i * step for i in range(points)]
-
-
 def _cmd_plot(params: dict[str, object]) -> str:
-    grid_fm = _plot_grid(params)
-    area = math.pi * (float(params["R"]) * 1e-15) ** 2
-    convention = _CONVENTIONS[params.get("convention", "table")]
+    spec = _sweep_spec(params)
+    grid_fm, area = spec.grid_fm(), spec.plate_area()
+
+    def breakdowns(model: plasma.PermeabilityModel) -> list[lifshitz.FreeEnergyBreakdown]:
+        return [lifshitz.distance_coupled_breakdown(L_fm * 1e-15, model, area)
+                for L_fm in grid_fm]
+
+    def curve(label: str, bs: list[lifshitz.FreeEnergyBreakdown], part: str) -> svgplot.Series:
+        return label, grid_fm, [convert(getattr(b, part) * area, "J", "MeV") for b in bs]
+
     which = int(params["which"])
     if which == 1:
-        unity = plasma.PermeabilityModel.unity()
-        spin = plasma.PermeabilityModel.static_spin(convention)
-        ys_unity, ys_spin = [], []
-        for L_fm in grid_fm:
-            L = L_fm * 1e-15
-            b_u = lifshitz.distance_coupled_breakdown(L, unity, area)
-            b_s = lifshitz.distance_coupled_breakdown(L, spin, area)
-            ys_unity.append(convert(b_u.zero_freq * area, "J", "MeV"))
-            ys_spin.append(convert(b_s.zero_freq * area, "J", "MeV"))
-        return svgplot.render_line_chart(
-            [("mu = 1", grid_fm, ys_unity), ("spin permeability", grid_fm, ys_spin)],
-            "L (fm)", "F0 per plate pair (MeV)", title="Zero-frequency interaction energy",
-        )
+        spin = plasma.PermeabilityModel.static_spin(_CONVENTIONS[str(params["convention"])])
+        series = [curve("mu = 1", breakdowns(plasma.PermeabilityModel.unity()), "zero_freq"),
+                  curve("spin permeability", breakdowns(spin), "zero_freq")]
+        return svgplot.render_line_chart(series, "L (fm)", "F0 per plate pair (MeV)",
+                                         title="Zero-frequency interaction energy")
     if which == 2:
-        model = _model_from_params(params)
-        zero, finite, total = [], [], []
-        for L_fm in grid_fm:
-            b = lifshitz.distance_coupled_breakdown(L_fm * 1e-15, model, area)
-            zero.append(convert(b.zero_freq * area, "J", "MeV"))
-            finite.append(convert(b.finite_freq * area, "J", "MeV"))
-            total.append(convert(b.total * area, "J", "MeV"))
-        return svgplot.render_line_chart(
-            [
-                ("zero frequency", grid_fm, zero),
-                ("finite frequency", grid_fm, finite),
-                ("total", grid_fm, total),
-            ],
-            "L (fm)", "free energy per plate pair (MeV)",
-            title="Interaction free energy breakdown",
-        )
+        bs = breakdowns(spec.model)
+        series = [curve("zero frequency", bs, "zero_freq"),
+                  curve("finite frequency", bs, "finite_freq"), curve("total", bs, "total")]
+        return svgplot.render_line_chart(series, "L (fm)", "free energy per plate pair (MeV)",
+                                         title="Interaction free energy breakdown")
     raise DomainError(f"plot --which must be 1 or 2, got {which}")
 
 

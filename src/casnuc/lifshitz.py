@@ -20,6 +20,7 @@ forms against the composed plasma pipeline.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import (
@@ -31,13 +32,13 @@ from .constants import (
     K_B,
     M_E,
     MU_0,
-    MU_B,
     R_PROTON_DEFAULT,
     ZETA_3,
 )
 from .errors import ConvergenceError, DomainError
 from .plasma import (
     PermeabilityModel,
+    _distance_susceptibility,
     _separation_cube,
     pair_density,
     plasma_frequency,
@@ -297,16 +298,14 @@ def screening_wavevector(rho: float, mu_ep: float) -> float:
 
 
 def _coupled_mu_factor(L: float, model: PermeabilityModel) -> float:
-    # closed-form permeability parenthesis of the distance-coupled kappa;
-    # written via mu_B^2 to match the composed pipeline exactly (CODATA mu_B
-    # is not exactly e hbar/(2 m))
+    # closed-form permeability parenthesis of the distance-coupled kappa
     if model.kind == "unity":
         return 1.0
     if model.kind != "static_spin":
         raise DomainError(
             "distance-coupled closed forms are defined for unity|static_spin models"
         )
-    chi = math.sqrt(3.0) * MU_0 * ZETA_3 * MU_B**2 / (2.0 * math.pi**2 * HBAR_C * L**2)
+    chi = _distance_susceptibility(L)
     if model.convention == "equation_literal":
         chi *= 0.5
     return 1.0 + chi
@@ -328,15 +327,19 @@ def distance_coupled_breakdown(
               exp(-sqrt(3) zeta(3) e^2 mu0/(8 pi^3 m L) - 2 pi/3^(1/4)).
 
     These must agree with composing the plasma pipeline into the generic
-    asymptotes to relative 1e-10 (checked in the tests).
+    asymptotes to relative 1e-10 (checked in the tests).  Below about
+    1.2e-63 m (static spin) or 2.9e-88 m (unity) they are not finite: DomainError.
     """
     cube = _separation_cube(L)
     if not area > 0.0:
         raise DomainError(f"area must be positive, got {area}")
     if model is None:
         model = PermeabilityModel()
+    denominator = 2.0 * cube * M_E
+    if denominator < sys.float_info.min:
+        raise DomainError(f"separation too small: L = {L} m, 2 L^3 m_e underflows")
     kappa = (3.0**0.125 / (2.0 * math.pi)) * math.sqrt(
-        E_CHARGE**2 * MU_0 * ZETA_3 / (2.0 * cube * M_E) * _coupled_mu_factor(L, model)
+        E_CHARGE**2 * MU_0 * ZETA_3 / denominator * _coupled_mu_factor(L, model)
     )
     a = 2.0 * kappa * L
     zero = (
@@ -355,6 +358,8 @@ def distance_coupled_breakdown(
         )
     )
     total = zero + finite
+    if not (math.isfinite(kappa) and math.isfinite(total)):
+        raise DomainError(f"separation too small: L = {L} m, the closed forms are not finite")
     return FreeEnergyBreakdown(
         zero_freq=zero,
         finite_freq=finite,
@@ -397,6 +402,15 @@ class SweepSpec:
         if self.L_init_fm is not None and not self.L_init_fm > 0.0:
             raise DomainError(f"L_init must be positive, got {self.L_init_fm}")
 
+    def grid_fm(self) -> list[float]:
+        """The evenly spaced separations from L_min to L_max [fm]."""
+        step = (self.L_max_fm - self.L_min_fm) / (self.points - 1)
+        return [self.L_min_fm + i * step for i in range(self.points)]
+
+    def plate_area(self) -> float:
+        """Plate area pi R^2 [m^2]."""
+        return math.pi * (self.R_fm * 1e-15) ** 2
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -415,10 +429,7 @@ class SweepRow:
 
 def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate a separation sweep in grid order."""
-    area = math.pi * (spec.R_fm * 1e-15) ** 2
-    step = (spec.L_max_fm - spec.L_min_fm) / (spec.points - 1)
-    grid_fm = [spec.L_min_fm + i * step for i in range(spec.points)]
-
+    area = spec.plate_area()
     if spec.mode == "fixed":
         L_init = (spec.L_init_fm if spec.L_init_fm is not None else spec.L_min_fm) * 1e-15
         T0 = temperature_from_distance(L_init)
@@ -429,7 +440,7 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     rows: list[SweepRow] = []
     closed = spec.mode == "coupled" and spec.method == "asymptote"
     zero_freq = zero_freq_asymptote if spec.method == "asymptote" else zero_freq_exact
-    for L_fm in grid_fm:
+    for L_fm in spec.grid_fm():
         L = L_fm * 1e-15
         if spec.mode == "fixed":
             T, rho, omega, mu, kappa = pinned

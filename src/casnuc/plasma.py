@@ -227,13 +227,16 @@ def distance_closed_forms(L: float) -> dict[str, float]:
     omega = (3.0**0.125 / (2.0 * math.pi)) * math.sqrt(
         E_CHARGE**2 * ZETA_3 / (2.0 * M_E * EPS_0 * L**3)
     )
-    # susceptibility via mu_B^2, not the substituted e^2 hbar/(m^2 c) form:
+    mu = 1.0 + _distance_susceptibility(L)
+    return {"T_K": T, "rho_m3": rho, "omega_ep_rad_s": omega, "mu_ep": mu}
+
+
+def _distance_susceptibility(L: float) -> float:
+    # table-consistent spin susceptibility at the balance state of L, in closed
+    # form; written via mu_B^2, not the substituted e^2 hbar/(m^2 c) form:
     # CODATA mu_B differs from e hbar/(2 m) at ~3e-10, which would break the
     # 1e-12 agreement with the composed pipeline
-    mu = 1.0 + math.sqrt(3.0) * MU_0 * ZETA_3 * MU_B**2 / (
-        2.0 * math.pi**2 * HBAR_C * L**2
-    )
-    return {"T_K": T, "rho_m3": rho, "omega_ep_rad_s": omega, "mu_ep": mu}
+    return math.sqrt(3.0) * MU_0 * ZETA_3 * MU_B**2 / (2.0 * math.pi**2 * HBAR_C * L**2)
 
 
 def state_assumptions(state: PlasmaState) -> dict[str, object]:

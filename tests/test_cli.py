@@ -64,6 +64,13 @@ class TestParsing:
             (["linewidth", "--L", "1e-120"], 2),
             (["sweep", "--Lmin", "1e-120", "--Lmax", "2e-120"], 2),
             (["plot", "--which", "2", "--Lmin", "1e-120", "--Lmax", "2e-120"], 2),
+            (["sweep", "--R", "1e160"], 3),
+            (["plot", "--R", "-1"], 2),
+            (["sweep", "--Lmin", "1e-86", "--Lmax", "2e-86"], 2),
+            (["plot", "--which", "1", "--Lmin", "1e-86", "--Lmax", "2e-86"], 2),
+            (["plot", "--which", "2", "--Lmin", "1e-86", "--Lmax", "2e-86"], 2),
+            (["plot", "--which", "2", "--Lmin", "2e-83", "--Lmax", "3e-83"], 2),
+            (["sweep", "--Lmin", "1e-60", "--Lmax", "2e-60"], 2),
         ],
     )
     def test_hostile_values_exit_cleanly(self, argv, expected, capsys):
@@ -74,12 +81,18 @@ class TestParsing:
         assert "Traceback" not in err
         if "--points" in argv:
             assert "--points" in err
-        if any(v.endswith(("e-120", "e-200")) for v in argv):
+        if "--R" in argv and expected == 2:
+            assert "--R" in err or "radius" in err
+        if any(v.endswith(("e-120", "e-200", "e-86", "e-83", "e-60")) for v in argv):
             assert "separation too small" in err
 
-    def test_non_finite_json_exits_3(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv", [["state"], ["sweep", "--method", "exact", "--points", "3"]],
+        ids=["state-json", "sweep-csv"],
+    )
+    def test_non_finite_json_exits_3(self, argv, capsys, monkeypatch):
         monkeypatch.setattr(lifshitz, "screening_wavevector", lambda rho, mu: math.inf)
-        code, out, err = run_cli(["state"], capsys)
+        code, out, err = run_cli(argv, capsys)
         assert code == 3
         assert out == ""
         assert "casnuc: numerical error:" in err
@@ -497,8 +510,8 @@ def _hostile_value(opt):
     if opt.kind == "float":
         return _HOSTILE_FLOATS.map(repr)
     if opt.kind == "int":
-        # at most 3 grid points keeps every example cheap
-        return st.sampled_from(["2", "3", "2", "3", "0", str(10**20)])
+        # at most 3 grid points keeps every example cheap; 1 reaches --which 1
+        return st.sampled_from(["1", "2", "3", "2", "3", "0", str(10**20)])
     if opt.kind == "bool":
         return st.just(None)
     return st.sampled_from(list(opt.choices) * 3 + ["bogus"])
@@ -508,10 +521,12 @@ def _check_document(fmt, out):
     if fmt == "json":
         def reject(token):
             raise ValueError(f"non-finite JSON constant {token}")
-        json.loads(out, parse_constant=reject)
+        # the stdlib encoder is the oracle for the writer's layout
+        assert out == json.dumps(json.loads(out, parse_constant=reject), indent=2) + "\n"
     elif fmt == "csv":
         header, *rows = list(csv.reader(io.StringIO(out)))
         assert rows
+        assert out.split("\n")[1:-1] == [",".join(row) for row in rows]  # nothing quoted
         for row in rows:
             assert len(row) == len(header)
             for cell in row:

@@ -345,6 +345,24 @@ class TestDistanceCoupled:
         with pytest.raises(DomainError):
             distance_coupled_breakdown(1e-15, PermeabilityModel.in_field(1.0))
 
+    @pytest.mark.parametrize(
+        "model, L",
+        [
+            (UNITY, 1e-101),  # 2 L^3 m underflows
+            (UNITY, 1e-89),   # kappa finite, the zero-frequency energy is not
+            (SPIN, 1e-64),    # kappa overflows
+        ],
+    )
+    def test_separation_edge(self, model, L):
+        with pytest.raises(DomainError, match="separation too small") as info:
+            distance_coupled_breakdown(L, model)
+        assert repr(L) in str(info.value)
+
+    @pytest.mark.parametrize("model, L", [(UNITY, 3e-88), (SPIN, 1.2e-63)])
+    def test_finite_just_above_the_edge(self, model, L):
+        b = distance_coupled_breakdown(L, model)
+        assert all(math.isfinite(v) for v in (b.kappa, b.total, b.per_pair))
+
     def test_figure_ordering_magnetic_above_unity(self):
         for i in range(41):
             L = (1.0 + 0.05 * i) * 1e-15
