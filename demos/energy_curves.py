@@ -12,7 +12,7 @@ import sys
 from casnuc.lifshitz import DEFAULT_PLATE_AREA, distance_coupled_breakdown
 from casnuc.plasma import PermeabilityModel
 from casnuc.svgplot import render_line_chart
-from casnuc.units import convert
+from casnuc.units import J_PER_MEV, M_PER_FM
 
 POINTS = 81
 L_MIN_FM, L_MAX_FM = 1.0, 3.0
@@ -30,12 +30,12 @@ def main() -> None:
     xs = grid()
 
     def mev(f_per_area: float) -> float:
-        return convert(f_per_area * DEFAULT_PLATE_AREA, "J", "MeV")
+        return f_per_area * DEFAULT_PLATE_AREA / J_PER_MEV
 
     f0_unity, f0_spin = [], []
     zero, finite, total = [], [], []
     for L_fm in xs:
-        L = L_fm * 1e-15
+        L = L_fm * M_PER_FM
         b_u = distance_coupled_breakdown(L, unity)
         b_s = distance_coupled_breakdown(L, spin)
         f0_unity.append(mev(b_u.zero_freq))

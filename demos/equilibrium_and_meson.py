@@ -19,7 +19,7 @@ from casnuc.plasma import (
     density_from_distance,
     plasma_state_from_distance,
 )
-from casnuc.units import convert
+from casnuc.units import J_PER_MEV, M_PER_FM
 
 R = 0.84e-15
 AREA = 3.141592653589793 * R**2
@@ -29,32 +29,32 @@ def main() -> None:
     res = equilibrium_distance(R)
     print(f"balance constant D = {res.D:.6f}")
     print(f"reduced root L/R   = {res.x_tilde:.6f}  (cubic residual {res.residual:.1e})")
-    print(f"equilibrium L      = {convert(res.L_eq, 'm', 'fm'):.4f} fm")
+    print(f"equilibrium L      = {res.L_eq / M_PER_FM:.4f} fm")
     print()
 
     # energy budget on both sides of the equilibrium
     print(f"{'L [fm]':>7} {'E_cas [MeV]':>12} {'E_coul [MeV]':>13}")
     for L_fm in (1.5, 2.0, res.x_tilde * 0.84, 3.0, 3.5):
-        L = L_fm * 1e-15
+        L = L_fm * M_PER_FM
         e_cas, _ = ideal_casimir(L, AREA)
         e_coul = coulomb_energy(R, L)
-        print(f"{L_fm:>7.3f} {convert(e_cas, 'J', 'MeV'):>12.4f} "
-              f"{convert(e_coul, 'J', 'MeV'):>13.4f}")
+        print(f"{L_fm:>7.3f} {e_cas / J_PER_MEV:>12.4f} "
+              f"{e_coul / J_PER_MEV:>13.4f}")
     print()
 
     for label, model in (("mu = 1", PermeabilityModel.unity()),
                          ("spin mu", PermeabilityModel.static_spin())):
         s = plasma_state_from_distance(1e-15, model)
         yq = yukawa_quantities(s.rho, s.mu_ep)
-        print(f"{label:>8}: boson mass {convert(yq.meson_mass_energy, 'J', 'MeV'):>8.1f} MeV, "
-              f"range {convert(yq.screening_length, 'm', 'fm'):.4f} fm")
+        print(f"{label:>8}: boson mass {yq.meson_mass_energy / J_PER_MEV:>8.1f} MeV, "
+              f"range {yq.screening_length / M_PER_FM:.4f} fm")
     print()
 
     n = 0.5 * density_from_distance(1e-15)  # one species carries half the pairs
     r, bracket = linewidth_bracket(n)
     width = plasmon_linewidth(n, 0.1)
     print(f"plasmon damping at 1 fm (q = 0.1 q_F): "
-          f"{convert(width, 'J', 'MeV'):.4f} MeV "
+          f"{width / J_PER_MEV:.4f} MeV "
           f"(r = {r:.3f}, bracket = {bracket:.3f})")
 
 

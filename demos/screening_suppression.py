@@ -17,11 +17,11 @@ from casnuc.lifshitz import (
     zero_freq_exact,
 )
 from casnuc.plasma import PermeabilityModel, plasma_state_from_distance
-from casnuc.units import convert
+from casnuc.units import J_PER_MEV
 
 
-def per_pair_mev(f_per_area: float) -> float:
-    return convert(f_per_area * DEFAULT_PLATE_AREA, "J", "MeV")
+def pair_energy_mev(f_per_area: float) -> float:
+    return f_per_area * DEFAULT_PLATE_AREA / J_PER_MEV
 
 
 def main() -> None:
@@ -52,8 +52,8 @@ def main() -> None:
         series = zero_freq_exact(kappa, L, T)
         quad_value = quadrature(kappa, L, T)
         dev = abs(series - quad_value) / max(abs(series), abs(quad_value), 1e-300)
-        print(f"{kappa_L:>8.1f} {per_pair_mev(series):>14.6f} "
-              f"{per_pair_mev(quad_value):>17.6f} {dev:>10.1e}")
+        print(f"{kappa_L:>8.1f} {pair_energy_mev(series):>14.6f} "
+              f"{pair_energy_mev(quad_value):>17.6f} {dev:>10.1e}")
 
     print()
     print("asymptote quality (ratio to exact series):")
@@ -70,7 +70,7 @@ def main() -> None:
         kappa = screening_wavevector(s.rho, s.mu_ep)
         f0 = zero_freq_exact(kappa, L, s.T)
         print(f"  {label:>8}: kappa*L = {kappa * L:>7.3f}, "
-              f"F0 per pair = {per_pair_mev(f0):>12.4e} MeV")
+              f"F0 per pair = {pair_energy_mev(f0):>12.4e} MeV")
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from casnuc.plasma import (
     plasma_state_from_distance,
     state_assumptions,
 )
+from casnuc.units import M_PER_FM
 
 GRID_FM = (1.0, 1.5, 2.0, 2.6, 3.0)
 
@@ -20,7 +21,7 @@ def main() -> None:
     print(f"{'L [fm]':>7} {'T [K]':>12} {'rho [1/m^3]':>13} "
           f"{'omega_ep [rad/s]':>17} {'mu_ep':>9}")
     for L_fm in GRID_FM:
-        s = plasma_state_from_distance(L_fm * 1e-15)
+        s = plasma_state_from_distance(L_fm * M_PER_FM)
         print(f"{L_fm:>7.2f} {s.T:>12.4e} {s.rho:>13.4e} "
               f"{s.omega_ep:>17.4e} {s.mu_ep:>9.2f}")
 

@@ -9,13 +9,12 @@ picture of the screened zero-frequency term.
 """
 
 from ._version import __version__
-from .constants import CONSTANTS_VINTAGE, PhysicalConstants, constants
+from .constants import CONSTANTS_VINTAGE
 from .errors import (
     CasnucError,
     ConvergenceError,
     DomainError,
     NumericalError,
-    UnitError,
 )
 from .lifshitz import (
     DEFAULT_PLATE_AREA,
@@ -58,19 +57,14 @@ from .plasma import (
     plasma_state_from_distance,
     temperature_from_distance,
 )
-from .units import convert
 
 __all__ = [
     "__version__",
     "CONSTANTS_VINTAGE",
-    "PhysicalConstants",
-    "constants",
-    "convert",
     "CasnucError",
     "ConvergenceError",
     "DomainError",
     "NumericalError",
-    "UnitError",
     "PlasmaState",
     "PermeabilityModel",
     "temperature_from_distance",

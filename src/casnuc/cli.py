@@ -20,11 +20,11 @@ import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, fields
 
-from . import lifshitz, nuclear, plasma, svgplot
+from . import constants, lifshitz, nuclear, plasma, svgplot
 from ._version import __version__
-from .constants import CONSTANTS_VINTAGE, K_B, R_PROTON_DEFAULT, constants
-from .errors import DomainError, NumericalError, UnitError
-from .units import convert
+from .constants import CONSTANTS_VINTAGE, K_B, R_PROTON_DEFAULT
+from .errors import DomainError, NumericalError
+from .units import J_PER_MEV, M_PER_FM
 
 ENV_PREFIX = "CASNUC_"
 
@@ -71,14 +71,14 @@ _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
         _Opt("points", "--points", "int", 41),
         _Opt("mu_model", "--mu-model", "str", "spin", ("unity", "spin")),
         _Opt("mode", "--mode", "str", "coupled", ("coupled", "fixed")),
-        _Opt("R", "--R", "float", R_PROTON_DEFAULT / 1e-15, help="plate radius [fm]"),
+        _Opt("R", "--R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
         _Opt("method", "--method", "str", "asymptote", ("exact", "asymptote", "full")),
         _Opt("Linit", "--Linit", "float", None,
              help="fixed mode: separation the state is pinned at [fm]; default Lmin"),
         _Opt("convention", "--convention", "str", "table", ("table", "literal")),
     ] + _output_opts("csv", "json"),
     "equilibrium": [
-        _Opt("R", "--R", "float", R_PROTON_DEFAULT / 1e-15, help="plate radius [fm]"),
+        _Opt("R", "--R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
     ] + _output_opts("json"),
     "meson": [
         _Opt("L", "--L", "float", 1.0, help="plate separation [fm]"),
@@ -96,7 +96,7 @@ _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
         _Opt("Lmin", "--Lmin", "float", 1.0),
         _Opt("Lmax", "--Lmax", "float", 3.0),
         _Opt("points", "--points", "int", 41),
-        _Opt("R", "--R", "float", R_PROTON_DEFAULT / 1e-15, help="plate radius [fm]"),
+        _Opt("R", "--R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
         _Opt("mu_model", "--mu-model", "str", "unity", ("unity", "spin"),
              help="permeability model for the breakdown plot"),
         _Opt("convention", "--convention", "str", "table", ("table", "literal")),
@@ -247,29 +247,26 @@ def _json_document(obj: object) -> str:
 
 
 def _cmd_constants(params: dict[str, object]) -> str:
-    c = constants()
-    return _json_document(
-        {
-            "hbar": c.hbar,
-            "c": c.c,
-            "k_B": c.k_B,
-            "e": c.e,
-            "m_e": c.m_e,
-            "eps0": c.eps0,
-            "mu0": c.mu0,
-            "mu_B": c.mu_B,
-            "zeta3": c.zeta3,
-            "units": {
-                "hbar": "J*s", "c": "m/s", "k_B": "J/K", "e": "C", "m_e": "kg",
-                "eps0": "F/m", "mu0": "H/m", "mu_B": "J/T", "zeta3": "1",
-            },
-            "vintage": CONSTANTS_VINTAGE,
-        }
-    )
+    # output key -> (value, unit), in output order
+    table = {
+        "hbar": (constants.HBAR, "J*s"),
+        "c": (constants.C, "m/s"),
+        "k_B": (constants.K_B, "J/K"),
+        "e": (constants.E_CHARGE, "C"),
+        "m_e": (constants.M_E, "kg"),
+        "eps0": (constants.EPS_0, "F/m"),
+        "mu0": (constants.MU_0, "H/m"),
+        "mu_B": (constants.MU_B, "J/T"),
+        "zeta3": (constants.ZETA_3, "1"),
+    }
+    document: dict[str, object] = {key: value for key, (value, _) in table.items()}
+    document["units"] = {key: unit for key, (_, unit) in table.items()}
+    document["vintage"] = CONSTANTS_VINTAGE
+    return _json_document(document)
 
 
 def _cmd_state(params: dict[str, object]) -> str:
-    L = float(params["L"]) * 1e-15
+    L = float(params["L"]) * M_PER_FM
     model = _model_from_params(params)
     state = plasma.plasma_state_from_distance(L, model)
     kappa = lifshitz.screening_wavevector(state.rho, state.mu_ep)
@@ -280,7 +277,7 @@ def _cmd_state(params: dict[str, object]) -> str:
         "omega_ep_rad_s": state.omega_ep,
         "mu_ep": state.mu_ep,
         "kappa_1_m": kappa,
-        "kT_MeV": convert(K_B * state.T, "J", "MeV"),
+        "kT_MeV": K_B * state.T / J_PER_MEV,
         "mu_model": params["mu_model"],
         "convention": params["convention"],
         "assumptions": plasma.state_assumptions(state),
@@ -296,7 +293,7 @@ def _cmd_table(params: dict[str, object]) -> str:
         header = ["L_fm", "T_K", "rho_m3", "omega_ep_rad_s", "mu_ep"]
         rows: list[list[object]] = []
         for L_fm in TABLE2_GRID_FM:
-            s = plasma.plasma_state_from_distance(L_fm * 1e-15)
+            s = plasma.plasma_state_from_distance(L_fm * M_PER_FM)
             rows.append([L_fm, s.T, s.rho, s.omega_ep, s.mu_ep])
         if fmt == "json":
             return _json_document([dict(zip(header, row)) for row in rows])
@@ -305,7 +302,7 @@ def _cmd_table(params: dict[str, object]) -> str:
         ratio = (_CHECK_L_MAX_FM / _CHECK_L_MIN_FM) ** (1.0 / (_CHECK_GRID_POINTS - 1))
         deviations = {k: 0.0 for k in ("T_K", "rho_m3", "omega_ep_rad_s", "mu_ep")}
         for i in range(_CHECK_GRID_POINTS):
-            L = _CHECK_L_MIN_FM * ratio**i * 1e-15
+            L = _CHECK_L_MIN_FM * ratio**i * M_PER_FM
             closed = plasma.distance_closed_forms(L)
             s = plasma.plasma_state_from_distance(L)
             composed = {
@@ -354,7 +351,7 @@ def _cmd_sweep(params: dict[str, object]) -> str:
 
 
 def _cmd_equilibrium(params: dict[str, object]) -> str:
-    R = float(params["R"]) * 1e-15
+    R = float(params["R"]) * M_PER_FM
     res = nuclear.equilibrium_distance(R)
     return _json_document(
         {
@@ -362,14 +359,14 @@ def _cmd_equilibrium(params: dict[str, object]) -> str:
             "D": res.D,
             "x_tilde": res.x_tilde,
             "L_eq_m": res.L_eq,
-            "L_eq_fm": convert(res.L_eq, "m", "fm"),
+            "L_eq_fm": res.L_eq / M_PER_FM,
             "residual": res.residual,
         }
     )
 
 
 def _cmd_meson(params: dict[str, object]) -> str:
-    L = float(params["L"]) * 1e-15
+    L = float(params["L"]) * M_PER_FM
     model = _model_from_params(params)
     state = plasma.plasma_state_from_distance(L, model)
     yq = nuclear.yukawa_quantities(state.rho, state.mu_ep)
@@ -381,15 +378,15 @@ def _cmd_meson(params: dict[str, object]) -> str:
             "mu_ep": state.mu_ep,
             "kappa_1_m": yq.kappa_source,
             "meson_mass_J": yq.meson_mass_energy,
-            "meson_mass_MeV": convert(yq.meson_mass_energy, "J", "MeV"),
+            "meson_mass_MeV": yq.meson_mass_energy / J_PER_MEV,
             "screening_length_m": yq.screening_length,
-            "screening_length_fm": convert(yq.screening_length, "m", "fm"),
+            "screening_length_fm": yq.screening_length / M_PER_FM,
         }
     )
 
 
 def _cmd_linewidth(params: dict[str, object]) -> str:
-    L = float(params["L"]) * 1e-15
+    L = float(params["L"]) * M_PER_FM
     rho = plasma.density_from_distance(L)
     use_total = bool(params["total_density"])
     n = rho if use_total else 0.5 * rho
@@ -406,13 +403,13 @@ def _cmd_linewidth(params: dict[str, object]) -> str:
             "n_m3": n,
             "density_convention": "total" if use_total else "per_species",
             "eps_F_J": eps_f,
-            "eps_F_MeV": convert(eps_f, "J", "MeV"),
+            "eps_F_MeV": eps_f / J_PER_MEV,
             "q_F_1_m": q_f,
             "hbar_omega_p_over_2eps_F": r,
             "bracket": bracket,
             "bracket_negative": bracket < 0.0,
             "linewidth_J": width,
-            "linewidth_MeV": convert(width, "J", "MeV"),
+            "linewidth_MeV": width / J_PER_MEV,
         }
     )
 
@@ -422,11 +419,11 @@ def _cmd_plot(params: dict[str, object]) -> str:
     grid_fm, area = spec.grid_fm(), spec.plate_area()
 
     def breakdowns(model: plasma.PermeabilityModel) -> list[lifshitz.FreeEnergyBreakdown]:
-        return [lifshitz.distance_coupled_breakdown(L_fm * 1e-15, model, area)
+        return [lifshitz.distance_coupled_breakdown(L_fm * M_PER_FM, model)
                 for L_fm in grid_fm]
 
     def curve(label: str, bs: list[lifshitz.FreeEnergyBreakdown], part: str) -> svgplot.Series:
-        return label, grid_fm, [convert(getattr(b, part) * area, "J", "MeV") for b in bs]
+        return label, grid_fm, [getattr(b, part) * area / J_PER_MEV for b in bs]
 
     which = int(params["which"])
     if which == 1:
@@ -489,7 +486,7 @@ def run(argv: list[str]) -> int:
     except (NumericalError, ArithmeticError) as exc:
         print(f"casnuc: numerical error: {exc}", file=sys.stderr)
         return 3
-    except (DomainError, UnitError, ValueError, OSError) as exc:
+    except (DomainError, ValueError, OSError) as exc:
         print(f"casnuc: error: {exc}", file=sys.stderr)
         return 2
 

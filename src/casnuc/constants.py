@@ -6,9 +6,6 @@ do not drift with the installed scipy version.  All values are SI.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 CONSTANTS_VINTAGE = "CODATA-2018"
 
 HBAR = 1.054571817e-34        # reduced Planck constant [J s]
@@ -29,36 +26,3 @@ GAMMA_BALANCE = 48.0 ** 0.25
 # default plate radius, the proton charge radius [m]; a modeling default,
 # not a CODATA value
 R_PROTON_DEFAULT = 0.84e-15
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Immutable bundle of the constants above, for callers that want a record."""
-
-    hbar: float = HBAR
-    c: float = C
-    k_B: float = K_B
-    e: float = E_CHARGE
-    m_e: float = M_E
-    eps0: float = EPS_0
-    mu0: float = MU_0
-    mu_B: float = MU_B
-    zeta3: float = ZETA_3
-
-
-_CONSTANTS = PhysicalConstants()
-
-
-def constants() -> PhysicalConstants:
-    """Return the shared immutable constants record."""
-    return _CONSTANTS
-
-
-def self_check(rtol: float = 1e-9) -> None:
-    """Verify internal consistency of the stored values.
-
-    Checks mu0*eps0*c^2 = 1 and mu_B = e*hbar/(2 m_e) to the given relative
-    tolerance.  Raises AssertionError on failure.
-    """
-    assert math.isclose(MU_0 * EPS_0 * C * C, 1.0, rel_tol=rtol)
-    assert math.isclose(MU_B, E_CHARGE * HBAR / (2.0 * M_E), rel_tol=rtol)

@@ -9,10 +9,6 @@ class DomainError(CasnucError, ValueError):
     """A physical argument is outside the domain of the requested quantity."""
 
 
-class UnitError(CasnucError, ValueError):
-    """A unit conversion between incompatible dimensions was requested."""
-
-
 class NumericalError(CasnucError, RuntimeError):
     """A numerical evaluation produced no trustworthy result."""
 

@@ -45,7 +45,7 @@ from .plasma import (
     plasma_state_from_distance,
     temperature_from_distance,
 )
-from .units import convert
+from .units import J_PER_MEV, M_PER_FM
 
 DEFAULT_PLATE_AREA = math.pi * R_PROTON_DEFAULT**2  # [m^2]
 
@@ -102,7 +102,6 @@ class FreeEnergyBreakdown:
     finite_freq: float  # n > 0 terms [J/m^2]
     total: float        # zero_freq + finite_freq [J/m^2]
     kappa: float        # screening wavevector sqrt(mu_ep) omega_ep / c [1/m]
-    per_pair: float     # total x plate area [J]
 
 
 def _mode_series(a: float) -> float:
@@ -312,9 +311,7 @@ def _coupled_mu_factor(L: float, model: PermeabilityModel) -> float:
 
 
 def distance_coupled_breakdown(
-    L: float,
-    model: PermeabilityModel | None = None,
-    area: float = DEFAULT_PLATE_AREA,
+    L: float, model: PermeabilityModel | None = None
 ) -> FreeEnergyBreakdown:
     """Free-energy breakdown with every state variable eliminated in favor of L.
 
@@ -331,8 +328,6 @@ def distance_coupled_breakdown(
     1.2e-63 m (static spin) or 2.9e-88 m (unity) they are not finite: DomainError.
     """
     cube = _separation_cube(L)
-    if not area > 0.0:
-        raise DomainError(f"area must be positive, got {area}")
     if model is None:
         model = PermeabilityModel()
     denominator = 2.0 * cube * M_E
@@ -360,13 +355,7 @@ def distance_coupled_breakdown(
     total = zero + finite
     if not (math.isfinite(kappa) and math.isfinite(total)):
         raise DomainError(f"separation too small: L = {L} m, the closed forms are not finite")
-    return FreeEnergyBreakdown(
-        zero_freq=zero,
-        finite_freq=finite,
-        total=total,
-        kappa=kappa,
-        per_pair=total * area,
-    )
+    return FreeEnergyBreakdown(zero_freq=zero, finite_freq=finite, total=total, kappa=kappa)
 
 
 @dataclass(frozen=True)
@@ -379,7 +368,7 @@ class SweepSpec:
     model: PermeabilityModel
     mode: str = "coupled"             # coupled | fixed
     method: str = "asymptote"         # asymptote | exact | full
-    R_fm: float = R_PROTON_DEFAULT / 1e-15
+    R_fm: float = R_PROTON_DEFAULT / M_PER_FM
     L_init_fm: float | None = None    # fixed mode: state pinned at this separation
 
     def __post_init__(self) -> None:
@@ -399,6 +388,8 @@ class SweepSpec:
             raise DomainError(f"unknown sweep method {self.method!r}")
         if not self.R_fm > 0.0:
             raise DomainError(f"plate radius must be positive, got {self.R_fm}")
+        if self.plate_area() < sys.float_info.min:
+            raise DomainError(f"plate radius too small: R = {self.R_fm} fm, pi R^2 underflows")
         if self.L_init_fm is not None and not self.L_init_fm > 0.0:
             raise DomainError(f"L_init must be positive, got {self.L_init_fm}")
 
@@ -409,7 +400,7 @@ class SweepSpec:
 
     def plate_area(self) -> float:
         """Plate area pi R^2 [m^2]."""
-        return math.pi * (self.R_fm * 1e-15) ** 2
+        return math.pi * (self.R_fm * M_PER_FM) ** 2
 
 
 @dataclass(frozen=True)
@@ -431,7 +422,7 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate a separation sweep in grid order."""
     area = spec.plate_area()
     if spec.mode == "fixed":
-        L_init = (spec.L_init_fm if spec.L_init_fm is not None else spec.L_min_fm) * 1e-15
+        L_init = (spec.L_init_fm if spec.L_init_fm is not None else spec.L_min_fm) * M_PER_FM
         T0 = temperature_from_distance(L_init)
         rho0 = pair_density(T0)
         mu0 = spec.model.static_mu(rho0, T0)
@@ -441,7 +432,7 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     closed = spec.mode == "coupled" and spec.method == "asymptote"
     zero_freq = zero_freq_asymptote if spec.method == "asymptote" else zero_freq_exact
     for L_fm in spec.grid_fm():
-        L = L_fm * 1e-15
+        L = L_fm * M_PER_FM
         if spec.mode == "fixed":
             T, rho, omega, mu, kappa = pinned
         else:
@@ -449,7 +440,7 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
             T, rho, omega, mu = state.T, state.rho, state.omega_ep, state.mu_ep
         if closed:
             # the distance-coupled closed forms, with their own kappa
-            b = distance_coupled_breakdown(L, spec.model, area)
+            b = distance_coupled_breakdown(L, spec.model)
             zero, finite, kappa = b.zero_freq, b.finite_freq, b.kappa
         else:
             if spec.mode == "coupled":
@@ -467,9 +458,9 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
                 omega_ep=omega,
                 mu_ep=mu,
                 kappa_1_m=kappa,
-                F0_MeV=convert(zero * area, "J", "MeV"),
-                Fn_MeV=convert(finite * area, "J", "MeV"),
-                Ftot_MeV=convert((zero + finite) * area, "J", "MeV"),
+                F0_MeV=zero * area / J_PER_MEV,
+                Fn_MeV=finite * area / J_PER_MEV,
+                Ftot_MeV=(zero + finite) * area / J_PER_MEV,
             )
         )
     return rows

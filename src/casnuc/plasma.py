@@ -114,15 +114,23 @@ def pair_density(T: float) -> float:
     """
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got {T}")
-    return 3.0 * ZETA_3 / math.pi**2 * (K_B * T / HBAR_C) ** 3
+    try:
+        cube = (K_B * T / HBAR_C) ** 3
+    except OverflowError:
+        raise DomainError(f"temperature too large: T = {T} K, T^3 overflows") from None
+    return 3.0 * ZETA_3 / math.pi**2 * cube
 
 
 def _separation_cube(L: float) -> float:
     # L^3 of a plate separation; below about 2.8e-103 m it is no longer a
-    # normal double, and the densities that scale as 1/L^3 overflow
+    # normal double, and the densities that scale as 1/L^3 overflow; above
+    # about 5.6e102 m it overflows
     if not L > 0.0:
         raise DomainError(f"separation must be positive, got {L}")
-    cube = L**3
+    try:
+        cube = L**3
+    except OverflowError:
+        raise DomainError(f"separation too large: L = {L} m, L^3 overflows") from None
     if cube < sys.float_info.min:
         raise DomainError(f"separation too small: L = {L} m, L^3 underflows")
     return cube
@@ -134,10 +142,14 @@ def density_from_distance(L: float) -> float:
 
 
 def plasma_frequency(rho: float) -> float:
-    """omega_ep = sqrt(rho e^2 / (eps0 m_e)); rho = 0 maps to 0."""
+    """omega_ep = sqrt(rho e^2 / (eps0 m_e)); rho = 0 maps to 0, and
+    0 < rho < 8.7e-271 1/m^3, where rho e^2 underflows, raises DomainError."""
     if rho < 0.0:
         raise DomainError(f"density must be non-negative, got {rho}")
-    return math.sqrt(rho * E_CHARGE**2 / (EPS_0 * M_E))
+    charge = rho * E_CHARGE**2
+    if rho > 0.0 and charge < sys.float_info.min:
+        raise DomainError(f"density too small: rho = {rho} 1/m^3, rho e^2 underflows")
+    return math.sqrt(charge / (EPS_0 * M_E))
 
 
 def langevin(y: float) -> float:

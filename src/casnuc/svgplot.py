@@ -16,6 +16,9 @@ Series = tuple[str, Sequence[float], Sequence[float]]
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+# canvas size [px] and the margins around the plot area
+_WIDTH = 640
+_HEIGHT = 440
 _MARGIN_LEFT = 72.0
 _MARGIN_RIGHT = 24.0
 _MARGIN_TOP = 34.0
@@ -57,8 +60,6 @@ def render_line_chart(
     x_label: str,
     y_label: str,
     title: str | None = None,
-    width: int = 640,
-    height: int = 440,
 ) -> str:
     """Render labelled (xs, ys) series as an SVG document string.
 
@@ -85,8 +86,8 @@ def render_line_chart(
     if ymin == ymax:
         ymin, ymax = ymin - 1.0, ymax + 1.0
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - xmin) / (xmax - xmin) * plot_w
@@ -96,10 +97,10 @@ def render_line_chart(
 
     out: list[str] = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>')
 
     x0, x1 = _fmt(_MARGIN_LEFT), _fmt(_MARGIN_LEFT + plot_w)
     y0, y1 = _fmt(_MARGIN_TOP), _fmt(_MARGIN_TOP + plot_h)
@@ -162,12 +163,12 @@ def render_line_chart(
 
     if title:
         out.append(
-            f'<text x="{_fmt(width / 2)}" y="20" font-family="sans-serif" '
+            f'<text x="{_fmt(_WIDTH / 2)}" y="20" font-family="sans-serif" '
             f'font-size="13" text-anchor="middle" fill="#000000">'
             f'{escape(title, quote=False)}</text>'
         )
     out.append(
-        f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(height - 14)}" '
+        f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 14)}" '
         f'font-family="sans-serif" font-size="12" text-anchor="middle" '
         f'fill="#000000">{escape(x_label, quote=False)}</text>'
     )

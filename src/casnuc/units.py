@@ -1,44 +1,12 @@
-"""Unit conversions between the handful of unit tags used by the package.
+"""The two presentation units, MeV and fm.
 
-Internally everything is SI; MeV/fm only appear at presentation boundaries.
+Internally everything is SI; MeV and fm only appear at presentation
+boundaries, as energy_J / J_PER_MEV and length_m / M_PER_FM.
 """
 
 from __future__ import annotations
 
 from .constants import E_CHARGE
-from .errors import UnitError
 
-_J_PER_MEV = E_CHARGE * 1e6
-_J_PER_EV = E_CHARGE
-
-# tag -> (dimension, factor to SI)
-_UNITS: dict[str, tuple[str, float]] = {
-    "J": ("energy", 1.0),
-    "eV": ("energy", _J_PER_EV),
-    "MeV": ("energy", _J_PER_MEV),
-    "m": ("length", 1.0),
-    "fm": ("length", 1e-15),
-    "K": ("temperature", 1.0),
-    "J*m": ("energy*length", 1.0),
-    "MeV*fm": ("energy*length", _J_PER_MEV * 1e-15),
-}
-
-
-def _lookup(tag: str) -> tuple[str, float]:
-    normalized = tag.replace("·", "*").strip()
-    try:
-        return _UNITS[normalized]
-    except KeyError:
-        raise UnitError(f"unknown unit tag {tag!r}; supported: {sorted(_UNITS)}") from None
-
-
-def convert(value: float, src: str, dst: str) -> float:
-    """Convert `value` from unit tag `src` to unit tag `dst`.
-
-    Raises UnitError for unknown tags or incompatible dimensions.
-    """
-    dim_src, fac_src = _lookup(src)
-    dim_dst, fac_dst = _lookup(dst)
-    if dim_src != dim_dst:
-        raise UnitError(f"cannot convert {src!r} ({dim_src}) to {dst!r} ({dim_dst})")
-    return value * fac_src / fac_dst
+J_PER_MEV = E_CHARGE * 1e6  # joules per MeV
+M_PER_FM = 1e-15            # metres per fm

@@ -10,7 +10,7 @@ import math
 import random
 import time
 
-from casnuc import cli, convert
+from casnuc import cli
 from casnuc.constants import K_B, HBAR_C, ZETA_3
 from casnuc.lifshitz import (
     DEFAULT_PLATE_AREA,
@@ -32,6 +32,7 @@ from casnuc.plasma import (
     plasma_state_from_distance,
     temperature_from_distance,
 )
+from casnuc.units import J_PER_MEV, M_PER_FM
 
 from _oracles import balance_cubic_bisection, zero_freq_quadrature, zero_freq_series
 
@@ -93,7 +94,7 @@ def test_criterion_3_equilibrium_separation():
     _line(
         3,
         ok,
-        f"L_eq = {convert(res.L_eq, 'm', 'fm'):.4f} fm (2.6 fm +/- 2%), "
+        f"L_eq = {res.L_eq / M_PER_FM:.4f} fm (2.6 fm +/- 2%), "
         f"closed-form root and bisection oracle agree to 1e-12",
     )
 
@@ -102,8 +103,8 @@ def test_criterion_4_meson_masses_1fm():
     rho = density_from_distance(1e-15)
     T = temperature_from_distance(1e-15)
     mu = pair_permeability_static(rho, T)
-    unity_mev = convert(2.0 * HBAR_C * screening_wavevector(rho, 1.0), "J", "MeV")
-    spin_mev = convert(2.0 * HBAR_C * screening_wavevector(rho, mu), "J", "MeV")
+    unity_mev = 2.0 * HBAR_C * screening_wavevector(rho, 1.0) / J_PER_MEV
+    spin_mev = 2.0 * HBAR_C * screening_wavevector(rho, mu) / J_PER_MEV
     ok = abs(unity_mev - 329.0) / 329.0 < 0.03
     ok = ok and abs(spin_mev - 6242.0) / 6242.0 < 0.03
     _line(
@@ -207,8 +208,8 @@ def test_criterion_8_figure_content():
     L = 1e-15
     s = plasma_state_from_distance(L, SPIN)
     direct = {
-        "spin": convert(full_matsubara(L, s.T, s.rho, SPIN) * DEFAULT_PLATE_AREA, "J", "MeV"),
-        "unity": convert(full_matsubara(L, s.T, s.rho, UNITY) * DEFAULT_PLATE_AREA, "J", "MeV"),
+        "spin": full_matsubara(L, s.T, s.rho, SPIN) * DEFAULT_PLATE_AREA / J_PER_MEV,
+        "unity": full_matsubara(L, s.T, s.rho, UNITY) * DEFAULT_PLATE_AREA / J_PER_MEV,
     }
     in_window = all(-10.0 <= v <= -0.5 for v in direct.values())
 

@@ -56,7 +56,7 @@ class TestParsing:
         [
             (["equilibrium", "--R", "inf"], 2),
             (["state", "--L", "1e-200"], 2),
-            (["state", "--L", "1e200"], 3),
+            (["state", "--L", "1e200"], 2),
             (["sweep", "--points", "100000000000000000000"], 2),
             (["plot", "--points", "100000000000000000000"], 2),
             (["state", "--L", "1e-120"], 2),
@@ -71,6 +71,10 @@ class TestParsing:
             (["plot", "--which", "2", "--Lmin", "1e-86", "--Lmax", "2e-86"], 2),
             (["plot", "--which", "2", "--Lmin", "2e-83", "--Lmax", "3e-83"], 2),
             (["sweep", "--Lmin", "1e-60", "--Lmax", "2e-60"], 2),
+            (["sweep", "--mode", "fixed", "--Linit", "1e-120", "--points", "3"], 2),
+            (["sweep", "--Lmax", "1e110", "--points", "2"], 2),
+            (["sweep", "--method", "exact", "--R", "1e-200", "--points", "2"], 2),
+            (["sweep", "--R", "1e-145", "--points", "2"], 2),
         ],
     )
     def test_hostile_values_exit_cleanly(self, argv, expected, capsys):
@@ -79,12 +83,20 @@ class TestParsing:
         assert out == ""
         assert err.startswith("casnuc: ")
         assert "Traceback" not in err
-        if "--points" in argv:
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        if int(flags.get("--points", 0)) > lifshitz.MAX_GRID_POINTS:
             assert "--points" in err
-        if "--R" in argv and expected == 2:
+        if "--R" in flags and expected == 2:
             assert "--R" in err or "radius" in err
-        if any(v.endswith(("e-120", "e-200", "e-86", "e-83", "e-60")) for v in argv):
+        separation = flags.get("--L", flags.get("--Lmin", ""))
+        if separation.endswith(("e-120", "e-200", "e-86", "e-83", "e-60")):
             assert "separation too small" in err
+        if separation == "1e200":
+            assert "separation too large" in err
+        if "--Linit" in flags:
+            assert "temperature too large" in err
+        if flags.get("--Lmax") == "1e110":
+            assert "density too small" in err
 
     @pytest.mark.parametrize(
         "argv", [["state"], ["sweep", "--method", "exact", "--points", "3"]],
@@ -358,12 +370,9 @@ class TestPlot:
 
     def test_non_finite_exits_3(self, capsys, monkeypatch):
         bad = FreeEnergyBreakdown(
-            zero_freq=math.nan, finite_freq=math.nan, total=math.nan,
-            kappa=math.nan, per_pair=math.nan,
+            zero_freq=math.nan, finite_freq=math.nan, total=math.nan, kappa=math.nan,
         )
-        monkeypatch.setattr(
-            lifshitz, "distance_coupled_breakdown", lambda L, model, area: bad
-        )
+        monkeypatch.setattr(lifshitz, "distance_coupled_breakdown", lambda L, model: bad)
         code, _, err = run_cli(["plot", "--which", "2", "--points", "3"], capsys)
         assert code == 3
         assert "casnuc: numerical error:" in err

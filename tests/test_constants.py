@@ -2,35 +2,35 @@ import math
 
 import pytest
 
-from casnuc import CONSTANTS_VINTAGE, constants, convert
-from casnuc.constants import GAMMA_BALANCE, self_check
+from casnuc import CONSTANTS_VINTAGE
+from casnuc.constants import (
+    C,
+    E_CHARGE,
+    EPS_0,
+    GAMMA_BALANCE,
+    HBAR,
+    K_B,
+    M_E,
+    MU_0,
+    MU_B,
+    ZETA_3,
+)
 
 
 def test_published_values():
-    c = constants()
-    assert c.hbar == 1.054571817e-34
-    assert c.c == 299792458.0
-    assert c.k_B == 1.380649e-23
-    assert c.e == 1.602176634e-19
-    assert c.m_e == 9.1093837015e-31
-    assert c.mu_B == 9.2740100783e-24
-    assert abs(c.zeta3 - 1.2020569031595943) < 1e-15
+    assert HBAR == 1.054571817e-34
+    assert C == 299792458.0
+    assert K_B == 1.380649e-23
+    assert E_CHARGE == 1.602176634e-19
+    assert M_E == 9.1093837015e-31
+    assert MU_B == 9.2740100783e-24
+    assert abs(ZETA_3 - 1.2020569031595943) < 1e-15
 
 
 def test_identities():
-    c = constants()
-    assert abs(c.mu0 * c.eps0 * c.c**2 - 1.0) < 1e-9
-    assert abs(c.mu_B - c.e * c.hbar / (2.0 * c.m_e)) / c.mu_B < 1e-9
-    self_check()
-
-
-def test_deterministic_across_calls():
-    assert constants() == constants()
-
-
-def test_hbar_c_display_value():
-    c = constants()
-    assert abs(convert(c.hbar * c.c, "J*m", "MeV*fm") - 197.327) < 0.001
+    # mu0 eps0 c^2 = 1 and mu_B = e hbar/(2 m_e), to 1e-9
+    assert math.isclose(MU_0 * EPS_0 * C * C, 1.0, rel_tol=1e-9)
+    assert math.isclose(MU_B, E_CHARGE * HBAR / (2.0 * M_E), rel_tol=1e-9)
 
 
 def test_balance_constant():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casnuc import DomainError, convert
+from casnuc import DomainError
 from casnuc.constants import HBAR_C
 from casnuc.lifshitz import screening_wavevector
 from casnuc.nuclear import (
@@ -27,6 +27,7 @@ from casnuc.plasma import (
     pair_permeability_static,
     temperature_from_distance,
 )
+from casnuc.units import J_PER_MEV, M_PER_FM
 
 from _oracles import balance_cubic_bisection
 
@@ -36,7 +37,7 @@ AREA = math.pi * (0.84e-15) ** 2
 class TestIdealCasimir:
     def test_frozen_energy_1fm(self):
         energy, force = ideal_casimir(1e-15, AREA)
-        assert convert(energy, "J", "MeV") == pytest.approx(
+        assert energy / J_PER_MEV == pytest.approx(
             -5.9960074498831935, rel=1e-12
         )
         assert energy < 0.0
@@ -85,7 +86,7 @@ class TestBlackbody:
 class TestCoulomb:
     def test_frozen_contact_value(self):
         value = coulomb_energy(0.84e-15, 0.0)
-        assert convert(value, "J", "MeV") == pytest.approx(
+        assert value / J_PER_MEV == pytest.approx(
             0.8571217546681946, rel=1e-12
         )
 
@@ -152,12 +153,12 @@ class TestMesonMass:
         rho = density_from_distance(1e-15)
         T = temperature_from_distance(1e-15)
 
-        unity = convert(meson_mass(rho, 1.0), "J", "MeV")
+        unity = meson_mass(rho, 1.0) / J_PER_MEV
         assert unity == pytest.approx(332.4260872027714, rel=1e-12)
         assert unity == pytest.approx(329.0, rel=0.03)
 
         mu = pair_permeability_static(rho, T)
-        magnetic = convert(meson_mass(rho, mu), "J", "MeV")
+        magnetic = meson_mass(rho, mu) / J_PER_MEV
         assert magnetic == pytest.approx(6321.184956045245, rel=1e-12)
         assert magnetic == pytest.approx(6242.0, rel=0.03)
 
@@ -180,14 +181,14 @@ class TestMesonMass:
 
 class TestScreeningLength:
     def test_pion_scale(self):
-        length = screening_length(convert(135.0, "MeV", "J"))
-        assert convert(length, "m", "fm") == pytest.approx(
+        length = screening_length(135.0 * J_PER_MEV)
+        assert length / M_PER_FM == pytest.approx(
             1.4616813358399736, rel=1e-12
         )
 
     @given(E_MeV=st.floats(min_value=1.0, max_value=1e4))
     def test_round_trip(self, E_MeV):
-        E = convert(E_MeV, "MeV", "J")
+        E = E_MeV * J_PER_MEV
         assert screening_length(E) * E == pytest.approx(HBAR_C, rel=1e-14)
 
     def test_domain(self):

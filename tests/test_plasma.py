@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from casnuc import DomainError, plasma_state_from_distance
-from casnuc.constants import C, E_CHARGE, EPS_0, HBAR, K_B, M_E, MU_0, MU_B
+from casnuc.constants import C, E_CHARGE, EPS_0, HBAR, HBAR_C, K_B, M_E, MU_0, MU_B, ZETA_3
 from casnuc.plasma import (
     Y_SWITCH,
     PermeabilityModel,
@@ -80,6 +80,13 @@ class TestPairDensity:
         with pytest.raises(DomainError):
             pair_density(0.0)
 
+    def test_overflow_names_the_temperature(self):
+        # (k_B T/hbar c)^3 overflows above about 1.3e100 K; below, the bits hold
+        with pytest.raises(DomainError, match="temperature too large"):
+            pair_density(1e120)
+        T = 1e100
+        assert pair_density(T) == 3.0 * ZETA_3 / math.pi**2 * (K_B * T / HBAR_C) ** 3
+
 
 class TestDensityFromDistance:
     def test_coefficient(self):
@@ -97,6 +104,12 @@ class TestDensityFromDistance:
         composed = pair_density(temperature_from_distance(L))
         assert density_from_distance(L) == pytest.approx(composed, rel=1e-12)
 
+    def test_separation_too_large(self):
+        # L^3 overflows above about 5.6e102 m
+        with pytest.raises(DomainError, match="separation too large"):
+            density_from_distance(1e103)
+        assert math.isfinite(density_from_distance(5e102))
+
 
 class TestPlasmaFrequency:
     def test_reference_values(self):
@@ -111,6 +124,12 @@ class TestPlasmaFrequency:
 
     def test_zero_maps_to_zero(self):
         assert plasma_frequency(0.0) == 0.0
+
+    def test_underflow_edge(self):
+        # rho e^2 leaves the normal doubles below about 8.7e-271 1/m^3
+        with pytest.raises(DomainError, match="density too small"):
+            plasma_frequency(1e-271)
+        assert plasma_frequency(1e-270) > 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
