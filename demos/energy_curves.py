@@ -25,8 +25,8 @@ def grid() -> list[float]:
 
 def main() -> None:
     out_dir = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(os.path.abspath(__file__))
-    unity = PermeabilityModel.unity()
-    spin = PermeabilityModel.static_spin()
+    unity = PermeabilityModel("unity")
+    spin = PermeabilityModel("spin")
     xs = grid()
 
     def mev(f_per_area: float) -> float:

@@ -8,7 +8,7 @@ depends on.
 
 import math
 
-from casnuc.constants import HBAR_C, K_B
+from casnuc.constants import HBAR_C, K_B, ZETA_3
 from casnuc.lifshitz import (
     XBAR_CROSSOVER_10PCT,
     finite_freq_asymptote,
@@ -21,9 +21,10 @@ from casnuc.plasma import (
     density_from_distance,
     plasma_state_from_distance,
 )
+from casnuc.units import M_PER_FM
 
-L = 1e-15
-UNITY = PermeabilityModel.unity()
+L = M_PER_FM
+UNITY = PermeabilityModel("unity")
 
 
 def main() -> None:
@@ -42,7 +43,7 @@ def main() -> None:
     # onto the unscreened classical value
     xbar = 5.0
     T_hot = xbar * HBAR_C / (2.0 * K_B * L)
-    classical = -1.2020569031595943 * K_B * T_hot / (8.0 * math.pi * L**2)
+    classical = -ZETA_3 * K_B * T_hot / (8.0 * math.pi * L**2)
     full = full_matsubara(L, T_hot, 0.0, UNITY)
     print(f"classical limit at xbar = {xbar}: "
           f"full/classical = {full / classical:.12f}")

@@ -17,7 +17,7 @@ from casnuc.lifshitz import (
     zero_freq_exact,
 )
 from casnuc.plasma import PermeabilityModel, plasma_state_from_distance
-from casnuc.units import J_PER_MEV
+from casnuc.units import J_PER_MEV, M_PER_FM
 
 
 def pair_energy_mev(f_per_area: float) -> float:
@@ -41,8 +41,8 @@ def main() -> None:
         value, _ = quad(integrand, a, a + 60.0, epsabs=0.0, epsrel=1e-10, limit=200)
         return K_B * T / (8.0 * math.pi * L * L) * value
 
-    L = 1e-15
-    state = plasma_state_from_distance(L, PermeabilityModel.unity())
+    L = M_PER_FM
+    state = plasma_state_from_distance(L, PermeabilityModel("unity"))
     T = state.T
 
     print("series vs quadrature, L = 1 fm:")
@@ -64,8 +64,8 @@ def main() -> None:
 
     print()
     print("magnetic screening at the 1 fm state:")
-    for label, model in (("mu = 1", PermeabilityModel.unity()),
-                         ("spin mu", PermeabilityModel.static_spin())):
+    for label, model in (("mu = 1", PermeabilityModel("unity")),
+                         ("spin mu", PermeabilityModel("spin"))):
         s = plasma_state_from_distance(L, model)
         kappa = screening_wavevector(s.rho, s.mu_ep)
         f0 = zero_freq_exact(kappa, L, s.T)

@@ -7,6 +7,7 @@ distance expressions are checked against that pipeline on a wide log grid.
 
 import math
 
+from casnuc.constants import ZETA_3
 from casnuc.plasma import (
     distance_closed_forms,
     plasma_state_from_distance,
@@ -25,7 +26,7 @@ def main() -> None:
         print(f"{L_fm:>7.2f} {s.T:>12.4e} {s.rho:>13.4e} "
               f"{s.omega_ep:>17.4e} {s.mu_ep:>9.2f}")
 
-    s = plasma_state_from_distance(1e-15)
+    s = plasma_state_from_distance(M_PER_FM)
     notes = state_assumptions(s)
     print()
     print(f"kT/(m_e c^2) at 1 fm: {notes['kT_over_me_c2']:.1f} "
@@ -34,7 +35,7 @@ def main() -> None:
     # closed forms vs composed pipeline, worst relative deviation
     worst = 0.0
     for i in range(25):
-        L = 0.1e-15 * (1000.0) ** (i / 24.0)
+        L = 0.1 * 1000.0 ** (i / 24.0) * M_PER_FM
         closed = distance_closed_forms(L)
         s = plasma_state_from_distance(L)
         composed = {"T_K": s.T, "rho_m3": s.rho,
@@ -43,9 +44,9 @@ def main() -> None:
             worst = max(worst, abs(value - composed[key]) / abs(composed[key]))
     print(f"closed-form vs composed pipeline, worst relative deviation: {worst:.2e}")
 
-    rho_l3 = plasma_state_from_distance(1e-15).rho * (1e-15) ** 3
+    rho_l3 = plasma_state_from_distance(M_PER_FM).rho * M_PER_FM**3
     print(f"dimensionless density rho L^3 = {rho_l3:.6f} "
-          f"(3^(1/4) zeta(3)/(8 pi^2) = {3**0.25 * 1.2020569031595943 / (8 * math.pi**2):.6f})")
+          f"(3^(1/4) zeta(3)/(8 pi^2) = {3**0.25 * ZETA_3 / (8 * math.pi**2):.6f})")
 
 
 if __name__ == "__main__":

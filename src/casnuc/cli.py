@@ -58,9 +58,9 @@ _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
     "constants": _output_opts("json"),
     "state": [
         _Opt("L", "--L", "float", 1.0, help="plate separation [fm]"),
-        _Opt("mu_model", "--mu-model", "str", "spin", ("unity", "spin", "field")),
+        _Opt("mu_model", "--mu-model", "str", "spin", plasma.MODEL_KINDS),
         _Opt("H", "--H", "float", 0.0, help="applied field [A/m], field model only"),
-        _Opt("convention", "--convention", "str", "table", ("table", "literal")),
+        _Opt("convention", "--convention", "str", "table", plasma.CONVENTIONS),
     ] + _output_opts("json"),
     "table": [
         _Opt("which", "--which", "int", 2, help="1: closed-form check, 2: state table"),
@@ -75,7 +75,7 @@ _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
         _Opt("method", "--method", "str", "asymptote", ("exact", "asymptote", "full")),
         _Opt("Linit", "--Linit", "float", None,
              help="fixed mode: separation the state is pinned at [fm]; default Lmin"),
-        _Opt("convention", "--convention", "str", "table", ("table", "literal")),
+        _Opt("convention", "--convention", "str", "table", plasma.CONVENTIONS),
     ] + _output_opts("csv", "json"),
     "equilibrium": [
         _Opt("R", "--R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
@@ -83,7 +83,7 @@ _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
     "meson": [
         _Opt("L", "--L", "float", 1.0, help="plate separation [fm]"),
         _Opt("mu_model", "--mu-model", "str", "spin", ("unity", "spin")),
-        _Opt("convention", "--convention", "str", "table", ("table", "literal")),
+        _Opt("convention", "--convention", "str", "table", plasma.CONVENTIONS),
     ] + _output_opts("json"),
     "linewidth": [
         _Opt("L", "--L", "float", 1.0, help="plate separation [fm]"),
@@ -99,11 +99,9 @@ _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
         _Opt("R", "--R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
         _Opt("mu_model", "--mu-model", "str", "unity", ("unity", "spin"),
              help="permeability model for the breakdown plot"),
-        _Opt("convention", "--convention", "str", "table", ("table", "literal")),
+        _Opt("convention", "--convention", "str", "table", plasma.CONVENTIONS),
     ] + _output_opts("svg"),
 }
-
-_CONVENTIONS = {"table": "table_consistent", "literal": "equation_literal"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -195,18 +193,12 @@ def _resolve_params(command: str, ns: argparse.Namespace) -> dict[str, object]:
 
 
 def _model_from_params(params: dict[str, object]) -> plasma.PermeabilityModel:
-    convention = _CONVENTIONS[params.get("convention", "table")]
-    name = params["mu_model"]
-    if name == "unity":
-        return plasma.PermeabilityModel.unity()
-    if name == "spin":
-        return plasma.PermeabilityModel.static_spin(convention)
-    if name == "field":
-        H = float(params.get("H", 0.0))
-        if not H > 0.0:
-            raise DomainError(f"--H must be > 0 for --mu-model field, got {H}")
-        return plasma.PermeabilityModel.in_field(H)
-    raise DomainError(f"unknown permeability model {name!r}")
+    H = float(params.get("H", 0.0))
+    if params["mu_model"] == "field" and not H > 0.0:
+        raise DomainError(f"--H must be > 0 for --mu-model field, got {H}")
+    return plasma.PermeabilityModel(
+        str(params["mu_model"]), str(params.get("convention", "table")), H
+    )
 
 
 def _finite(value: float) -> float:
@@ -427,8 +419,8 @@ def _cmd_plot(params: dict[str, object]) -> str:
 
     which = int(params["which"])
     if which == 1:
-        spin = plasma.PermeabilityModel.static_spin(_CONVENTIONS[str(params["convention"])])
-        series = [curve("mu = 1", breakdowns(plasma.PermeabilityModel.unity()), "zero_freq"),
+        spin = plasma.PermeabilityModel("spin", str(params["convention"]))
+        series = [curve("mu = 1", breakdowns(plasma.PermeabilityModel("unity")), "zero_freq"),
                   curve("spin permeability", breakdowns(spin), "zero_freq")]
         return svgplot.render_line_chart(series, "L (fm)", "F0 per plate pair (MeV)",
                                          title="Zero-frequency interaction energy")

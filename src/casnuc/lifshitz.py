@@ -38,7 +38,6 @@ from .constants import (
 from .errors import ConvergenceError, DomainError
 from .plasma import (
     PermeabilityModel,
-    _distance_susceptibility,
     _separation_cube,
     pair_density,
     plasma_frequency,
@@ -296,20 +295,6 @@ def screening_wavevector(rho: float, mu_ep: float) -> float:
     return math.sqrt(mu_ep) * plasma_frequency(rho) / C
 
 
-def _coupled_mu_factor(L: float, model: PermeabilityModel) -> float:
-    # closed-form permeability parenthesis of the distance-coupled kappa
-    if model.kind == "unity":
-        return 1.0
-    if model.kind != "static_spin":
-        raise DomainError(
-            "distance-coupled closed forms are defined for unity|static_spin models"
-        )
-    chi = _distance_susceptibility(L)
-    if model.convention == "equation_literal":
-        chi *= 0.5
-    return 1.0 + chi
-
-
 def distance_coupled_breakdown(
     L: float, model: PermeabilityModel | None = None
 ) -> FreeEnergyBreakdown:
@@ -317,7 +302,8 @@ def distance_coupled_breakdown(
 
     Evaluates the closed-form displays:
       kappa(L)  = (3^(1/8)/2 pi) sqrt(e^2 mu0 zeta(3)/(2 L^3 m) * P(L)),
-                  P = 1 (unity) or the closed-form mu_ep(L) (static spin);
+                  P = model.coupled_mu(L): 1 (unity) or the closed-form
+                  mu_ep(L) (spin);
       F0/A  = -(hbar c/(4 3^(1/4) pi L)) kappa^2 e^(-2 kappa L)
               [1/(2 kappa L) + 1/(2 kappa L)^2];
       Fn/A  = -(hbar c/(4 sqrt(3) L^3))
@@ -325,7 +311,7 @@ def distance_coupled_breakdown(
 
     These must agree with composing the plasma pipeline into the generic
     asymptotes to relative 1e-10 (checked in the tests).  Below about
-    1.2e-63 m (static spin) or 2.9e-88 m (unity) they are not finite: DomainError.
+    1.2e-63 m (spin) or 2.9e-88 m (unity) they are not finite: DomainError.
     """
     cube = _separation_cube(L)
     if model is None:
@@ -334,7 +320,7 @@ def distance_coupled_breakdown(
     if denominator < sys.float_info.min:
         raise DomainError(f"separation too small: L = {L} m, 2 L^3 m_e underflows")
     kappa = (3.0**0.125 / (2.0 * math.pi)) * math.sqrt(
-        E_CHARGE**2 * MU_0 * ZETA_3 / denominator * _coupled_mu_factor(L, model)
+        E_CHARGE**2 * MU_0 * ZETA_3 / denominator * model.coupled_mu(L)
     )
     a = 2.0 * kappa * L
     zero = (
@@ -399,8 +385,14 @@ class SweepSpec:
         return [self.L_min_fm + i * step for i in range(self.points)]
 
     def plate_area(self) -> float:
-        """Plate area pi R^2 [m^2]."""
-        return math.pi * (self.R_fm * M_PER_FM) ** 2
+        """Plate area pi R^2 [m^2]; above about 7.6e168 fm it overflows: DomainError."""
+        try:
+            area = math.pi * (self.R_fm * M_PER_FM) ** 2
+        except OverflowError:
+            area = math.inf
+        if area == math.inf:
+            raise DomainError(f"plate radius too large: R = {self.R_fm} fm, pi R^2 overflows")
+        return area
 
 
 @dataclass(frozen=True)

@@ -33,8 +33,8 @@ from .constants import (
 )
 from .errors import DomainError
 
-CONVENTIONS = ("table_consistent", "equation_literal")
-MODEL_KINDS = ("unity", "static_spin", "field_dependent")
+CONVENTIONS = ("table", "literal")
+MODEL_KINDS = ("unity", "spin", "field")
 
 # Langevin series branch below this |y|; see langevin()
 Y_SWITCH = 1e-4
@@ -56,17 +56,17 @@ class PermeabilityModel:
     """Selects how the pair plasma's magnetic permeability is evaluated.
 
     kind:
-        unity           -- mu = 1 everywhere
-        static_spin     -- zero-frequency spin paramagnetism
-        field_dependent -- Langevin saturation of the electron moment mu_B
-                           in an applied field H
-    convention:
-        table_consistent -- chi = 2*mu0*rho*mu_B^2/(k_B*T)
-        equation_literal -- chi = mu0*rho*mu_B^2/(k_B*T), half the above
+        unity -- mu = 1 everywhere
+        spin  -- zero-frequency spin paramagnetism
+        field -- Langevin saturation of the electron moment mu_B in an
+                 applied field H
+    convention (spin kind):
+        table   -- chi = 2*mu0*rho*mu_B^2/(k_B*T)
+        literal -- chi = mu0*rho*mu_B^2/(k_B*T), half the above
     """
 
-    kind: str = "static_spin"
-    convention: str = "table_consistent"
+    kind: str = "spin"
+    convention: str = "table"
     H: float = 0.0    # applied field [A/m], field kind only
 
     def __post_init__(self) -> None:
@@ -74,36 +74,40 @@ class PermeabilityModel:
             raise DomainError(f"unknown permeability kind {self.kind!r}")
         if self.convention not in CONVENTIONS:
             raise DomainError(f"unknown convention {self.convention!r}")
-        if self.kind == "field_dependent" and not self.H > 0.0:
-            raise DomainError("field_dependent permeability requires H > 0")
-
-    @classmethod
-    def unity(cls) -> "PermeabilityModel":
-        return cls(kind="unity")
-
-    @classmethod
-    def static_spin(cls, convention: str = "table_consistent") -> "PermeabilityModel":
-        return cls(kind="static_spin", convention=convention)
-
-    @classmethod
-    def in_field(cls, H: float) -> "PermeabilityModel":
-        return cls(kind="field_dependent", H=H)
+        if self.kind == "field" and not self.H > 0.0:
+            raise DomainError("field permeability requires H > 0")
 
     def static_mu(self, rho: float, T: float) -> float:
         """Zero-frequency permeability of the plasma state (rho, T)."""
         if self.kind == "unity":
             return 1.0
-        if self.kind == "static_spin":
+        if self.kind == "spin":
             return pair_permeability_static(rho, T, self.convention)
-        # field_dependent: N enters per species
+        # field: N enters per species
         return pair_permeability_in_field(self.H, 0.5 * rho, T)
+
+    def coupled_mu(self, L: float) -> float:
+        """Closed-form static permeability at the balance state of L, the
+        parenthesis of the distance-coupled kappa (unity and spin kinds)."""
+        if self.kind == "unity":
+            return 1.0
+        if self.kind != "spin":
+            raise DomainError("distance-coupled closed forms are defined for unity|spin models")
+        chi = _distance_susceptibility(L)
+        if self.convention == "literal":
+            chi *= 0.5
+        return 1.0 + chi
 
 
 def temperature_from_distance(L: float) -> float:
     """Black-body balance temperature, T = hbar*c/(k_B * 48^(1/4) * L)."""
     if not L > 0.0:
         raise DomainError(f"separation must be positive, got {L}")
-    return HBAR_C / (K_B * GAMMA_BALANCE * L)
+    # below about 6.1e-286 m the denominator is no longer a normal double
+    scale = K_B * GAMMA_BALANCE * L
+    if scale < sys.float_info.min:
+        raise DomainError(f"separation too small: L = {L} m, k_B gamma L underflows")
+    return HBAR_C / scale
 
 
 def pair_density(T: float) -> float:
@@ -176,13 +180,13 @@ def langevin(y: float) -> float:
 
 
 def pair_permeability_static(
-    rho_total: float, T: float, convention: str = "table_consistent"
+    rho_total: float, T: float, convention: str = "table"
 ) -> float:
     """Zero-frequency permeability of the pair plasma.
 
-    table_consistent (default): mu = 1 + 2 mu0 rho mu_B^2/(k_B T), the factor
-    required by the tabulated 1 + sqrt(3) mu0 e^2 hbar zeta(3)/(8 pi^2 L^2 m^2 c)
-    distance form.  equation_literal: half that susceptibility.
+    table (default): mu = 1 + 2 mu0 rho mu_B^2/(k_B T), the factor required
+    by the tabulated 1 + sqrt(3) mu0 e^2 hbar zeta(3)/(8 pi^2 L^2 m^2 c)
+    distance form.  literal: half that susceptibility.
     """
     if not T > 0.0:
         raise DomainError(f"temperature must be positive, got {T}")
@@ -191,7 +195,7 @@ def pair_permeability_static(
     if convention not in CONVENTIONS:
         raise DomainError(f"unknown convention {convention!r}")
     chi = MU_0 * rho_total * MU_B**2 / (K_B * T)
-    if convention == "table_consistent":
+    if convention == "table":
         chi *= 2.0
     return 1.0 + chi
 
@@ -217,7 +221,7 @@ def plasma_state_from_distance(
 ) -> PlasmaState:
     """Full plasma record at separation L under the chosen permeability model."""
     if model is None:
-        model = PermeabilityModel.static_spin()
+        model = PermeabilityModel()
     T = temperature_from_distance(L)
     rho = density_from_distance(L)
     omega = plasma_frequency(rho)
@@ -230,7 +234,7 @@ def distance_closed_forms(L: float) -> dict[str, float]:
 
     These are the tabulated single-formula versions of the composed pipeline;
     distance_closed_forms and plasma_state_from_distance must agree to
-    rounding.  mu_ep uses the table-consistent convention.
+    rounding.  mu_ep uses the table convention.
     """
     if not L > 0.0:
         raise DomainError(f"separation must be positive, got {L}")
@@ -244,7 +248,7 @@ def distance_closed_forms(L: float) -> dict[str, float]:
 
 
 def _distance_susceptibility(L: float) -> float:
-    # table-consistent spin susceptibility at the balance state of L, in closed
+    # table-convention spin susceptibility at the balance state of L, in closed
     # form; written via mu_B^2, not the substituted e^2 hbar/(m^2 c) form:
     # CODATA mu_B differs from e hbar/(2 m) at ~3e-10, which would break the
     # 1e-12 agreement with the composed pipeline

@@ -36,8 +36,8 @@ from casnuc.units import J_PER_MEV, M_PER_FM
 
 from _oracles import balance_cubic_bisection, zero_freq_quadrature, zero_freq_series
 
-UNITY = PermeabilityModel.unity()
-SPIN = PermeabilityModel.static_spin()
+UNITY = PermeabilityModel("unity")
+SPIN = PermeabilityModel("spin")
 
 # reference state table: L [fm], T [K], rho [1/m^3], omega_ep [rad/s], mu_ep
 STATE_TABLE = [

@@ -28,6 +28,54 @@ def csv_rows(text):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+# hostile argv, the exit code and a fragment of the message it must print;
+# every domain edge names the parameter it is about
+HOSTILE_ARGV = [
+    (["equilibrium", "--R", "inf"], 2, "bad value for --R"),
+    (["state", "--L", "1e-200"], 2, "separation too small: L = 1e-215 m, L^3 underflows"),
+    (["state", "--L", "1e200"], 2, "separation too large: L = 1e+185 m, L^3 overflows"),
+    (["sweep", "--points", "100000000000000000000"], 2, "--points must be at most"),
+    (["plot", "--points", "100000000000000000000"], 2, "--points must be at most"),
+    (["state", "--L", "1e-120"], 2, "separation too small: L = 1e-135 m, L^3 underflows"),
+    (["meson", "--L", "1e-120"], 2, "separation too small: L = 1e-135 m, L^3 underflows"),
+    (["linewidth", "--L", "1e-120"], 2, "separation too small: L = 1e-135 m, L^3 underflows"),
+    (["sweep", "--Lmin", "1e-120", "--Lmax", "2e-120"], 2,
+     "separation too small: L = 1e-135 m, L^3 underflows"),
+    (["plot", "--which", "2", "--Lmin", "1e-120", "--Lmax", "2e-120"], 2,
+     "separation too small: L = 1e-135 m, L^3 underflows"),
+    (["sweep", "--R", "1e160"], 3, "non-finite value in output"),
+    (["plot", "--R", "-1"], 2, "plate radius must be positive"),
+    (["sweep", "--Lmin", "1e-86", "--Lmax", "2e-86"], 2,
+     "separation too small: L = 1.0000000000000002e-101 m, 2 L^3 m_e underflows"),
+    (["plot", "--which", "1", "--Lmin", "1e-86", "--Lmax", "2e-86"], 2,
+     "separation too small: L = 1.0000000000000002e-101 m, 2 L^3 m_e underflows"),
+    (["plot", "--which", "2", "--Lmin", "1e-86", "--Lmax", "2e-86"], 2,
+     "separation too small: L = 1.0000000000000002e-101 m, 2 L^3 m_e underflows"),
+    (["plot", "--which", "2", "--Lmin", "2e-83", "--Lmax", "3e-83"], 2,
+     "separation too small: L = 2.0000000000000002e-98 m, 2 L^3 m_e underflows"),
+    (["sweep", "--Lmin", "1e-60", "--Lmax", "2e-60"], 2,
+     "separation too small: L = 1.0000000000000001e-75 m, the closed forms are not finite"),
+    (["sweep", "--mode", "fixed", "--Linit", "1e-120", "--points", "3"], 2,
+     "temperature too large"),
+    (["sweep", "--Lmax", "1e110", "--points", "2"], 2, "density too small"),
+    (["sweep", "--method", "exact", "--R", "1e-200", "--points", "2"], 2,
+     "plate radius too small: R = 1e-200 fm"),
+    (["sweep", "--R", "1e-145", "--points", "2"], 2, "plate radius too small: R = 1e-145 fm"),
+    # the balance temperature's k_B gamma L underflows before L^3 can
+    (["state", "--L", "1e-300"], 2, "separation too small: L = 1e-315 m, k_B gamma L underflows"),
+    (["meson", "--L", "1e-300"], 2, "separation too small: L = 1e-315 m, k_B gamma L underflows"),
+    (["sweep", "--Lmin", "1e-300", "--Lmax", "2e-300", "--points", "2"], 2,
+     "separation too small: L = 1e-315 m, k_B gamma L underflows"),
+    (["sweep", "--mode", "fixed", "--Linit", "1e-300", "--points", "2"], 2,
+     "separation too small: L = 1e-315 m, k_B gamma L underflows"),
+    # pi R^2 overflows: by OverflowError at 1e170 fm, to inf at 1.2e169 fm
+    (["sweep", "--R", "1e170", "--points", "2"], 2, "plate radius too large: R = 1e+170 fm"),
+    (["plot", "--R", "1e170"], 2, "plate radius too large: R = 1e+170 fm"),
+    (["sweep", "--R", "1.2e169", "--points", "2"], 2, "plate radius too large: R = 1.2e+169 fm"),
+]
+HOSTILE_MESSAGES = {tuple(argv): message for argv, _, message in HOSTILE_ARGV}
+
+
 class TestParsing:
     def test_no_arguments_is_usage_error(self, capsys):
         code, _, _ = run_cli([], capsys)
@@ -51,52 +99,14 @@ class TestParsing:
         code, _, _ = run_cli(["state", "--L", "nan"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "argv, expected",
-        [
-            (["equilibrium", "--R", "inf"], 2),
-            (["state", "--L", "1e-200"], 2),
-            (["state", "--L", "1e200"], 2),
-            (["sweep", "--points", "100000000000000000000"], 2),
-            (["plot", "--points", "100000000000000000000"], 2),
-            (["state", "--L", "1e-120"], 2),
-            (["meson", "--L", "1e-120"], 2),
-            (["linewidth", "--L", "1e-120"], 2),
-            (["sweep", "--Lmin", "1e-120", "--Lmax", "2e-120"], 2),
-            (["plot", "--which", "2", "--Lmin", "1e-120", "--Lmax", "2e-120"], 2),
-            (["sweep", "--R", "1e160"], 3),
-            (["plot", "--R", "-1"], 2),
-            (["sweep", "--Lmin", "1e-86", "--Lmax", "2e-86"], 2),
-            (["plot", "--which", "1", "--Lmin", "1e-86", "--Lmax", "2e-86"], 2),
-            (["plot", "--which", "2", "--Lmin", "1e-86", "--Lmax", "2e-86"], 2),
-            (["plot", "--which", "2", "--Lmin", "2e-83", "--Lmax", "3e-83"], 2),
-            (["sweep", "--Lmin", "1e-60", "--Lmax", "2e-60"], 2),
-            (["sweep", "--mode", "fixed", "--Linit", "1e-120", "--points", "3"], 2),
-            (["sweep", "--Lmax", "1e110", "--points", "2"], 2),
-            (["sweep", "--method", "exact", "--R", "1e-200", "--points", "2"], 2),
-            (["sweep", "--R", "1e-145", "--points", "2"], 2),
-        ],
-    )
+    @pytest.mark.parametrize("argv, expected", [case[:2] for case in HOSTILE_ARGV])
     def test_hostile_values_exit_cleanly(self, argv, expected, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == expected
         assert out == ""
         assert err.startswith("casnuc: ")
         assert "Traceback" not in err
-        flags = dict(zip(argv[1::2], argv[2::2]))
-        if int(flags.get("--points", 0)) > lifshitz.MAX_GRID_POINTS:
-            assert "--points" in err
-        if "--R" in flags and expected == 2:
-            assert "--R" in err or "radius" in err
-        separation = flags.get("--L", flags.get("--Lmin", ""))
-        if separation.endswith(("e-120", "e-200", "e-86", "e-83", "e-60")):
-            assert "separation too small" in err
-        if separation == "1e200":
-            assert "separation too large" in err
-        if "--Linit" in flags:
-            assert "temperature too large" in err
-        if flags.get("--Lmax") == "1e110":
-            assert "density too small" in err
+        assert HOSTILE_MESSAGES[tuple(argv)] in err
 
     @pytest.mark.parametrize(
         "argv", [["state"], ["sweep", "--method", "exact", "--points", "3"]],

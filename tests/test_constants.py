@@ -2,8 +2,8 @@ import math
 
 import pytest
 
-from casnuc import CONSTANTS_VINTAGE
 from casnuc.constants import (
+    CONSTANTS_VINTAGE,
     C,
     E_CHARGE,
     EPS_0,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casnuc import ConvergenceError, DomainError
 from casnuc.constants import C, HBAR, HBAR_C, K_B, ZETA_3
+from casnuc.errors import DomainError
 from casnuc.lifshitz import (
     DEFAULT_PLATE_AREA,
     MAX_GRID_POINTS,
@@ -36,8 +36,8 @@ from casnuc.units import J_PER_MEV
 
 from _oracles import zero_freq_quadrature, zero_freq_series
 
-UNITY = PermeabilityModel.unity()
-SPIN = PermeabilityModel.static_spin()
+UNITY = PermeabilityModel("unity")
+SPIN = PermeabilityModel("spin")
 
 
 def state_at(L):
@@ -279,8 +279,8 @@ class TestFullMatsubara:
         # the permeability enters at n = 0 only: every n > 0 term has mu = 1
         L = 1e-15
         T, rho, _ = state_at(L)
-        models = [UNITY, SPIN, PermeabilityModel.static_spin("equation_literal"),
-                  PermeabilityModel.in_field(1e15)]
+        models = [UNITY, SPIN, PermeabilityModel("spin", "literal"),
+                  PermeabilityModel("field", H=1e15)]
         for n in range(1, 6):
             assert len({matsubara_term(n, L, T, rho, m) for m in models}) == 1
         assert len({matsubara_term(0, L, T, rho, m) for m in models}) == len(models)
@@ -343,7 +343,7 @@ class TestDistanceCoupled:
 
     def test_field_model_rejected(self):
         with pytest.raises(DomainError):
-            distance_coupled_breakdown(1e-15, PermeabilityModel.in_field(1.0))
+            distance_coupled_breakdown(1e-15, PermeabilityModel("field", H=1.0))
 
     @pytest.mark.parametrize(
         "model, L",

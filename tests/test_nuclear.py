@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casnuc import DomainError
 from casnuc.constants import HBAR_C
+from casnuc.errors import DomainError
 from casnuc.lifshitz import screening_wavevector
 from casnuc.nuclear import (
     LINEWIDTH_BRACKET_ZERO,

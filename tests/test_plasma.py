@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casnuc import DomainError, plasma_state_from_distance
 from casnuc.constants import C, E_CHARGE, EPS_0, HBAR, HBAR_C, K_B, M_E, MU_0, MU_B, ZETA_3
+from casnuc.errors import DomainError
 from casnuc.plasma import (
     Y_SWITCH,
     PermeabilityModel,
@@ -16,6 +16,7 @@ from casnuc.plasma import (
     pair_permeability_in_field,
     pair_permeability_static,
     plasma_frequency,
+    plasma_state_from_distance,
     state_assumptions,
     temperature_from_distance,
 )
@@ -197,7 +198,7 @@ class TestSpinSusceptibility:
         N, T = 1e43, 8.7e11
         mu_bar = 2.0 * MU_B * math.sqrt(0.5 * 1.5)
         expected = MU_0 * N * mu_bar**2 / (3.0 * K_B * T)
-        chi = pair_permeability_static(N, T, "equation_literal") - 1.0
+        chi = pair_permeability_static(N, T, "literal") - 1.0
         assert chi == pytest.approx(expected, rel=1e-14)
 
     def test_vacuum(self):
@@ -229,8 +230,8 @@ class TestStaticPermeability:
 
     def test_literal_convention_is_half(self):
         rho, T = 2e43, 8.7e11
-        chi_table = pair_permeability_static(rho, T, "table_consistent") - 1.0
-        chi_literal = pair_permeability_static(rho, T, "equation_literal") - 1.0
+        chi_table = pair_permeability_static(rho, T, "table") - 1.0
+        chi_literal = pair_permeability_static(rho, T, "literal") - 1.0
         assert chi_literal == pytest.approx(chi_table / 2.0, rel=1e-15)
 
     def test_unknown_convention(self):
@@ -288,14 +289,14 @@ class TestPermeabilityModel:
 
     def test_field_needs_nonnegative_h(self):
         with pytest.raises(DomainError):
-            PermeabilityModel(kind="field_dependent", H=-1.0)
+            PermeabilityModel(kind="field", H=-1.0)
 
     def test_field_needs_positive_h(self):
         with pytest.raises(DomainError):
-            PermeabilityModel.in_field(0.0)
+            PermeabilityModel("field", H=0.0)
 
     def test_unity_static_mu(self):
-        assert PermeabilityModel.unity().static_mu(2e43, 8.7e11) == 1.0
+        assert PermeabilityModel("unity").static_mu(2e43, 8.7e11) == 1.0
 
 
 class TestStateFromDistance:
@@ -309,7 +310,7 @@ class TestStateFromDistance:
         assert s.mu_ep == pytest.approx(mu_ref, rel=0.02)
 
     def test_unity_model(self):
-        s = plasma_state_from_distance(1e-15, PermeabilityModel.unity())
+        s = plasma_state_from_distance(1e-15, PermeabilityModel("unity"))
         assert s.mu_ep == 1.0
         assert s.T == pytest.approx(8.70e11, rel=0.005)
 
