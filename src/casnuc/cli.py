@@ -450,10 +450,14 @@ def _write_output(document: str, path: str | None) -> None:
         sys.stdout.write(document)
         return
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # read the umask: setting it is the only way
+    os.umask(umask)
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".casnuc-tmp-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(document)
+            # mkstemp makes the file 0600; give it the mode a shell redirect would
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         try:

@@ -39,10 +39,8 @@ from .errors import ConvergenceError, DomainError
 from .plasma import (
     PermeabilityModel,
     _separation_cube,
-    pair_density,
     plasma_frequency,
     plasma_state_from_distance,
-    temperature_from_distance,
 )
 from .units import J_PER_MEV, M_PER_FM
 
@@ -415,10 +413,8 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     area = spec.plate_area()
     if spec.mode == "fixed":
         L_init = (spec.L_init_fm if spec.L_init_fm is not None else spec.L_min_fm) * M_PER_FM
-        T0 = temperature_from_distance(L_init)
-        rho0 = pair_density(T0)
-        mu0 = spec.model.static_mu(rho0, T0)
-        pinned = (T0, rho0, plasma_frequency(rho0), mu0, screening_wavevector(rho0, mu0))
+        s0 = plasma_state_from_distance(L_init, spec.model)
+        pinned = (s0.T, s0.rho, s0.omega_ep, s0.mu_ep, screening_wavevector(s0.rho, s0.mu_ep))
 
     rows: list[SweepRow] = []
     closed = spec.mode == "coupled" and spec.method == "asymptote"

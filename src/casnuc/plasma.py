@@ -8,9 +8,12 @@ separations this holds by orders of magnitude (see state_assumptions()).
 
 Every permeability model here is a static (zero-frequency) response: the
 spin paramagnetism, with or without Langevin saturation in an applied
-field.  It enters the Lifshitz sum only through its n = 0 term; by the
-first Matsubara frequency, xi_1 = 2 pi k_B T/hbar (about 7e23 rad/s at
-1 fm), the spin response has died out, so every n > 0 term uses mu = 1.
+field.  PermeabilityModel.static_mu is the one evaluator of its
+susceptibility, chi = mu0 rho mu_B^2/(k_B T) times the convention scale (and,
+in a field, times the saturation 3 L(y)/y).  It enters the Lifshitz sum only
+through its n = 0 term; by the first Matsubara frequency,
+xi_1 = 2 pi k_B T/hbar (about 7e23 rad/s at 1 fm), the spin response has
+died out, so every n > 0 term uses mu = 1.
 """
 
 from __future__ import annotations
@@ -33,11 +36,16 @@ from .constants import (
 )
 from .errors import DomainError
 
-CONVENTIONS = ("table", "literal")
+# spin susceptibility of each convention in units of mu0 rho mu_B^2/(k_B T);
+# table's 2 is the factor the tabulated distance form
+# 1 + sqrt(3) mu0 e^2 hbar zeta(3)/(8 pi^2 L^2 m^2 c) requires
+_CONVENTION_SCALE = {"table": 2.0, "literal": 1.0}
+CONVENTIONS = tuple(_CONVENTION_SCALE)
 MODEL_KINDS = ("unity", "spin", "field")
 
-# Langevin series branch below this |y|; see langevin()
-Y_SWITCH = 1e-4
+# levels of the continued fraction in _saturation; 28 already hold it within
+# 4e-16 of mpmath everywhere below y = 20
+_SATURATION_DEPTH = 30
 
 
 @dataclass(frozen=True)
@@ -58,9 +66,10 @@ class PermeabilityModel:
     kind:
         unity -- mu = 1 everywhere
         spin  -- zero-frequency spin paramagnetism
-        field -- Langevin saturation of the electron moment mu_B in an
-                 applied field H
-    convention (spin kind):
+        field -- the spin susceptibility times the Langevin saturation
+                 3 L(y)/y of the electron moment mu_B in an applied field H,
+                 y = mu_B mu0 H/(k_B T)
+    convention (spin and field kinds):
         table   -- chi = 2*mu0*rho*mu_B^2/(k_B*T)
         literal -- chi = mu0*rho*mu_B^2/(k_B*T), half the above
     """
@@ -81,10 +90,14 @@ class PermeabilityModel:
         """Zero-frequency permeability of the plasma state (rho, T)."""
         if self.kind == "unity":
             return 1.0
-        if self.kind == "spin":
-            return pair_permeability_static(rho, T, self.convention)
-        # field: N enters per species
-        return pair_permeability_in_field(self.H, 0.5 * rho, T)
+        if not T > 0.0:
+            raise DomainError(f"temperature must be positive, got {T}")
+        if rho < 0.0:
+            raise DomainError(f"density must be non-negative, got {rho}")
+        chi = MU_0 * rho * MU_B**2 / (K_B * T) * _CONVENTION_SCALE[self.convention]
+        if self.kind == "field":
+            chi *= _saturation(MU_B * MU_0 * self.H / (K_B * T))
+        return 1.0 + chi
 
     def coupled_mu(self, L: float) -> float:
         """Closed-form static permeability at the balance state of L, the
@@ -93,10 +106,7 @@ class PermeabilityModel:
             return 1.0
         if self.kind != "spin":
             raise DomainError("distance-coupled closed forms are defined for unity|spin models")
-        chi = _distance_susceptibility(L)
-        if self.convention == "literal":
-            chi *= 0.5
-        return 1.0 + chi
+        return 1.0 + _CONVENTION_SCALE[self.convention] * _distance_susceptibility(L)
 
 
 def temperature_from_distance(L: float) -> float:
@@ -108,21 +118,6 @@ def temperature_from_distance(L: float) -> float:
     if scale < sys.float_info.min:
         raise DomainError(f"separation too small: L = {L} m, k_B gamma L underflows")
     return HBAR_C / scale
-
-
-def pair_density(T: float) -> float:
-    """Total e- + e+ number density of the thermal pair gas.
-
-    rho = (3 zeta(3)/pi^2) (k_B T)^3 / (hbar c)^3.  Relativistic form,
-    valid for k_B T >> m_e c^2.
-    """
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T}")
-    try:
-        cube = (K_B * T / HBAR_C) ** 3
-    except OverflowError:
-        raise DomainError(f"temperature too large: T = {T} K, T^3 overflows") from None
-    return 3.0 * ZETA_3 / math.pi**2 * cube
 
 
 def _separation_cube(L: float) -> float:
@@ -156,64 +151,23 @@ def plasma_frequency(rho: float) -> float:
     return math.sqrt(charge / (EPS_0 * M_E))
 
 
-def langevin(y: float) -> float:
-    """Langevin function L(y) = coth(y) - 1/y.
+def _saturation(y: float) -> float:
+    """The field saturation 3 L(y)/y of the spin susceptibility, for y >= 0,
+    with L(y) = coth(y) - 1/y the Langevin function.
 
-    Below |y| = Y_SWITCH the series y/3 - y^3/45 + 2 y^5/945 is used; the
-    direct branch evaluates ((u+2)x - u)/(u x) with u = expm1(2x) at x = |y|,
-    which stays accurate where coth(y) - 1/y cancels catastrophically, and
-    the sign is restored afterwards so oddness holds exactly on every branch.
-    Beyond x = 20 the coth term is 1 to double precision and L = 1 - 1/x.
+    Below y = 20 Lambert's continued fraction
+    3 L(y)/y = 3/(3 + y^2/(5 + y^2/(7 + ...))), cut after _SATURATION_DEPTH
+    levels; every partial denominator is positive, so nothing cancels.  From
+    y = 20 on coth(y) is 1 to double precision and s = 3 (1 - 1/y)/y.
+    Within 5e-16 of mpmath from y = 0 to inf; s(0) = 1 and s(inf) = 0.
     """
-    if math.isnan(y):
-        raise DomainError("langevin argument must be finite")
-    if math.isinf(y):
-        return math.copysign(1.0, y)
-    x = abs(y)
-    if x < Y_SWITCH:
-        y2 = y * y
-        return y * (1.0 / 3.0 - y2 / 45.0 + 2.0 * y2 * y2 / 945.0)
-    if x >= 20.0:
-        return math.copysign(1.0 - 1.0 / x, y)
-    u = math.expm1(2.0 * x)
-    return math.copysign((u * x - (u - 2.0 * x)) / (u * x), y)
-
-
-def pair_permeability_static(
-    rho_total: float, T: float, convention: str = "table"
-) -> float:
-    """Zero-frequency permeability of the pair plasma.
-
-    table (default): mu = 1 + 2 mu0 rho mu_B^2/(k_B T), the factor required
-    by the tabulated 1 + sqrt(3) mu0 e^2 hbar zeta(3)/(8 pi^2 L^2 m^2 c)
-    distance form.  literal: half that susceptibility.
-    """
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T}")
-    if rho_total < 0.0:
-        raise DomainError(f"density must be non-negative, got {rho_total}")
-    if convention not in CONVENTIONS:
-        raise DomainError(f"unknown convention {convention!r}")
-    chi = MU_0 * rho_total * MU_B**2 / (K_B * T)
-    if convention == "table":
-        chi *= 2.0
-    return 1.0 + chi
-
-
-def pair_permeability_in_field(H: float, N_per_species: float, T: float) -> float:
-    """Field-dependent permeability mu(H) = 1 + 6 N mu_B L(y)/H, y = mu_B mu0 H/(k_B T).
-
-    N is the per-species moment density.  As H -> 0 this recovers
-    1 + 2 mu0 N mu_B^2/(k_B T); as H -> infinity mu -> 1 (saturation).
-    """
-    if not H > 0.0:
-        raise DomainError("H must be positive; use pair_permeability_static for H = 0")
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T}")
-    if N_per_species < 0.0:
-        raise DomainError(f"moment density must be non-negative, got {N_per_species}")
-    y = MU_B * MU_0 * H / (K_B * T)
-    return 1.0 + 6.0 * N_per_species * MU_B * langevin(y) / H
+    if y >= 20.0:
+        return 3.0 * (1.0 - 1.0 / y) / y
+    x = y * y
+    t = 2.0 * _SATURATION_DEPTH + 3.0
+    for k in range(_SATURATION_DEPTH, 0, -1):
+        t = 2.0 * k + 1.0 + x / t
+    return 3.0 / t
 
 
 def plasma_state_from_distance(
@@ -243,16 +197,16 @@ def distance_closed_forms(L: float) -> dict[str, float]:
     omega = (3.0**0.125 / (2.0 * math.pi)) * math.sqrt(
         E_CHARGE**2 * ZETA_3 / (2.0 * M_E * EPS_0 * L**3)
     )
-    mu = 1.0 + _distance_susceptibility(L)
+    mu = PermeabilityModel().coupled_mu(L)
     return {"T_K": T, "rho_m3": rho, "omega_ep_rad_s": omega, "mu_ep": mu}
 
 
 def _distance_susceptibility(L: float) -> float:
-    # table-convention spin susceptibility at the balance state of L, in closed
-    # form; written via mu_B^2, not the substituted e^2 hbar/(m^2 c) form:
+    # literal-convention spin susceptibility at the balance state of L, in
+    # closed form; written via mu_B^2, not the substituted e^2 hbar/(m^2 c) form:
     # CODATA mu_B differs from e hbar/(2 m) at ~3e-10, which would break the
     # 1e-12 agreement with the composed pipeline
-    return math.sqrt(3.0) * MU_0 * ZETA_3 * MU_B**2 / (2.0 * math.pi**2 * HBAR_C * L**2)
+    return math.sqrt(3.0) * MU_0 * ZETA_3 * MU_B**2 / (4.0 * math.pi**2 * HBAR_C * L**2)
 
 
 def state_assumptions(state: PlasmaState) -> dict[str, object]:

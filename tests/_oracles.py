@@ -10,7 +10,7 @@ import math
 
 from scipy.integrate import quad
 
-from casnuc.constants import K_B
+from casnuc.constants import HBAR_C, K_B, ZETA_3
 from casnuc.errors import ConvergenceError, DomainError, NumericalError
 from casnuc.nuclear import balance_cubic_residual
 
@@ -68,6 +68,23 @@ def zero_freq_series(kappa: float, L: float, T: float, terms: int | None = None)
         terms = int(50.0 / a) + 1
     parts = [math.exp(-j * a) * (a / j**2 + 1.0 / j**3) for j in range(1, terms + 1)]
     return -K_B * T / (8.0 * math.pi * L * L) * math.fsum(parts)
+
+
+def pair_density(T: float) -> float:
+    """Total e- + e+ number density of the thermal pair gas at temperature T.
+
+    Independent oracle for plasma.density_from_distance, which is this
+    density at the balance temperature written in L alone:
+    rho = (3 zeta(3)/pi^2) (k_B T)^3 / (hbar c)^3, the relativistic form,
+    valid for k_B T >> m_e c^2.
+    """
+    if not T > 0.0:
+        raise DomainError(f"temperature must be positive, got {T}")
+    try:
+        cube = (K_B * T / HBAR_C) ** 3
+    except OverflowError:
+        raise DomainError(f"temperature too large: T = {T} K, T^3 overflows") from None
+    return 3.0 * ZETA_3 / math.pi**2 * cube
 
 
 def balance_cubic_bisection(D: float) -> float:

@@ -28,7 +28,6 @@ from casnuc.nuclear import balance_cubic_residual, equilibrium_distance, solve_b
 from casnuc.plasma import (
     PermeabilityModel,
     density_from_distance,
-    pair_permeability_static,
     plasma_state_from_distance,
     temperature_from_distance,
 )
@@ -102,7 +101,7 @@ def test_criterion_3_equilibrium_separation():
 def test_criterion_4_meson_masses_1fm():
     rho = density_from_distance(1e-15)
     T = temperature_from_distance(1e-15)
-    mu = pair_permeability_static(rho, T)
+    mu = SPIN.static_mu(rho, T)
     unity_mev = 2.0 * HBAR_C * screening_wavevector(rho, 1.0) / J_PER_MEV
     spin_mev = 2.0 * HBAR_C * screening_wavevector(rho, mu) / J_PER_MEV
     ok = abs(unity_mev - 329.0) / 329.0 < 0.03

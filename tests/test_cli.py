@@ -56,7 +56,7 @@ HOSTILE_ARGV = [
     (["sweep", "--Lmin", "1e-60", "--Lmax", "2e-60"], 2,
      "separation too small: L = 1.0000000000000001e-75 m, the closed forms are not finite"),
     (["sweep", "--mode", "fixed", "--Linit", "1e-120", "--points", "3"], 2,
-     "temperature too large"),
+     "separation too small: L = 1e-135 m, L^3 underflows"),
     (["sweep", "--Lmax", "1e110", "--points", "2"], 2, "density too small"),
     (["sweep", "--method", "exact", "--R", "1e-200", "--points", "2"], 2,
      "plate radius too small: R = 1e-200 fm"),
@@ -72,6 +72,9 @@ HOSTILE_ARGV = [
     (["sweep", "--R", "1e170", "--points", "2"], 2, "plate radius too large: R = 1e+170 fm"),
     (["plot", "--R", "1e170"], 2, "plate radius too large: R = 1e+170 fm"),
     (["sweep", "--R", "1.2e169", "--points", "2"], 2, "plate radius too large: R = 1.2e+169 fm"),
+    # the pinned state comes from the one state builder, so --Linit has the L^3 edge
+    (["sweep", "--mode", "fixed", "--Linit", "1e-89", "--points", "2"], 2,
+     "separation too small: L = 1.0000000000000001e-104 m, L^3 underflows"),
 ]
 HOSTILE_MESSAGES = {tuple(argv): message for argv, _, message in HOSTILE_ARGV}
 
@@ -172,6 +175,18 @@ class TestState:
         assert code == 0
         assert json.loads(out)["mu_ep"] > 1.0
 
+    @pytest.mark.parametrize("H", ["1e-295", "1e-291", "1"])
+    @pytest.mark.parametrize("L", ["1", "10"])
+    @pytest.mark.parametrize("convention", ["table", "literal"])
+    def test_weak_field_is_the_spin_state(self, H, L, convention, capsys):
+        # the field model's weak-field limit is the static susceptibility of
+        # the same convention, to the last bit
+        common = ["state", "--L", L, "--convention", convention]
+        _, spin, _ = run_cli(common, capsys)
+        code, field, _ = run_cli(common + ["--mu-model", "field", "--H", H], capsys)
+        assert code == 0
+        assert json.loads(field)["mu_ep"] == json.loads(spin)["mu_ep"]
+
 
 class TestTable:
     def test_state_table_header_and_rows(self, capsys):
@@ -247,6 +262,20 @@ class TestSweep:
         _, rows = csv_rows(out)
         expected = plasma.temperature_from_distance(2e-15)
         assert float(rows[0][1]) == pytest.approx(expected, rel=1e-8)
+
+    def test_fixed_mode_pins_the_state(self, capsys):
+        # the pinned row is the state at --Linit, bit for bit
+        _, out, _ = run_cli(["state", "--L", "5"], capsys)
+        state = json.loads(out)
+        code, out, _ = run_cli(
+            ["sweep", "--mode", "fixed", "--Linit", "5", "--Lmin", "5", "--Lmax", "6",
+             "--points", "2", "--format", "json"], capsys
+        )
+        assert code == 0
+        row = json.loads(out)[0]
+        for key in ("T_K", "rho_m3", "mu_ep", "kappa_1_m"):
+            assert row[key] == state[key], key
+        assert row["omega_ep"] == state["omega_ep_rad_s"]
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
@@ -464,6 +493,19 @@ class TestOutput:
         code, _, err = run_cli(["equilibrium", "--out", str(target)], capsys)
         assert code == 2
         assert "casnuc: error:" in err
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_file_mode_follows_umask(self, umask, capsys, tmp_path):
+        # the mode a shell redirect gives, for a new and an existing file
+        target = tmp_path / "c.json"
+        old = os.umask(umask)
+        try:
+            for _ in range(2):
+                code, _, _ = run_cli(["constants", "--out", str(target)], capsys)
+                assert code == 0
+                assert target.stat().st_mode & 0o777 == 0o666 & ~umask
+        finally:
+            os.umask(old)
 
     def test_overwrite_existing(self, capsys, tmp_path):
         target = tmp_path / "t.csv"

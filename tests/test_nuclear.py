@@ -23,8 +23,8 @@ from casnuc.nuclear import (
     yukawa_quantities,
 )
 from casnuc.plasma import (
+    PermeabilityModel,
     density_from_distance,
-    pair_permeability_static,
     temperature_from_distance,
 )
 from casnuc.units import J_PER_MEV, M_PER_FM
@@ -157,7 +157,7 @@ class TestMesonMass:
         assert unity == pytest.approx(332.4260872027714, rel=1e-12)
         assert unity == pytest.approx(329.0, rel=0.03)
 
-        mu = pair_permeability_static(rho, T)
+        mu = PermeabilityModel().static_mu(rho, T)
         magnetic = meson_mass(rho, mu) / J_PER_MEV
         assert magnetic == pytest.approx(6321.184956045245, rel=1e-12)
         assert magnetic == pytest.approx(6242.0, rel=0.03)
@@ -200,7 +200,7 @@ class TestYukawaQuantities:
     def test_consistency(self):
         rho = density_from_distance(1e-15)
         T = temperature_from_distance(1e-15)
-        mu = pair_permeability_static(rho, T)
+        mu = PermeabilityModel().static_mu(rho, T)
         q = yukawa_quantities(rho, mu)
         assert q.kappa_source == pytest.approx(screening_wavevector(rho, mu), rel=1e-15)
         assert q.meson_mass_energy == pytest.approx(

@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 from casnuc.constants import C, E_CHARGE, EPS_0, HBAR, HBAR_C, K_B, M_E, MU_0, MU_B, ZETA_3
 from casnuc.errors import DomainError
 from casnuc.plasma import (
-    Y_SWITCH,
+    _SATURATION_DEPTH,
     PermeabilityModel,
+    _saturation,
     density_from_distance,
     distance_closed_forms,
-    langevin,
-    pair_density,
-    pair_permeability_in_field,
-    pair_permeability_static,
     plasma_frequency,
     plasma_state_from_distance,
     state_assumptions,
     temperature_from_distance,
 )
 from casnuc.nuclear import ideal_casimir
+
+from _oracles import pair_density
 
 # plate separations in metres, spanning the regime of interest
 separations = st.floats(min_value=1e-16, max_value=1e-13)
@@ -138,54 +137,67 @@ class TestPlasmaFrequency:
 
 
 class TestLangevin:
+    """The field saturation s(y) = 3 L(y)/y, L(y) = coth(y) - 1/y."""
+
     def test_zero(self):
-        assert langevin(0.0) == 0.0
+        assert _saturation(0.0) == 1.0
+        assert _saturation(5e-324) == 1.0
 
     def test_saturation(self):
         # true L(50) exceeds 0.98 by ~4e-44, below double resolution, so the
         # float boundary is inclusive
-        assert langevin(50.0) >= 0.98
-        assert langevin(50.0) == 1.0 - 1.0 / 50.0
-        assert langevin(100.0) > 0.98
-        assert langevin(1e6) == pytest.approx(1.0, abs=1e-5)
-        assert langevin(float("inf")) == 1.0
-        assert langevin(float("-inf")) == -1.0
+        assert 50.0 * _saturation(50.0) / 3.0 >= 0.98
+        assert _saturation(50.0) == 3.0 * (1.0 - 1.0 / 50.0) / 50.0
+        assert 100.0 * _saturation(100.0) / 3.0 > 0.98
+        assert 1e6 * _saturation(1e6) / 3.0 == pytest.approx(1.0, abs=1e-5)
+        assert _saturation(float("inf")) == 0.0
 
     def test_unit_argument(self):
-        assert langevin(1.0) == pytest.approx(0.313035, abs=1e-6)
+        # L(1) = 0.313035...
+        assert _saturation(1.0) == pytest.approx(3.0 * 0.313035, abs=3e-6)
 
     def test_branch_continuity(self):
-        # series and direct evaluations must agree where the branch switches
-        y = Y_SWITCH
-        series = y / 3.0 - y**3 / 45.0 + 2.0 * y**5 / 945.0
-        direct = 1.0 / math.tanh(y) - 1.0 / y
-        assert abs(langevin(y) - series) < 1e-12
-        assert abs(langevin(y) - direct) < 1e-12
+        # the continued fraction is cut after _SATURATION_DEPTH levels; just
+        # below y = 20, where it converges slowest, twice the depth changes
+        # nothing and the cut meets the large-y form; at small y it is the
+        # Taylor series 1 - y^2/15 + 2 y^4/315
+        y = math.nextafter(20.0, 0.0)
+        x, t = y * y, 4.0 * _SATURATION_DEPTH + 3.0
+        for k in range(2 * _SATURATION_DEPTH, 0, -1):
+            t = 2.0 * k + 1.0 + x / t
+        assert _saturation(y) == pytest.approx(3.0 / t, rel=1e-15)
+        assert _saturation(y) == pytest.approx(_saturation(20.0), rel=1e-15)
+        y = 1e-3
+        assert _saturation(y) == pytest.approx(1.0 - y**2 / 15.0 + 2.0 * y**4 / 315.0, rel=1e-15)
 
     def test_saturation_branch_continuity(self):
         # the coth term is 1 to double precision past the handoff point, so
         # both evaluations agree at the boundary itself
         u = math.expm1(40.0)
-        direct = (u * 20.0 - (u - 40.0)) / (u * 20.0)
-        assert direct == langevin(20.0)
+        direct = 3.0 * (u * 20.0 - (u - 40.0)) / (u * 400.0)
+        assert direct == pytest.approx(_saturation(20.0), rel=1e-15)
+        assert _saturation(20.0) == 3.0 * (1.0 - 1.0 / 20.0) / 20.0
 
-    @given(y=st.floats(min_value=1e-9, max_value=9e-5))
-    def test_oddness_series_branch(self, y):
-        assert langevin(-y) == -langevin(y)
-
-    @given(y=st.floats(min_value=1e-4, max_value=30.0))
-    def test_oddness_direct_branch(self, y):
-        # the direct branch evaluates at |y| and restores the sign, so the
-        # 1e-15 oddness budget is met exactly
-        assert langevin(-y) == -langevin(y)
-
-    @given(y=st.floats(min_value=-100.0, max_value=100.0))
+    @given(y=st.floats(min_value=0.0, max_value=100.0))
     def test_bounded(self, y):
-        assert abs(langevin(y)) < 1.0
+        assert 0.0 < _saturation(y) <= 1.0
 
     def test_nan_rejected(self):
+        # NaN never reaches the saturation: the model rejects it first
         with pytest.raises(DomainError):
-            langevin(float("nan"))
+            PermeabilityModel("field", H=float("nan"))
+        with pytest.raises(DomainError):
+            PermeabilityModel("field", H=1.0).static_mu(1e43, float("nan"))
+
+    def test_matches_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        ys = [10.0 ** (-15.0 + 19.0 * i / 2000) for i in range(2001)]
+        ys += [math.nextafter(20.0, 0.0), 20.0, math.nextafter(20.0, math.inf)]
+        with mp.workdps(80):
+            for y in ys:
+                exact = 3 * (mp.coth(y) - 1 / mp.mpf(y)) / y
+                assert abs(_saturation(y) - exact) <= 2e-15 * exact, y
+        assert _saturation(math.inf) == 0.0
 
 
 class TestSpinSusceptibility:
@@ -198,64 +210,66 @@ class TestSpinSusceptibility:
         N, T = 1e43, 8.7e11
         mu_bar = 2.0 * MU_B * math.sqrt(0.5 * 1.5)
         expected = MU_0 * N * mu_bar**2 / (3.0 * K_B * T)
-        chi = pair_permeability_static(N, T, "literal") - 1.0
+        chi = PermeabilityModel(convention="literal").static_mu(N, T) - 1.0
         assert chi == pytest.approx(expected, rel=1e-14)
 
     def test_vacuum(self):
-        assert pair_permeability_in_field(1e15, 0.0, 1e11) == 1.0
+        assert PermeabilityModel("field", H=1e15).static_mu(0.0, 1e11) == 1.0
 
     @given(T=st.floats(min_value=1e8, max_value=1e14))
     def test_curie_decay(self, T):
         # rho large enough that chi >> 1e-3 and mu - 1 keeps its digits
-        rho = 1e50
-        assert pair_permeability_static(rho, 2 * T) - 1.0 == pytest.approx(
-            (pair_permeability_static(rho, T) - 1.0) / 2.0, rel=1e-12
+        rho, model = 1e50, PermeabilityModel()
+        assert model.static_mu(rho, 2 * T) - 1.0 == pytest.approx(
+            (model.static_mu(rho, T) - 1.0) / 2.0, rel=1e-12
         )
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            pair_permeability_static(1e40, 0.0)
+            PermeabilityModel().static_mu(1e40, 0.0)
 
 
 class TestStaticPermeability:
     def test_1fm_state(self):
-        assert pair_permeability_static(2.0e43, 8.70e11) == pytest.approx(360.8, rel=0.02)
+        assert PermeabilityModel().static_mu(2.0e43, 8.70e11) == pytest.approx(360.8, rel=0.02)
 
     def test_3fm_state(self):
         s = plasma_state_from_distance(3e-15)
         assert s.mu_ep == pytest.approx(41.0, rel=0.02)
 
     def test_vacuum(self):
-        assert pair_permeability_static(0.0, 1e11) == 1.0
+        assert PermeabilityModel().static_mu(0.0, 1e11) == 1.0
 
     def test_literal_convention_is_half(self):
         rho, T = 2e43, 8.7e11
-        chi_table = pair_permeability_static(rho, T, "table") - 1.0
-        chi_literal = pair_permeability_static(rho, T, "literal") - 1.0
+        chi_table = PermeabilityModel(convention="table").static_mu(rho, T) - 1.0
+        chi_literal = PermeabilityModel(convention="literal").static_mu(rho, T) - 1.0
         assert chi_literal == pytest.approx(chi_table / 2.0, rel=1e-15)
 
     def test_unknown_convention(self):
         with pytest.raises(DomainError):
-            pair_permeability_static(2e43, 8.7e11, "majority_vote")
+            PermeabilityModel(convention="majority_vote")
 
 
 class TestFieldPermeability:
+    # N per species, so the pair density is 2 N
     N, T = 1e43, 8.7e11
 
     def _field_for_y(self, y):
         return y * K_B * self.T / (MU_B * MU_0)
 
+    def _mu(self, H, convention="literal"):
+        return PermeabilityModel("field", convention, H).static_mu(2.0 * self.N, self.T)
+
     def test_small_y_matches_zero_field(self):
         H = self._field_for_y(1e-6)
         zero_field = 1.0 + 2.0 * MU_0 * self.N * MU_B**2 / (K_B * self.T)
-        assert pair_permeability_in_field(H, self.N, self.T) == pytest.approx(
-            zero_field, rel=1e-10
-        )
+        assert self._mu(H) == pytest.approx(zero_field, rel=1e-10)
 
     def test_saturation_suppression(self):
         H = self._field_for_y(50.0)
         chi0 = 2.0 * MU_0 * self.N * MU_B**2 / (K_B * self.T)
-        chi_H = pair_permeability_in_field(H, self.N, self.T) - 1.0
+        chi_H = self._mu(H) - 1.0
         assert chi_H < 0.07 * chi0
 
     def test_high_field_limit(self):
@@ -263,14 +277,29 @@ class TestFieldPermeability:
         # susceptibility; drive y high enough for mu -> 1 in absolute terms
         chi0 = 2.0 * MU_0 * self.N * MU_B**2 / (K_B * self.T)
         H = self._field_for_y(1e6)
-        chi = pair_permeability_in_field(H, self.N, self.T) - 1.0
+        chi = self._mu(H) - 1.0
         assert chi / chi0 == pytest.approx(3e-6, rel=1e-3)
         H = self._field_for_y(1e12)
-        assert pair_permeability_in_field(H, self.N, self.T) - 1.0 < 1e-6
+        assert self._mu(H) - 1.0 < 1e-6
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            pair_permeability_in_field(0.0, self.N, self.T)
+        model = PermeabilityModel("field", H=1.0)
+        with pytest.raises(DomainError, match="temperature must be positive"):
+            model.static_mu(2.0 * self.N, 0.0)
+        with pytest.raises(DomainError, match="density must be non-negative"):
+            model.static_mu(-1.0, self.T)
+
+    @pytest.mark.parametrize("convention", ["table", "literal"])
+    def test_falls_monotonically_to_one(self, convention):
+        # from the spin model's mu, bit for bit at weak field, down to 1
+        state = plasma_state_from_distance(1e-15)
+        mus = [
+            PermeabilityModel("field", convention, 10.0**k).static_mu(state.rho, state.T)
+            for k in range(-300, 301)
+        ]
+        assert all(a >= b for a, b in zip(mus, mus[1:]))
+        assert mus[0] == PermeabilityModel("spin", convention).static_mu(state.rho, state.T)
+        assert mus[-1] == 1.0
 
 
 class TestPermeabilityModel:
