@@ -15,10 +15,9 @@ import json
 import math
 import os
 import sys
-import tempfile
 import warnings
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass, fields
 
 from . import constants, lifshitz, nuclear, plasma, svgplot
 from ._version import __version__
@@ -36,70 +35,71 @@ _CHECK_L_MIN_FM = 0.1
 _CHECK_L_MAX_FM = 100.0
 
 
-@dataclass(frozen=True)
-class _Opt:
-    dest: str
-    flag: str
-    kind: str                       # float | int | str | bool
-    default: object = None
-    choices: tuple[str, ...] | None = None
-    help: str = ""
+class _Opt(namedtuple("_Opt", "dest kind default choices help", defaults=(None, None, ""))):
+    """One option of a subcommand: kind is float | int | str | bool, and the
+    flag is --dest with each _ as -."""
+
+    __slots__ = ()
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.dest.replace("_", "-")
 
 
 def _output_opts(*formats: str) -> list[_Opt]:
     """--out and --format, shared by every subcommand; formats[0] is the default."""
     return [
-        _Opt("out", "--out", "str", None, help="output path (atomic write); stdout if omitted"),
-        _Opt("format", "--format", "str", formats[0], formats, help="|".join(formats)),
+        _Opt("out", "str", None, help="output path (atomic write); stdout if omitted"),
+        _Opt("format", "str", formats[0], formats, help="|".join(formats)),
     ]
 
 
 _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
     "constants": _output_opts("json"),
     "state": [
-        _Opt("L", "--L", "float", 1.0, help="plate separation [fm]"),
-        _Opt("mu_model", "--mu-model", "str", "spin", plasma.MODEL_KINDS),
-        _Opt("H", "--H", "float", 0.0, help="applied field [A/m], field model only"),
-        _Opt("convention", "--convention", "str", "table", plasma.CONVENTIONS),
+        _Opt("L", "float", 1.0, help="plate separation [fm]"),
+        _Opt("mu_model", "str", "spin", plasma.MODEL_KINDS),
+        _Opt("H", "float", 0.0, help="applied field [A/m], field model only"),
+        _Opt("convention", "str", "table", plasma.CONVENTIONS),
     ] + _output_opts("json"),
     "table": [
-        _Opt("which", "--which", "int", 2, help="1: closed-form check, 2: state table"),
+        _Opt("which", "int", 2, help="1: closed-form check, 2: state table"),
     ] + _output_opts("csv", "json"),
     "sweep": [
-        _Opt("Lmin", "--Lmin", "float", 1.0, help="smallest separation [fm]"),
-        _Opt("Lmax", "--Lmax", "float", 3.0, help="largest separation [fm]"),
-        _Opt("points", "--points", "int", 41),
-        _Opt("mu_model", "--mu-model", "str", "spin", ("unity", "spin")),
-        _Opt("mode", "--mode", "str", "coupled", ("coupled", "fixed")),
-        _Opt("R", "--R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
-        _Opt("method", "--method", "str", "asymptote", ("exact", "asymptote", "full")),
-        _Opt("Linit", "--Linit", "float", None,
+        _Opt("Lmin", "float", 1.0, help="smallest separation [fm]"),
+        _Opt("Lmax", "float", 3.0, help="largest separation [fm]"),
+        _Opt("points", "int", 41),
+        _Opt("mu_model", "str", "spin", ("unity", "spin")),
+        _Opt("mode", "str", "coupled", ("coupled", "fixed")),
+        _Opt("R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
+        _Opt("method", "str", "asymptote", ("exact", "asymptote", "full")),
+        _Opt("Linit", "float", None,
              help="fixed mode: separation the state is pinned at [fm]; default Lmin"),
-        _Opt("convention", "--convention", "str", "table", plasma.CONVENTIONS),
+        _Opt("convention", "str", "table", plasma.CONVENTIONS),
     ] + _output_opts("csv", "json"),
     "equilibrium": [
-        _Opt("R", "--R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
+        _Opt("R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
     ] + _output_opts("json"),
     "meson": [
-        _Opt("L", "--L", "float", 1.0, help="plate separation [fm]"),
-        _Opt("mu_model", "--mu-model", "str", "spin", ("unity", "spin")),
-        _Opt("convention", "--convention", "str", "table", plasma.CONVENTIONS),
+        _Opt("L", "float", 1.0, help="plate separation [fm]"),
+        _Opt("mu_model", "str", "spin", ("unity", "spin")),
+        _Opt("convention", "str", "table", plasma.CONVENTIONS),
     ] + _output_opts("json"),
     "linewidth": [
-        _Opt("L", "--L", "float", 1.0, help="plate separation [fm]"),
-        _Opt("q_ratio", "--q-ratio", "float", 0.1, help="wavevector over q_F"),
-        _Opt("total_density", "--total-density", "bool", False,
+        _Opt("L", "float", 1.0, help="plate separation [fm]"),
+        _Opt("q_ratio", "float", 0.1, help="wavevector over q_F"),
+        _Opt("total_density", "bool", False,
              help="use the full pair density instead of the per-species half"),
     ] + _output_opts("json"),
     "plot": [
-        _Opt("which", "--which", "int", 1, help="1: zero-freq comparison, 2: breakdown"),
-        _Opt("Lmin", "--Lmin", "float", 1.0),
-        _Opt("Lmax", "--Lmax", "float", 3.0),
-        _Opt("points", "--points", "int", 41),
-        _Opt("R", "--R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
-        _Opt("mu_model", "--mu-model", "str", "unity", ("unity", "spin"),
+        _Opt("which", "int", 1, help="1: zero-freq comparison, 2: breakdown"),
+        _Opt("Lmin", "float", 1.0),
+        _Opt("Lmax", "float", 3.0),
+        _Opt("points", "int", 41),
+        _Opt("R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
+        _Opt("mu_model", "str", "unity", ("unity", "spin"),
              help="permeability model for the breakdown plot"),
-        _Opt("convention", "--convention", "str", "table", plasma.CONVENTIONS),
+        _Opt("convention", "str", "table", plasma.CONVENTIONS),
     ] + _output_opts("svg"),
 }
 
@@ -209,7 +209,7 @@ def _finite(value: float) -> float:
     return value + 0.0
 
 
-def _csv_document(header: list[str], rows: Iterable[Iterable[object]]) -> str:
+def _csv_document(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
     # floats to 9 significant digits, scientific: lossless enough for
     # regression CSVs; no cell holds a comma, quote or newline to quote
     lines = [",".join(header)]
@@ -335,11 +335,10 @@ def _sweep_spec(params: dict[str, object]) -> lifshitz.SweepSpec:
 
 
 def _cmd_sweep(params: dict[str, object]) -> str:
-    rows = [vars(r) for r in lifshitz.sweep_rows(_sweep_spec(params))]
+    rows = lifshitz.sweep_rows(_sweep_spec(params))
     if params["format"] == "json":
-        return _json_document(rows)
-    header = [f.name for f in fields(lifshitz.SweepRow)]
-    return _csv_document(header, (r.values() for r in rows))
+        return _json_document([r._asdict() for r in rows])
+    return _csv_document(lifshitz.SweepRow._fields, rows)
 
 
 def _cmd_equilibrium(params: dict[str, object]) -> str:
@@ -449,6 +448,8 @@ def _write_output(document: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(document)
         return
+    import tempfile  # only --out needs it; a cold process without it starts faster
+
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)  # read the umask: setting it is the only way
     os.umask(umask)

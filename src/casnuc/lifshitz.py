@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import (
     C,
@@ -91,14 +91,12 @@ MAX_GRID_POINTS = 1_000_000
 XBAR_CROSSOVER_10PCT = 1.65
 
 
-@dataclass(frozen=True)
-class FreeEnergyBreakdown:
-    """Free energy per unit area split into Matsubara components."""
+class FreeEnergyBreakdown(namedtuple("FreeEnergyBreakdown", "zero_freq finite_freq total kappa")):
+    """Free energy per unit area split into Matsubara components [J/m^2]:
+    zero_freq (n = 0) + finite_freq (n > 0) = total; kappa is the screening
+    wavevector sqrt(mu_ep) omega_ep / c [1/m]."""
 
-    zero_freq: float    # n = 0 term [J/m^2]
-    finite_freq: float  # n > 0 terms [J/m^2]
-    total: float        # zero_freq + finite_freq [J/m^2]
-    kappa: float        # screening wavevector sqrt(mu_ep) omega_ep / c [1/m]
+    __slots__ = ()
 
 
 def _mode_series(a: float) -> float:
@@ -342,20 +340,18 @@ def distance_coupled_breakdown(
     return FreeEnergyBreakdown(zero_freq=zero, finite_freq=finite, total=total, kappa=kappa)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Parameters of a separation sweep (distances in fm at this boundary)."""
+class SweepSpec(namedtuple(
+    "SweepSpec", "L_min_fm L_max_fm points model mode method R_fm L_init_fm",
+    defaults=("coupled", "asymptote", R_PROTON_DEFAULT / M_PER_FM, None),
+)):
+    """Parameters of a separation sweep (distances in fm at this boundary): mode
+    is coupled | fixed, method asymptote | exact | full, and a fixed-mode state
+    is pinned at L_init_fm (None: L_min_fm)."""
 
-    L_min_fm: float
-    L_max_fm: float
-    points: int
-    model: PermeabilityModel
-    mode: str = "coupled"             # coupled | fixed
-    method: str = "asymptote"         # asymptote | exact | full
-    R_fm: float = R_PROTON_DEFAULT / M_PER_FM
-    L_init_fm: float | None = None    # fixed mode: state pinned at this separation
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.L_min_fm > 0.0:
             raise DomainError(f"L_min must be positive, got {self.L_min_fm}")
         if not self.L_max_fm > self.L_min_fm:
@@ -376,6 +372,7 @@ class SweepSpec:
             raise DomainError(f"plate radius too small: R = {self.R_fm} fm, pi R^2 underflows")
         if self.L_init_fm is not None and not self.L_init_fm > 0.0:
             raise DomainError(f"L_init must be positive, got {self.L_init_fm}")
+        return self
 
     def grid_fm(self) -> list[float]:
         """The evenly spaced separations from L_min to L_max [fm]."""
@@ -393,19 +390,11 @@ class SweepSpec:
         return area
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(namedtuple("SweepRow",
+                          "L_fm T_K rho_m3 omega_ep mu_ep kappa_1_m F0_MeV Fn_MeV Ftot_MeV")):
     """One sweep grid point in presentation units (CSV row)."""
 
-    L_fm: float
-    T_K: float
-    rho_m3: float
-    omega_ep: float
-    mu_ep: float
-    kappa_1_m: float
-    F0_MeV: float
-    Fn_MeV: float
-    Ftot_MeV: float
+    __slots__ = ()
 
 
 def sweep_rows(spec: SweepSpec) -> list[SweepRow]:

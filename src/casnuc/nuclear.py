@@ -6,34 +6,30 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .constants import E_CHARGE, EPS_0, HBAR, HBAR_C, K_B, M_E
+from .constants import E_CHARGE, EPS_0, HBAR, HBAR_C, M_E
 from .errors import DomainError
 from .lifshitz import screening_wavevector
 from .plasma import plasma_frequency
 
-# bracket of the linewidth formula changes sign at this hbar*omega_p/(2 eps_F)
-LINEWIDTH_BRACKET_ZERO = (10.0 * math.log(2.0) + 2.0) / 4.5
+
+class EquilibriumResult(namedtuple("EquilibriumResult", "D x_tilde L_eq residual")):
+    """Solution of the Casimir/Coulomb balance for plates of radius R: the
+    dimensionless balance constant D = pi^4 eps0 hbar c/(180 e^2), x_tilde = L/R
+    at equilibrium (the largest positive root of the cubic), the equilibrium
+    separation L_eq [m], and the cubic residual at that root."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EquilibriumResult:
-    """Solution of the Casimir/Coulomb balance for plates of radius R."""
+class YukawaQuantities(namedtuple("YukawaQuantities",
+                                  "meson_mass_energy screening_length kappa_source")):
+    """Effective-meson view of the screened zero-frequency interaction: rest
+    energy meson_mass_energy = 2 hbar c kappa [J], screening_length = hbar c /
+    mass energy [m], and kappa_source, the wavevector the two derive from [1/m]."""
 
-    D: float         # dimensionless balance constant pi^4 eps0 hbar c/(180 e^2)
-    x_tilde: float   # L/R at equilibrium, largest positive root of the cubic
-    L_eq: float      # equilibrium separation [m]
-    residual: float  # cubic residual at the returned root
-
-
-@dataclass(frozen=True)
-class YukawaQuantities:
-    """Effective-meson view of the screened zero-frequency interaction."""
-
-    meson_mass_energy: float  # rest energy 2 hbar c kappa [J]
-    screening_length: float   # hbar c / mass energy [m]
-    kappa_source: float       # screening wavevector the two derive from [1/m]
+    __slots__ = ()
 
 
 def ideal_casimir(L: float, area: float) -> tuple[float, float]:
@@ -49,15 +45,6 @@ def ideal_casimir(L: float, area: float) -> tuple[float, float]:
     energy = -math.pi**2 * HBAR_C * area / (720.0 * L**3)
     force = -math.pi**2 * HBAR_C * area / (240.0 * L**4)
     return energy, force
-
-
-def blackbody_energy(T: float, volume: float) -> float:
-    """Black-body photon energy pi^2 (k_B T)^4 V / (15 (hbar c)^3)."""
-    if T < 0.0:
-        raise DomainError(f"temperature must be non-negative, got {T}")
-    if volume < 0.0:
-        raise DomainError(f"volume must be non-negative, got {volume}")
-    return math.pi**2 / 15.0 * (K_B * T) ** 4 / HBAR_C**3 * volume
 
 
 def coulomb_energy(R: float, L: float) -> float:

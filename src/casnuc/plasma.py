@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import (
     C,
@@ -48,19 +48,16 @@ MODEL_KINDS = ("unity", "spin", "field")
 _SATURATION_DEPTH = 30
 
 
-@dataclass(frozen=True)
-class PlasmaState:
-    """Plasma conditions between the plates at one separation."""
+class PlasmaState(namedtuple("PlasmaState", "L T rho omega_ep mu_ep")):
+    """Plasma conditions between the plates at one separation: plate separation
+    L [m], temperature T [K], total e- + e+ number density rho [1/m^3], plasma
+    frequency omega_ep [rad/s] and static relative permeability mu_ep."""
 
-    L: float          # plate separation [m]
-    T: float          # temperature [K]
-    rho: float        # total e- + e+ number density [1/m^3]
-    omega_ep: float   # plasma frequency [rad/s]
-    mu_ep: float      # static relative permeability
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PermeabilityModel:
+class PermeabilityModel(namedtuple("PermeabilityModel", "kind convention H",
+                                   defaults=("spin", "table", 0.0))):
     """Selects how the pair plasma's magnetic permeability is evaluated.
 
     kind:
@@ -72,19 +69,20 @@ class PermeabilityModel:
     convention (spin and field kinds):
         table   -- chi = 2*mu0*rho*mu_B^2/(k_B*T)
         literal -- chi = mu0*rho*mu_B^2/(k_B*T), half the above
+    H: the applied field [A/m], field kind only
     """
 
-    kind: str = "spin"
-    convention: str = "table"
-    H: float = 0.0    # applied field [A/m], field kind only
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind not in MODEL_KINDS:
             raise DomainError(f"unknown permeability kind {self.kind!r}")
         if self.convention not in CONVENTIONS:
             raise DomainError(f"unknown convention {self.convention!r}")
         if self.kind == "field" and not self.H > 0.0:
             raise DomainError("field permeability requires H > 0")
+        return self
 
     def static_mu(self, rho: float, T: float) -> float:
         """Zero-frequency permeability of the plasma state (rho, T)."""

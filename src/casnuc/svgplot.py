@@ -7,8 +7,8 @@ input must yield byte-identical output.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from html import escape
-from typing import Sequence
 
 from .errors import DomainError, NumericalError
 

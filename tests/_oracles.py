@@ -87,6 +87,16 @@ def pair_density(T: float) -> float:
     return 3.0 * ZETA_3 / math.pi**2 * cube
 
 
+def blackbody_energy(T: float, volume: float) -> float:
+    """Black-body photon energy pi^2 (k_B T)^4 V / (15 (hbar c)^3).
+
+    Independent oracle for the balance temperature
+    plasma.temperature_from_distance: at it, this energy in the gap volume
+    equals the magnitude of the ideal Casimir energy of the plates.
+    """
+    return math.pi**2 / 15.0 * (K_B * T) ** 4 / HBAR_C**3 * volume
+
+
 def balance_cubic_bisection(D: float) -> float:
     """Largest positive root of x^3 - D x - 2 D = 0 by bisection.
 

@@ -636,17 +636,28 @@ class TestGoldenOutput:
         assert mismatched == []
 
 
+def _loaded_by_cli_import(condition, *flags):
+    # the modules a fresh interpreter has loaded after import casnuc.cli that
+    # satisfy condition (an expression in the module name m)
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = f"import casnuc.cli, sys; print(sorted(m for m in sys.modules if {condition}))"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return result.stdout.strip()
+
+
 class TestImports:
     def test_cli_imports_only_the_standard_library(self):
-        src = Path(__file__).resolve().parents[1] / "src"
-        probe = (
-            "import casnuc.cli, sys; "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'numpy') or m.startswith('xml.sax')))"
-        )
-        env = dict(os.environ, PYTHONPATH=str(src))
-        result = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            check=True,
-        )
-        assert result.stdout.strip() == "[]"
+        condition = "m.split('.')[0] in ('scipy', 'numpy') or m.startswith('xml.sax')"
+        assert _loaded_by_cli_import(condition) == "[]"
+
+    def test_cli_skips_dataclasses_and_inspect(self):
+        assert _loaded_by_cli_import("m in ('dataclasses', 'inspect')") == "[]"
+
+    def test_cli_skips_heavy_modules_without_site(self):
+        # without site nothing else preloads tempfile or typing
+        condition = "m in ('dataclasses', 'inspect', 'tempfile', 'typing')"
+        assert _loaded_by_cli_import(condition, "-S") == "[]"

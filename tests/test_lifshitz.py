@@ -415,6 +415,8 @@ class TestSweep:
             dict(L_min_fm=1.0, L_max_fm=3.0, points=5, method="magic"),
             dict(L_min_fm=1.0, L_max_fm=3.0, points=5, R_fm=0.0),
             dict(L_min_fm=1.0, L_max_fm=3.0, points=MAX_GRID_POINTS + 1),
+            dict(L_min_fm=1.0, L_max_fm=3.0, points=5, mode="fixed", L_init_fm=0.0),
+            dict(L_min_fm=1.0, L_max_fm=3.0, points=5, mode="fixed", L_init_fm=float("nan")),
         ],
     )
     def test_spec_validation(self, kwargs):

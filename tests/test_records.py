@@ -1,0 +1,38 @@
+"""The option and result records are immutable."""
+
+import pytest
+
+from casnuc import cli
+from casnuc.lifshitz import SweepSpec, distance_coupled_breakdown, sweep_rows
+from casnuc.nuclear import equilibrium_distance, yukawa_quantities
+from casnuc.plasma import PermeabilityModel, plasma_state_from_distance
+
+MODEL = PermeabilityModel()
+SPEC = SweepSpec(1.0, 2.0, 2, MODEL)
+
+
+def _yukawa():
+    state = plasma_state_from_distance(1e-15)
+    return yukawa_quantities(state.rho, state.mu_ep)
+
+
+RECORDS = {
+    "_Opt": lambda: cli._SUBCOMMAND_OPTS["state"][0],
+    "FreeEnergyBreakdown": lambda: distance_coupled_breakdown(1e-15, MODEL),
+    "SweepSpec": lambda: SPEC,
+    "SweepRow": lambda: sweep_rows(SPEC)[0],
+    "PlasmaState": lambda: plasma_state_from_distance(1e-15, MODEL),
+    "PermeabilityModel": lambda: MODEL,
+    "EquilibriumResult": lambda: equilibrium_distance(0.84e-15),
+    "YukawaQuantities": _yukawa,
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_attribute_assignment_raises(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], 0.0)
+    with pytest.raises(AttributeError):
+        record.extra = 0.0
