@@ -17,7 +17,7 @@ import os
 import sys
 import warnings
 from collections import namedtuple
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from . import constants, lifshitz, nuclear, plasma, svgplot
 from ._version import __version__
@@ -46,61 +46,61 @@ class _Opt(namedtuple("_Opt", "dest kind default choices help", defaults=(None, 
         return "--" + self.dest.replace("_", "-")
 
 
-def _output_opts(*formats: str) -> list[_Opt]:
-    """--out and --format, shared by every subcommand; formats[0] is the default."""
-    return [
-        _Opt("out", "str", None, help="output path (atomic write); stdout if omitted"),
-        _Opt("format", "str", formats[0], formats, help="|".join(formats)),
-    ]
+# every subcommand takes --out; only the two that write tables take --format
+_OUT = _Opt("out", "str", None, help="output path (atomic write); stdout if omitted")
+_TABLE_OUTPUT = [_OUT, _Opt("format", "str", "csv", ("csv", "json"), help="csv|json")]
 
+_L = _Opt("L", "float", 1.0, help="plate separation [fm]")
+_R = _Opt("R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]")
+_CONVENTION = _Opt("convention", "str", "table", plasma.CONVENTIONS)
+_GRID = [
+    _Opt("Lmin", "float", 1.0, help="smallest separation [fm]"),
+    _Opt("Lmax", "float", 3.0, help="largest separation [fm]"),
+    _Opt("points", "int", 41),
+]
+# the model kinds of the subcommands without --H: the field kind needs it
+_NO_FIELD_KINDS = ("unity", "spin")
+_MU_MODEL = _Opt("mu_model", "str", "spin", _NO_FIELD_KINDS)
 
 _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
-    "constants": _output_opts("json"),
+    "constants": [_OUT],
     "state": [
-        _Opt("L", "float", 1.0, help="plate separation [fm]"),
+        _L,
         _Opt("mu_model", "str", "spin", plasma.MODEL_KINDS),
         _Opt("H", "float", 0.0, help="applied field [A/m], field model only"),
-        _Opt("convention", "str", "table", plasma.CONVENTIONS),
-    ] + _output_opts("json"),
+        _CONVENTION,
+        _OUT,
+    ],
     "table": [
-        _Opt("which", "int", 2, help="1: closed-form check, 2: state table"),
-    ] + _output_opts("csv", "json"),
-    "sweep": [
-        _Opt("Lmin", "float", 1.0, help="smallest separation [fm]"),
-        _Opt("Lmax", "float", 3.0, help="largest separation [fm]"),
-        _Opt("points", "int", 41),
-        _Opt("mu_model", "str", "spin", ("unity", "spin")),
-        _Opt("mode", "str", "coupled", ("coupled", "fixed")),
-        _Opt("R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
-        _Opt("method", "str", "asymptote", ("exact", "asymptote", "full")),
+        _Opt("which", "int", 2, (1, 2), help="1: closed-form check, 2: state table"),
+    ] + _TABLE_OUTPUT,
+    "sweep": _GRID + [
+        _MU_MODEL,
+        _Opt("mode", "str", "coupled", lifshitz.SWEEP_MODES),
+        _R,
+        _Opt("method", "str", "asymptote", lifshitz.SWEEP_METHODS),
         _Opt("Linit", "float", None,
              help="fixed mode: separation the state is pinned at [fm]; default Lmin"),
-        _Opt("convention", "str", "table", plasma.CONVENTIONS),
-    ] + _output_opts("csv", "json"),
-    "equilibrium": [
-        _Opt("R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
-    ] + _output_opts("json"),
-    "meson": [
-        _Opt("L", "float", 1.0, help="plate separation [fm]"),
-        _Opt("mu_model", "str", "spin", ("unity", "spin")),
-        _Opt("convention", "str", "table", plasma.CONVENTIONS),
-    ] + _output_opts("json"),
+        _CONVENTION,
+    ] + _TABLE_OUTPUT,
+    "equilibrium": [_R, _OUT],
+    "meson": [_L, _MU_MODEL, _CONVENTION, _OUT],
     "linewidth": [
-        _Opt("L", "float", 1.0, help="plate separation [fm]"),
+        _L,
         _Opt("q_ratio", "float", 0.1, help="wavevector over q_F"),
         _Opt("total_density", "bool", False,
              help="use the full pair density instead of the per-species half"),
-    ] + _output_opts("json"),
+        _OUT,
+    ],
     "plot": [
-        _Opt("which", "int", 1, help="1: zero-freq comparison, 2: breakdown"),
-        _Opt("Lmin", "float", 1.0),
-        _Opt("Lmax", "float", 3.0),
-        _Opt("points", "int", 41),
-        _Opt("R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]"),
-        _Opt("mu_model", "str", "unity", ("unity", "spin"),
+        _Opt("which", "int", 1, (1, 2), help="1: zero-freq comparison, 2: breakdown"),
+    ] + _GRID + [
+        _R,
+        _Opt("mu_model", "str", "unity", _NO_FIELD_KINDS,
              help="permeability model for the breakdown plot"),
-        _Opt("convention", "str", "table", plasma.CONVENTIONS),
-    ] + _output_opts("svg"),
+        _CONVENTION,
+        _OUT,
+    ],
 }
 
 
@@ -141,29 +141,30 @@ def _coerce(opt: _Opt, raw: object) -> object:
     if isinstance(raw, bool):
         return raw
     text = str(raw)
+    value: object = text
     try:
         if opt.kind == "float":
             value = float(text)
             if not math.isfinite(value):
                 raise ValueError("non-finite")
-            return value
-        if opt.kind == "int":
-            return int(text)
-        if opt.kind == "bool":
-            return _parse_bool(text)
+        elif opt.kind == "int":
+            value = int(text)
+        elif opt.kind == "bool":
+            value = _parse_bool(text)
     except ValueError as exc:
         raise DomainError(f"bad value for {opt.flag}: {text!r}") from exc
-    if opt.choices is not None and text not in opt.choices:
-        raise DomainError(
-            f"bad value for {opt.flag}: {text!r} (choose from {', '.join(opt.choices)})"
-        )
-    return text
+    if opt.choices is not None and value not in opt.choices:
+        choices = ", ".join(map(str, opt.choices))
+        raise DomainError(f"bad value for {opt.flag}: {text!r} (choose from {choices})")
+    return value
 
 
 def _load_config(path: str) -> dict[str, str]:
     """Line-oriented key=value file; blank lines and # comments are skipped.
 
-    Unknown keys are ignored so one config can serve several subcommands.
+    Keys a subcommand does not take are ignored, so one config can serve
+    every subcommand: format= reaches only table and sweep, and the others
+    write their one format (JSON, or SVG for plot) whatever it says.
     """
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -193,12 +194,11 @@ def _resolve_params(command: str, ns: argparse.Namespace) -> dict[str, object]:
 
 
 def _model_from_params(params: dict[str, object]) -> plasma.PermeabilityModel:
-    H = float(params.get("H", 0.0))
+    # only state has --H, and only state accepts the field kind
+    H = params.get("H", 0.0)
     if params["mu_model"] == "field" and not H > 0.0:
         raise DomainError(f"--H must be > 0 for --mu-model field, got {H}")
-    return plasma.PermeabilityModel(
-        str(params["mu_model"]), str(params.get("convention", "table")), H
-    )
+    return plasma.PermeabilityModel(params["mu_model"], params["convention"], H)
 
 
 def _finite(value: float) -> float:
@@ -238,6 +238,13 @@ def _json_document(obj: object) -> str:
     return _json_text(obj, "\n") + "\n"
 
 
+def _table_document(header: Sequence[str], rows: Iterable[Iterable[object]], fmt: str) -> str:
+    """rows under header as CSV, or as a JSON list with one object per row."""
+    if fmt == "json":
+        return _json_document([dict(zip(header, row)) for row in rows])
+    return _csv_document(header, rows)
+
+
 def _cmd_constants(params: dict[str, object]) -> str:
     # output key -> (value, unit), in output order
     table = {
@@ -258,7 +265,7 @@ def _cmd_constants(params: dict[str, object]) -> str:
 
 
 def _cmd_state(params: dict[str, object]) -> str:
-    L = float(params["L"]) * M_PER_FM
+    L = params["L"] * M_PER_FM
     model = _model_from_params(params)
     state = plasma.plasma_state_from_distance(L, model)
     kappa = lifshitz.screening_wavevector(state.rho, state.mu_ep)
@@ -280,43 +287,37 @@ def _cmd_state(params: dict[str, object]) -> str:
 def _cmd_table(params: dict[str, object]) -> str:
     # --which 2 is the five-row state table, --which 1 the closed-form vs
     # composed-pipeline consistency report
-    which, fmt = int(params["which"]), str(params["format"])
-    if which == 2:
+    if params["which"] == 2:
         header = ["L_fm", "T_K", "rho_m3", "omega_ep_rad_s", "mu_ep"]
         rows: list[list[object]] = []
         for L_fm in TABLE2_GRID_FM:
             s = plasma.plasma_state_from_distance(L_fm * M_PER_FM)
             rows.append([L_fm, s.T, s.rho, s.omega_ep, s.mu_ep])
-        if fmt == "json":
-            return _json_document([dict(zip(header, row)) for row in rows])
-        return _csv_document(header, rows)
-    if which == 1:
-        ratio = (_CHECK_L_MAX_FM / _CHECK_L_MIN_FM) ** (1.0 / (_CHECK_GRID_POINTS - 1))
-        deviations = {k: 0.0 for k in ("T_K", "rho_m3", "omega_ep_rad_s", "mu_ep")}
-        for i in range(_CHECK_GRID_POINTS):
-            L = _CHECK_L_MIN_FM * ratio**i * M_PER_FM
-            closed = plasma.distance_closed_forms(L)
-            s = plasma.plasma_state_from_distance(L)
-            composed = {
-                "T_K": s.T, "rho_m3": s.rho, "omega_ep_rad_s": s.omega_ep,
-                "mu_ep": s.mu_ep,
+        return _table_document(header, rows, params["format"])
+    ratio = (_CHECK_L_MAX_FM / _CHECK_L_MIN_FM) ** (1.0 / (_CHECK_GRID_POINTS - 1))
+    deviations = {k: 0.0 for k in ("T_K", "rho_m3", "omega_ep_rad_s", "mu_ep")}
+    for i in range(_CHECK_GRID_POINTS):
+        L = _CHECK_L_MIN_FM * ratio**i * M_PER_FM
+        closed = plasma.distance_closed_forms(L)
+        s = plasma.plasma_state_from_distance(L)
+        composed = {
+            "T_K": s.T, "rho_m3": s.rho, "omega_ep_rad_s": s.omega_ep,
+            "mu_ep": s.mu_ep,
+        }
+        for key, dev in deviations.items():
+            rel = abs(closed[key] - composed[key]) / abs(composed[key])
+            deviations[key] = max(dev, rel)
+    if params["format"] == "json":
+        # the report as one object with its grid, not as a list of rows
+        return _json_document(
+            {
+                "grid_points": _CHECK_GRID_POINTS,
+                "L_min_fm": _CHECK_L_MIN_FM,
+                "L_max_fm": _CHECK_L_MAX_FM,
+                "max_rel_dev": deviations,
             }
-            for key, dev in deviations.items():
-                rel = abs(closed[key] - composed[key]) / abs(composed[key])
-                deviations[key] = max(dev, rel)
-        if fmt == "json":
-            return _json_document(
-                {
-                    "grid_points": _CHECK_GRID_POINTS,
-                    "L_min_fm": _CHECK_L_MIN_FM,
-                    "L_max_fm": _CHECK_L_MAX_FM,
-                    "max_rel_dev": deviations,
-                }
-            )
-        return _csv_document(
-            ["quantity", "max_rel_dev"], [[k, v] for k, v in deviations.items()]
         )
-    raise DomainError(f"table --which must be 1 or 2, got {which}")
+    return _csv_document(["quantity", "max_rel_dev"], [[k, v] for k, v in deviations.items()])
 
 
 def _sweep_spec(params: dict[str, object]) -> lifshitz.SweepSpec:
@@ -325,24 +326,22 @@ def _sweep_spec(params: dict[str, object]) -> lifshitz.SweepSpec:
     extras = {k: params[p] for k, p in (("mode", "mode"), ("method", "method"),
                                         ("L_init_fm", "Linit")) if p in params}
     return lifshitz.SweepSpec(
-        L_min_fm=float(params["Lmin"]),
-        L_max_fm=float(params["Lmax"]),
-        points=int(params["points"]),
+        L_min_fm=params["Lmin"],
+        L_max_fm=params["Lmax"],
+        points=params["points"],
         model=_model_from_params(params),
-        R_fm=float(params["R"]),
+        R_fm=params["R"],
         **extras,
     )
 
 
 def _cmd_sweep(params: dict[str, object]) -> str:
     rows = lifshitz.sweep_rows(_sweep_spec(params))
-    if params["format"] == "json":
-        return _json_document([r._asdict() for r in rows])
-    return _csv_document(lifshitz.SweepRow._fields, rows)
+    return _table_document(lifshitz.SweepRow._fields, rows, params["format"])
 
 
 def _cmd_equilibrium(params: dict[str, object]) -> str:
-    R = float(params["R"]) * M_PER_FM
+    R = params["R"] * M_PER_FM
     res = nuclear.equilibrium_distance(R)
     return _json_document(
         {
@@ -357,7 +356,7 @@ def _cmd_equilibrium(params: dict[str, object]) -> str:
 
 
 def _cmd_meson(params: dict[str, object]) -> str:
-    L = float(params["L"]) * M_PER_FM
+    L = params["L"] * M_PER_FM
     model = _model_from_params(params)
     state = plasma.plasma_state_from_distance(L, model)
     yq = nuclear.yukawa_quantities(state.rho, state.mu_ep)
@@ -377,16 +376,16 @@ def _cmd_meson(params: dict[str, object]) -> str:
 
 
 def _cmd_linewidth(params: dict[str, object]) -> str:
-    L = float(params["L"]) * M_PER_FM
+    L = params["L"] * M_PER_FM
     rho = plasma.density_from_distance(L)
-    use_total = bool(params["total_density"])
+    use_total = params["total_density"]
     n = rho if use_total else 0.5 * rho
     eps_f, q_f = nuclear.fermi_quantities(n)
     r, bracket = nuclear.linewidth_bracket(n)
     with warnings.catch_warnings():
         # the negative-bracket caveat is reported as a JSON field instead
         warnings.simplefilter("ignore")
-        width = nuclear.plasmon_linewidth(n, float(params["q_ratio"]))
+        width = nuclear.plasmon_linewidth(n, params["q_ratio"])
     return _json_document(
         {
             "L_fm": params["L"],
@@ -416,20 +415,17 @@ def _cmd_plot(params: dict[str, object]) -> str:
     def curve(label: str, bs: list[lifshitz.FreeEnergyBreakdown], part: str) -> svgplot.Series:
         return label, grid_fm, [getattr(b, part) * area / J_PER_MEV for b in bs]
 
-    which = int(params["which"])
-    if which == 1:
-        spin = plasma.PermeabilityModel("spin", str(params["convention"]))
+    if params["which"] == 1:
+        spin = plasma.PermeabilityModel("spin", params["convention"])
         series = [curve("mu = 1", breakdowns(plasma.PermeabilityModel("unity")), "zero_freq"),
                   curve("spin permeability", breakdowns(spin), "zero_freq")]
         return svgplot.render_line_chart(series, "L (fm)", "F0 per plate pair (MeV)",
                                          title="Zero-frequency interaction energy")
-    if which == 2:
-        bs = breakdowns(spec.model)
-        series = [curve("zero frequency", bs, "zero_freq"),
-                  curve("finite frequency", bs, "finite_freq"), curve("total", bs, "total")]
-        return svgplot.render_line_chart(series, "L (fm)", "free energy per plate pair (MeV)",
-                                         title="Interaction free energy breakdown")
-    raise DomainError(f"plot --which must be 1 or 2, got {which}")
+    bs = breakdowns(spec.model)
+    series = [curve("zero frequency", bs, "zero_freq"),
+              curve("finite frequency", bs, "finite_freq"), curve("total", bs, "total")]
+    return svgplot.render_line_chart(series, "L (fm)", "free energy per plate pair (MeV)",
+                                     title="Interaction free energy breakdown")
 
 
 _DISPATCH = {
@@ -448,23 +444,30 @@ def _write_output(document: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(document)
         return
+    if not path:
+        raise DomainError("--out must name a file, got ''")
     import tempfile  # only --out needs it; a cold process without it starts faster
 
     directory = os.path.dirname(os.path.abspath(path))
     umask = os.umask(0)  # read the umask: setting it is the only way
     os.umask(umask)
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".casnuc-tmp-")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".casnuc-tmp-")
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(document)
             # mkstemp makes the file 0600; give it the mode a shell redirect would
             os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp_path, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp_path is not None:
+            try:
+                os.unlink(tmp_path)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            # name the path asked for, not the random temporary file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

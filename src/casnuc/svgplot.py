@@ -96,6 +96,19 @@ def render_line_chart(
         return _MARGIN_TOP + (1.0 - (y - ymin) / (ymax - ymin)) * plot_h
 
     out: list[str] = []
+
+    def line(x1: str, y1: str, x2: str, y2: str, stroke: str, width: str = "1") -> None:
+        out.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
+                   f'stroke="{stroke}" stroke-width="{width}"/>')
+
+    def text(x: str, y: str, size: str, anchor: str | None, fill: str, body: str,
+             transform: str | None = None) -> None:
+        anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+        transform_attr = f' transform="{transform}"' if transform else ""
+        out.append(f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"'
+                   f'{anchor_attr} fill="{fill}"{transform_attr}>'
+                   f'{escape(body, quote=False)}</text>')
+
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">'
@@ -107,33 +120,14 @@ def render_line_chart(
 
     for tx in _tick_positions(xmin, xmax):
         p = _fmt(px(tx))
-        out.append(
-            f'<line x1="{p}" y1="{y0}" x2="{p}" y2="{y1}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<line x1="{p}" y1="{y1}" x2="{p}" y2="{_fmt(_MARGIN_TOP + plot_h + 5)}" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{p}" y="{_fmt(_MARGIN_TOP + plot_h + 18)}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="middle" fill="#333333">{tx:g}</text>'
-        )
+        line(p, y0, p, y1, "#dddddd")
+        line(p, y1, p, _fmt(_MARGIN_TOP + plot_h + 5), "#333333")
+        text(p, _fmt(_MARGIN_TOP + plot_h + 18), "11", "middle", "#333333", f"{tx:g}")
     for ty in _tick_positions(ymin, ymax):
         p = _fmt(py(ty))
-        out.append(
-            f'<line x1="{x0}" y1="{p}" x2="{x1}" y2="{p}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<line x1="{_fmt(_MARGIN_LEFT - 5)}" y1="{p}" x2="{x0}" y2="{p}" '
-            f'stroke="#333333" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(_MARGIN_LEFT - 8)}" y="{_fmt(py(ty) + 4)}" '
-            f'font-family="sans-serif" font-size="11" text-anchor="end" '
-            f'fill="#333333">{ty:g}</text>'
-        )
+        line(x0, p, x1, p, "#dddddd")
+        line(_fmt(_MARGIN_LEFT - 5), p, x0, p, "#333333")
+        text(_fmt(_MARGIN_LEFT - 8), _fmt(py(ty) + 4), "11", "end", "#333333", f"{ty:g}")
 
     out.append(
         f'<rect x="{x0}" y="{y0}" width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" '
@@ -152,31 +146,14 @@ def render_line_chart(
         color = _PALETTE[i % len(_PALETTE)]
         ly = _MARGIN_TOP + 14.0 + 16.0 * i
         lx = _MARGIN_LEFT + plot_w - 150.0
-        out.append(
-            f'<line x1="{_fmt(lx)}" y1="{_fmt(ly - 4)}" x2="{_fmt(lx + 22)}" '
-            f'y2="{_fmt(ly - 4)}" stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(lx + 27)}" y="{_fmt(ly)}" font-family="sans-serif" '
-            f'font-size="11" fill="#333333">{escape(label, quote=False)}</text>'
-        )
+        line(_fmt(lx), _fmt(ly - 4), _fmt(lx + 22), _fmt(ly - 4), color, "1.5")
+        text(_fmt(lx + 27), _fmt(ly), "11", None, "#333333", label)
 
     if title:
-        out.append(
-            f'<text x="{_fmt(_WIDTH / 2)}" y="20" font-family="sans-serif" '
-            f'font-size="13" text-anchor="middle" fill="#000000">'
-            f'{escape(title, quote=False)}</text>'
-        )
-    out.append(
-        f'<text x="{_fmt(_MARGIN_LEFT + plot_w / 2)}" y="{_fmt(_HEIGHT - 14)}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle" '
-        f'fill="#000000">{escape(x_label, quote=False)}</text>'
-    )
-    out.append(
-        f'<text x="16" y="{_fmt(_MARGIN_TOP + plot_h / 2)}" font-family="sans-serif" '
-        f'font-size="12" text-anchor="middle" fill="#000000" '
-        f'transform="rotate(-90 16 {_fmt(_MARGIN_TOP + plot_h / 2)})">'
-        f'{escape(y_label, quote=False)}</text>'
-    )
+        text(_fmt(_WIDTH / 2), "20", "13", "middle", "#000000", title)
+    text(_fmt(_MARGIN_LEFT + plot_w / 2), _fmt(_HEIGHT - 14), "12", "middle", "#000000",
+         x_label)
+    y_mid = _fmt(_MARGIN_TOP + plot_h / 2)
+    text("16", y_mid, "12", "middle", "#000000", y_label, f"rotate(-90 16 {y_mid})")
     out.append("</svg>")
     return "\n".join(out) + "\n"

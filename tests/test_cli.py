@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -221,7 +222,7 @@ class TestTable:
     def test_unknown_table(self, capsys):
         code, _, err = run_cli(["table", "--which", "3"], capsys)
         assert code == 2
-        assert "--which must be 1 or 2" in err
+        assert "bad value for --which: '3' (choose from 1, 2)" in err
 
 
 class TestSweep:
@@ -474,7 +475,26 @@ class TestPrecedence:
     def test_invalid_format_for_subcommand(self, capsys):
         code, _, err = run_cli(["equilibrium", "--format", "csv"], capsys)
         assert code == 2
-        assert "bad value for --format" in err
+        assert "unrecognized arguments: --format" in err
+
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMAND_OPTS))
+    @pytest.mark.parametrize("source, fmt", [("config", "csv"), ("env", "csv"), ("env", "json")])
+    def test_shared_format_serves_every_subcommand(self, command, source, fmt, capsys,
+                                                   tmp_path, monkeypatch):
+        # only table and sweep choose a format; the others ignore the key
+        if source == "config":
+            cfg = tmp_path / "shared.cfg"
+            cfg.write_text(f"format = {fmt}\npoints = 3\n")
+            argv = [command, "--config", str(cfg)]
+        else:
+            monkeypatch.setenv("CASNUC_FORMAT", fmt)
+            argv = [command]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        expected = fmt if command in ("table", "sweep") else "svg" if command == "plot" else "json"
+        kind = "svg" if out.startswith("<svg") else "json" if out[0] in "[{" else "csv"
+        assert kind == expected
+        _check_document(expected, out)
 
 
 class TestOutput:
@@ -506,6 +526,24 @@ class TestOutput:
                 assert target.stat().st_mode & 0o777 == 0o666 & ~umask
         finally:
             os.umask(old)
+
+    @pytest.mark.parametrize("command, target", [
+        ("state", "missing/x.json"), ("constants", "existing"), ("state", ""),
+    ], ids=["missing-dir", "existing-dir", "empty"])
+    def test_failed_write_names_the_requested_path(self, command, target, capsys, tmp_path,
+                                                   monkeypatch):
+        work = tmp_path / "work"
+        (work / "existing").mkdir(parents=True)
+        monkeypatch.chdir(work)  # an empty --out resolves next to work, in tmp_path
+        errors = []
+        for _ in range(2):
+            code, out, err = run_cli([command, "--out", target], capsys)
+            assert (code, out) == (2, "")
+            errors.append(err)
+        assert errors[0] == errors[1]
+        assert (repr(target) if target else "--out") in err
+        assert ".casnuc-tmp-" not in err
+        assert sorted(tmp_path.rglob("*")) == [work, work / "existing"]
 
     def test_overwrite_existing(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
@@ -616,10 +654,22 @@ class TestHostileArgv:
             code = cli.run(argv)
         assert code in (0, 2, 3), (argv, err.getvalue())
         if code == 0:
-            _check_document(chosen.get("format", opts["format"].default), out.getvalue())
+            # only table and sweep take --format; plot writes SVG, the rest JSON
+            default = opts["format"].default if "format" in opts else (
+                "svg" if command == "plot" else "json")
+            _check_document(chosen.get("format", default), out.getvalue())
         else:
             assert out.getvalue() == ""
             assert err.getvalue().startswith("casnuc: "), (argv, err.getvalue())
+
+
+class TestHelp:
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMAND_OPTS))
+    def test_help_lists_the_option_table(self, command, capsys):
+        code, out, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        listed = re.findall(r"^ +(--[\w-]+)", out, re.MULTILINE)
+        assert listed == [o.flag for o in cli._SUBCOMMAND_OPTS[command]] + ["--config"]
 
 
 class TestGoldenOutput:
