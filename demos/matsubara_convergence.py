@@ -55,7 +55,7 @@ def main() -> None:
     for xbar in (0.5, 0.76, 1.0, 1.65, 2.0, 3.0, 5.0):
         T = xbar * HBAR_C / (2.0 * K_B * L)
         summed = finite_freq_sum(L, T, rho)
-        asym = finite_freq_asymptote(rho, T, L)
+        asym = finite_freq_asymptote(L, T, rho)
         print(f"{xbar:>6.2f} {abs(asym - summed) / abs(summed):>14.4f}")
     print(f"10% agreement first reached at xbar = {XBAR_CROSSOVER_10PCT}")
 

@@ -123,6 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(o.flag, dest=o.dest, default=None, help=o.help)
         p.add_argument("--config", dest="config", default=None,
                        help="key=value file supplying defaults")
+        p.set_defaults(subparser=p)  # run() reports leftover arguments under its usage
     return parser
 
 
@@ -475,7 +476,9 @@ def run(argv: list[str]) -> int:
     """Parse argv, dispatch, and return the process exit code."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns, extras = parser.parse_known_args(argv)
+        if extras:
+            ns.subparser.error("unrecognized arguments: " + " ".join(extras))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -3,18 +3,15 @@ pair plasma.
 
 Both plates are ideal mirrors, so every Matsubara term reduces to the mode
 series S(a) = sum_j e^(-j a) (a/j^2 + 1/j^3) = a Li2(e^-a) + Li3(e^-a) of a
-single screening argument a = 2 kappa L.  S is evaluated to double precision
-in a bounded number of operations: a closed small-argument expansion below
-a = 1.5, the exponential sum with a geometric tail bound above.  On top of
-that series sit the zero-frequency term (zero_freq_exact, its one evaluator;
-the large-screening asymptote is the j = 1 term of S), the finite-frequency
-asymptote, the full Matsubara sum, the distance-coupled closed forms and
-separation sweeps.  The permeability model enters only the n = 0 term; every
-n > 0 term has mu = 1, and the n > 0 sum stops once a bound on its neglected
-tail is below 1e-12 of it.  The test suite checks the series against
-mpmath's polylogarithms, a summed-series and an adaptive-quadrature oracle,
-the truncated Matsubara sum against the fully summed terms, and the closed
-forms against the composed plasma pipeline.
+single screening argument a = 2 kappa L, evaluated to double precision in a
+bounded number of operations (_mode_series).  Each term has one evaluator:
+zero_freq_exact the n = 0 term, the only one the permeability model enters,
+and _finite_freq_terms every n > 0 term (mu = 1), which both matsubara_term
+and finite_freq_sum draw on.  The n > 0 sum stops once a bound on its
+neglected tail is below 1e-12 of it; it and its large-x asymptote take
+(L, T, rho).  On top sit the distance-coupled closed forms and separation
+sweeps.  The tests check S against mpmath, the truncated sum against the
+fully summed terms, and the closed forms against the plasma pipeline.
 """
 
 from __future__ import annotations
@@ -22,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .constants import (
     C,
@@ -196,21 +194,40 @@ def zero_freq_asymptote(kappa: float, L: float, T: float) -> float:
     return prefactor * (math.exp(-a) * (1.0 + a) if a < 760.0 else 0.0)
 
 
-def finite_freq_asymptote(rho: float, T: float, L: float) -> float:
+def _check_state(L: float, T: float, rho: float) -> None:
+    if not L > 0.0 or not T > 0.0:
+        raise DomainError(f"L and T must be positive, got L={L}, T={T}")
+    if rho < 0.0:
+        raise DomainError(f"density must be non-negative, got {rho}")
+
+
+def finite_freq_asymptote(L: float, T: float, rho: float) -> float:
     """Leading large-x asymptote of the summed n > 0 Matsubara terms.
 
     Fn/A = -((k_B T)^2 / hbar c) e^(-pi rhobar xbar) e^(-2 pi xbar) / L with
     xbar = 2 k_B T L/(hbar c) and rhobar = rho e^2 hbar^2/(4 pi^2 m eps0 (k_B T)^2).
     The untracked remainder of the source expansion is dropped.
     """
-    if rho < 0.0:
-        raise DomainError(f"density must be non-negative, got {rho}")
-    if not T > 0.0 or not L > 0.0:
-        raise DomainError(f"T and L must be positive, got T={T}, L={L}")
+    _check_state(L, T, rho)
     kT = K_B * T
     xbar = 2.0 * kT * L / HBAR_C
     rhobar = rho * E_CHARGE**2 * HBAR**2 / (4.0 * math.pi**2 * M_E * EPS_0 * kT**2)
     return -(kT * kT) / HBAR_C * math.exp(-math.pi * rhobar * xbar - 2.0 * math.pi * xbar) / L
+
+
+def _finite_freq_terms(L: float, T: float, rho: float,
+                       first: int) -> Iterator[tuple[float, float, float]]:
+    """The one evaluator of the n > 0 terms: (term, root, xi) for n = first,
+    first + 1, ... (at most _MATSUBARA_MAX_TERMS), term = -(k_B T/4 pi L^2) S(a_n)
+    with xi = n xi_1, root = sqrt(xi^2 + omega_ep^2) and a_n = 2 L root/c."""
+    _check_state(L, T, rho)
+    omega = plasma_frequency(rho)
+    prefactor = -K_B * T / (4.0 * math.pi * L * L)
+    xi_1 = 2.0 * math.pi * K_B * T / HBAR
+    for n in range(first, first + _MATSUBARA_MAX_TERMS):
+        xi = n * xi_1
+        root = math.sqrt(xi * xi + omega * omega)
+        yield prefactor * _mode_series(2.0 * L * root / C), root, xi
 
 
 def matsubara_term(
@@ -222,19 +239,13 @@ def matsubara_term(
     Every n > 0 term has mu = 1 whatever the model: the spin response has
     died out far below the first Matsubara frequency xi_1 = 2 pi k_B T/hbar.
     """
-    if n < 0:
-        raise DomainError("Matsubara index must be non-negative")
-    if not L > 0.0 or not T > 0.0:
-        raise DomainError(f"L and T must be positive, got L={L}, T={T}")
-    if rho < 0.0:
-        raise DomainError(f"density must be non-negative, got {rho}")
-    if n == 0:
-        mu = (model or PermeabilityModel()).static_mu(rho, T)
-        return zero_freq_exact(screening_wavevector(rho, mu), L, T)
-    omega = plasma_frequency(rho)
-    xi = 2.0 * math.pi * n * K_B * T / HBAR
-    a = 2.0 * L * math.sqrt(xi * xi + omega * omega) / C
-    return -K_B * T / (4.0 * math.pi * L * L) * _mode_series(a)
+    if not isinstance(n, int) or n < 0:
+        raise DomainError(f"Matsubara index n must be a non-negative integer, got {n!r}")
+    if n > 0:
+        return next(_finite_freq_terms(L, T, rho, n))[0]
+    _check_state(L, T, rho)
+    mu = (model or PermeabilityModel()).static_mu(rho, T)
+    return zero_freq_exact(screening_wavevector(rho, mu), L, T)
 
 
 def finite_freq_sum(L: float, T: float, rho: float) -> float:
@@ -248,20 +259,10 @@ def finite_freq_sum(L: float, T: float, rho: float) -> float:
     a'(n) = (2L/c) xi_1 xi_n/sqrt(xi_n^2 + omega_ep^2); the sum stops once
     that bound is below 1e-12 of the partial sum.
     """
-    if not L > 0.0 or not T > 0.0:
-        raise DomainError(f"L and T must be positive, got L={L}, T={T}")
-    if rho < 0.0:
-        raise DomainError(f"density must be non-negative, got {rho}")
-    omega = plasma_frequency(rho)
-    prefactor = -K_B * T / (4.0 * math.pi * L * L)
     xi_1 = 2.0 * math.pi * K_B * T / HBAR
     tail_scale = _MATSUBARA_RTOL * L * xi_1 / C  # rtol a'(n) root/(2 xi), any n
     total = 0.0
-    for n in range(1, _MATSUBARA_MAX_TERMS + 1):
-        xi = n * xi_1
-        root = math.sqrt(xi * xi + omega * omega)
-        a = 2.0 * L * root / C
-        term = prefactor * _mode_series(a)
+    for term, root, xi in _finite_freq_terms(L, T, rho, 1):
         total += term
         # the tail bound 2 |term|/a'(n) <= rtol |total|, times a'(n) root/2
         if term == 0.0 or abs(term) * root <= tail_scale * xi * abs(total):
@@ -400,44 +401,31 @@ class SweepRow(namedtuple("SweepRow",
 def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate a separation sweep in grid order."""
     area = spec.plate_area()
-    if spec.mode == "fixed":
+    fixed = spec.mode == "fixed"
+    # coupled asymptote rows use the distance-coupled closed forms, with their own kappa
+    closed = not fixed and spec.method == "asymptote"
+    zero_freq = zero_freq_asymptote if spec.method == "asymptote" else zero_freq_exact
+    finite_freq = finite_freq_sum if spec.method == "full" else finite_freq_asymptote
+    if fixed:
         L_init = (spec.L_init_fm if spec.L_init_fm is not None else spec.L_min_fm) * M_PER_FM
-        s0 = plasma_state_from_distance(L_init, spec.model)
-        pinned = (s0.T, s0.rho, s0.omega_ep, s0.mu_ep, screening_wavevector(s0.rho, s0.mu_ep))
+        state = plasma_state_from_distance(L_init, spec.model)
+        kappa = screening_wavevector(state.rho, state.mu_ep)
 
     rows: list[SweepRow] = []
-    closed = spec.mode == "coupled" and spec.method == "asymptote"
-    zero_freq = zero_freq_asymptote if spec.method == "asymptote" else zero_freq_exact
     for L_fm in spec.grid_fm():
         L = L_fm * M_PER_FM
-        if spec.mode == "fixed":
-            T, rho, omega, mu, kappa = pinned
-        else:
+        if not fixed:
             state = plasma_state_from_distance(L, spec.model)
-            T, rho, omega, mu = state.T, state.rho, state.omega_ep, state.mu_ep
         if closed:
-            # the distance-coupled closed forms, with their own kappa
             b = distance_coupled_breakdown(L, spec.model)
             zero, finite, kappa = b.zero_freq, b.finite_freq, b.kappa
         else:
-            if spec.mode == "coupled":
-                kappa = screening_wavevector(rho, mu)
-            zero = zero_freq(kappa, L, T)
-            if spec.method == "full":
-                finite = finite_freq_sum(L, T, rho)
-            else:
-                finite = finite_freq_asymptote(rho, T, L)
-        rows.append(
-            SweepRow(
-                L_fm=L_fm,
-                T_K=T,
-                rho_m3=rho,
-                omega_ep=omega,
-                mu_ep=mu,
-                kappa_1_m=kappa,
-                F0_MeV=zero * area / J_PER_MEV,
-                Fn_MeV=finite * area / J_PER_MEV,
-                Ftot_MeV=(zero + finite) * area / J_PER_MEV,
-            )
-        )
+            if not fixed:
+                kappa = screening_wavevector(state.rho, state.mu_ep)
+            zero = zero_freq(kappa, L, state.T)
+            finite = finite_freq(L, state.T, state.rho)
+        rows.append(SweepRow(
+            L_fm, state.T, state.rho, state.omega_ep, state.mu_ep, kappa,
+            zero * area / J_PER_MEV, finite * area / J_PER_MEV, (zero + finite) * area / J_PER_MEV,
+        ))
     return rows

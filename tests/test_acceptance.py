@@ -175,7 +175,7 @@ def test_criterion_7_matsubara_structure():
     def asymptote_dev(xbar: float) -> float:
         T = xbar * HBAR_C / (2.0 * K_B * L)
         full = finite_freq_sum(L, T, rho)
-        return abs(finite_freq_asymptote(rho, T, L) - full) / abs(full)
+        return abs(finite_freq_asymptote(L, T, rho) - full) / abs(full)
 
     pinned = XBAR_CROSSOVER_10PCT
     at_pin = asymptote_dev(pinned)

@@ -11,26 +11,43 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 PROBE = """
-import contextlib, io, json
+import contextlib, io, json, sys
 import casnuc.cli as cli
 import tracer
 recorder = tracer.Recorder()
 tracer.install(recorder)
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.run(["sweep", "--method", "full", "--points", "5"])
-print(json.dumps({"code": code, "spans": sorted(recorder.layer_stats())}))
+    code = cli.run(sys.argv[1:])
+print(json.dumps({"code": code, "stats": recorder.layer_stats()}))
 """
 
 
-def test_tracer_records_the_matsubara_layers():
+def traced_run(argv):
     # read only: no bytecode is written next to the benchmark's sources
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
     result = subprocess.run(
-        [sys.executable, "-c", PROBE], env=env, capture_output=True, text=True,
+        [sys.executable, "-c", PROBE, *argv], env=env, capture_output=True, text=True,
         check=True, timeout=120,
     )
     report = json.loads(result.stdout)
     assert report["code"] == 0
-    assert "lifshitz.finite_freq_sum" in report["spans"]
-    assert "lifshitz.mode_series" in report["spans"]
+    return report["stats"]
+
+
+def test_tracer_records_the_matsubara_layers():
+    stats = traced_run(["sweep", "--method", "full", "--points", "5"])
+    assert "lifshitz.finite_freq_sum" in stats
+    assert "lifshitz.mode_series" in stats
+
+
+def test_series_calls_are_direct_children_of_the_sum():
+    # lifshitz.matsubara_terms_per_sum counts the series calls made directly
+    # under finite_freq_sum; a traced layer between the two would zero it
+    stats = traced_run(["sweep", "--method", "full", "--mode", "fixed", "--Linit", "100",
+                        "--points", "5"])
+    sums = stats["lifshitz.finite_freq_sum"]
+    children = sum(count for key, count in sums.items()
+                   if key.startswith("children.lifshitz.mode_series"))
+    assert sums["calls"] == 5
+    assert children >= sums["calls"]

@@ -76,6 +76,10 @@ HOSTILE_ARGV = [
     # the pinned state comes from the one state builder, so --Linit has the L^3 edge
     (["sweep", "--mode", "fixed", "--Linit", "1e-89", "--points", "2"], 2,
      "separation too small: L = 1.0000000000000001e-104 m, L^3 underflows"),
+    # an option the subcommand does not take is reported under its own usage
+    (["equilibrium", "--format", "json"], 2,
+     "casnuc equilibrium: error: unrecognized arguments: --format json"),
+    (["sweep", "--bogus", "1"], 2, "casnuc sweep: error: unrecognized arguments: --bogus 1"),
 ]
 HOSTILE_MESSAGES = {tuple(argv): message for argv, _, message in HOSTILE_ARGV}
 
@@ -108,7 +112,8 @@ class TestParsing:
         code, out, err = run_cli(argv, capsys)
         assert code == expected
         assert out == ""
-        assert err.startswith("casnuc: ")
+        # argparse prints the subcommand's usage before a usage error
+        assert err.startswith(("casnuc: ", f"usage: casnuc {argv[0]} "))
         assert "Traceback" not in err
         assert HOSTILE_MESSAGES[tuple(argv)] in err
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from casnuc import lifshitz
 from casnuc.constants import C, HBAR, HBAR_C, K_B, ZETA_3
 from casnuc.errors import DomainError
 from casnuc.lifshitz import (
@@ -189,7 +190,7 @@ class TestFiniteFreqAsymptote:
         L = 1e-15
         T = temperature_from_distance(L)
         rho = density_from_distance(L)
-        value = per_pair_mev(finite_freq_asymptote(rho, T, L))
+        value = per_pair_mev(finite_freq_asymptote(L, T, rho))
         assert value == pytest.approx(-0.39608348071692007, rel=1e-12)
         assert value == pytest.approx(-0.40, abs=0.01)
 
@@ -197,19 +198,19 @@ class TestFiniteFreqAsymptote:
         T, L = 8.7e11, 1e-15
         xbar = 2.0 * K_B * T * L / HBAR_C
         expected = -(K_B * T) ** 2 * math.exp(-2.0 * math.pi * xbar) / (HBAR_C * L)
-        assert finite_freq_asymptote(0.0, T, L) == pytest.approx(expected, rel=1e-14)
+        assert finite_freq_asymptote(L, T, 0.0) == pytest.approx(expected, rel=1e-14)
 
     def test_magnitude_decreasing_in_separation(self):
         rho, T = 2e43, 8.7e11
-        values = [abs(finite_freq_asymptote(rho, T, L * 1e-15)) for L in (1, 1.5, 2, 3)]
+        values = [abs(finite_freq_asymptote(L * 1e-15, T, rho)) for L in (1, 1.5, 2, 3)]
         for a, b in zip(values, values[1:]):
             assert b < a
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            finite_freq_asymptote(-1.0, 8.7e11, 1e-15)
+            finite_freq_asymptote(1e-15, 8.7e11, -1.0)
         with pytest.raises(DomainError):
-            finite_freq_asymptote(2e43, 0.0, 1e-15)
+            finite_freq_asymptote(1e-15, 0.0, 2e43)
 
 
 class TestFullMatsubara:
@@ -250,7 +251,7 @@ class TestFullMatsubara:
         def deviation(xbar):
             T = xbar * HBAR_C / (2.0 * K_B * L)
             full = finite_freq_sum(L, T, rho)
-            return abs(finite_freq_asymptote(rho, T, L) - full) / abs(full)
+            return abs(finite_freq_asymptote(L, T, rho) - full) / abs(full)
 
         assert XBAR_CROSSOVER_10PCT == 1.65
         assert deviation(XBAR_CROSSOVER_10PCT) < 0.10
@@ -301,6 +302,33 @@ class TestFullMatsubara:
             n += 1
         assert finite_freq_sum(L, T, rho) == pytest.approx(total, rel=1e-12)
 
+    @pytest.mark.parametrize("L_fm, L_init_fm", [(1.0, 1.0), (0.3, 10.0), (0.1, 100.0),
+                                                 (2.0, 2.0)])
+    def test_terms_and_sum_share_one_evaluator(self, L_fm, L_init_fm, monkeypatch):
+        # every series argument a_n the sum evaluates is, bit for bit, the one
+        # matsubara_term(n, ...) evaluates, at coupled and pinned states
+        s = plasma_state_from_distance(L_init_fm * 1e-15, SPIN)
+        L = L_fm * 1e-15
+        seen = []
+
+        def recording(a):
+            seen.append(a)
+            return _mode_series(a)
+
+        monkeypatch.setattr(lifshitz, "_mode_series", recording)
+        finite_freq_sum(L, s.T, s.rho)
+        from_sum = list(seen)
+        seen.clear()
+        for n in range(1, len(from_sum) + 1):
+            matsubara_term(n, L, s.T, s.rho, SPIN)
+        assert len(from_sum) > 1
+        assert seen == from_sum
+
+    @pytest.mark.parametrize("n", [1.5, 1.0, -1])
+    def test_index_must_be_a_non_negative_integer(self, n):
+        with pytest.raises(DomainError, match="Matsubara index n must be a non-negative integer"):
+            matsubara_term(n, 1e-15, 8.7e11, 1e43)
+
 
 class TestDistanceCoupled:
     def test_kappa_unity_1fm(self):
@@ -326,7 +354,7 @@ class TestDistanceCoupled:
             zero_freq_asymptote(kappa, L, s.T), rel=1e-10
         )
         assert b.finite_freq == pytest.approx(
-            finite_freq_asymptote(s.rho, s.T, L), rel=1e-10
+            finite_freq_asymptote(L, s.T, s.rho), rel=1e-10
         )
 
     def test_components_at_1fm_unity(self):
