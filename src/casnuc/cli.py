@@ -241,9 +241,15 @@ def _json_document(obj: object) -> str:
 
 def _table_document(header: Sequence[str], rows: Iterable[Iterable[object]], fmt: str) -> str:
     """rows under header as CSV, or as a JSON list with one object per row."""
-    if fmt == "json":
-        return _json_document([dict(zip(header, row)) for row in rows])
-    return _csv_document(header, rows)
+    if fmt != "json":
+        return _csv_document(header, rows)
+    # _json_document([dict(zip(header, row)) for row in rows]), with each key
+    # escaped once per document rather than once per row
+    prefixes = [json.dumps(key) + ": " for key in header]
+    objects = ("{\n    " + ",\n    ".join(prefix + _json_text(value, "\n    ")
+                                         for prefix, value in zip(prefixes, row)) + "\n  }"
+               for row in rows)
+    return "[\n  " + ",\n  ".join(objects) + "\n]\n"
 
 
 def _cmd_constants(params: dict[str, object]) -> str:

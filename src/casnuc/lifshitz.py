@@ -7,15 +7,18 @@ single screening argument a = 2 kappa L, evaluated to double precision in a
 bounded number of operations (_mode_series).  Each term has one evaluator:
 zero_freq_exact the n = 0 term, the only one the permeability model enters,
 and _finite_freq_terms every n > 0 term (mu = 1), which both matsubara_term
-and finite_freq_sum draw on.  The n > 0 sum stops once a bound on its
-neglected tail is below 1e-12 of it; it and its large-x asymptote take
-(L, T, rho).  On top sit the distance-coupled closed forms and separation
-sweeps.  The tests check S against mpmath, the truncated sum against the
-fully summed terms, and the closed forms against the plasma pipeline.
+and finite_freq_sum draw on.  The n > 0 sum adds its first terms directly
+and replaces the rest by an Euler-Maclaurin tail built from closed forms
+(_matsubara_tail), whose remainder is bounded below 1e-12 of the sum; it and
+its large-x asymptote take (L, T, rho).  On top sit the distance-coupled closed
+forms and separation sweeps.  The tests check S against mpmath, the sum
+against the j-sum, mpmath and the Brown-Maclay law, and the closed forms
+against the plasma pipeline.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from collections import namedtuple
@@ -72,9 +75,13 @@ _SMALL_A_COEFFS = (
     0.010416666666666666,
 )
 
-# Matsubara truncation: bound on the neglected tail, relative to the sum
+# Matsubara sum (see _finite_freq_sum): bound on the neglected tail, relative
+# to the sum; the Euler-Maclaurin tail (_matsubara_tail) is tried from the
+# _EM_HEAD-th direct term on
 _MATSUBARA_RTOL = 1e-12
-_MATSUBARA_MAX_TERMS = 200_000
+_EM_HEAD = 12
+# above omega_ep/xi_1 = 2 _MATSUBARA_MAX_DIRECT the sum is refused (DomainError)
+_MATSUBARA_MAX_DIRECT = 100_000
 
 SWEEP_METHODS = ("asymptote", "exact", "full")
 SWEEP_MODES = ("coupled", "fixed")
@@ -215,16 +222,20 @@ def finite_freq_asymptote(L: float, T: float, rho: float) -> float:
     return -(kT * kT) / HBAR_C * math.exp(-math.pi * rhobar * xbar - 2.0 * math.pi * xbar) / L
 
 
+def _finite_freq_scales(L: float, T: float, rho: float) -> tuple[float, float, float]:
+    # (omega_ep, prefactor -k_B T/(4 pi L^2), xi_1 = 2 pi k_B T/hbar) of the n > 0 terms
+    _check_state(L, T, rho)
+    return (plasma_frequency(rho), -K_B * T / (4.0 * math.pi * L * L),
+            2.0 * math.pi * K_B * T / HBAR)
+
+
 def _finite_freq_terms(L: float, T: float, rho: float,
                        first: int) -> Iterator[tuple[float, float, float]]:
     """The one evaluator of the n > 0 terms: (term, root, xi) for n = first,
-    first + 1, ... (at most _MATSUBARA_MAX_TERMS), term = -(k_B T/4 pi L^2) S(a_n)
-    with xi = n xi_1, root = sqrt(xi^2 + omega_ep^2) and a_n = 2 L root/c."""
-    _check_state(L, T, rho)
-    omega = plasma_frequency(rho)
-    prefactor = -K_B * T / (4.0 * math.pi * L * L)
-    xi_1 = 2.0 * math.pi * K_B * T / HBAR
-    for n in range(first, first + _MATSUBARA_MAX_TERMS):
+    first + 1, ..., term = -(k_B T/4 pi L^2) S(a_n) with xi = n xi_1,
+    root = sqrt(xi^2 + omega_ep^2) and a_n = 2 L root/c."""
+    omega, prefactor, xi_1 = _finite_freq_scales(L, T, rho)
+    for n in itertools.count(first):
         xi = n * xi_1
         root = math.sqrt(xi * xi + omega * omega)
         yield prefactor * _mode_series(2.0 * L * root / C), root, xi
@@ -248,29 +259,74 @@ def matsubara_term(
     return zero_freq_exact(screening_wavevector(rho, mu), L, T)
 
 
-def finite_freq_sum(L: float, T: float, rho: float) -> float:
-    """Sum of all n > 0 Matsubara terms; the neglected tail is below 1e-12
-    of the sum.
+def _finite_freq_sum(L: float, T: float, rho: float) -> tuple[float, int, float]:
+    """(sum of the n > 0 terms, direct terms added, bound on the rest) [J/m^2].
 
-    Model-free: every n > 0 term has mu = 1 (see matsubara_term), so
-    a_n = (2L/c) sqrt(xi_n^2 + omega_ep^2) rises and is convex in n.  With
-    the integral int_a^inf S = sum_j e^(-j a) (a/j^3 + 2/j^4) <= 2 S(a), the
-    terms after t_n sum to at most 2 |t_n|/a'(n), where
-    a'(n) = (2L/c) xi_1 xi_n/sqrt(xi_n^2 + omega_ep^2); the sum stops once
-    that bound is below 1e-12 of the partial sum.
+    With a_n = b sqrt(n^2 + nu^2), b = 2 L xi_1/c and nu = omega_ep/xi_1, the
+    terms are -(k_B T/4 pi L^2) f(n), f(n) = S(a_n): a_n rises and is convex
+    in n.  The direct terms stop at the first n at which one of two bounds on
+    the rest is below 1e-12 of the partial sum:
+
+    * the rest itself: int_a^inf S = sum_j e^(-j a) (a/j^3 + 2/j^4) <= 2 S(a)
+      bounds it by 2 |t_n|/a'(n), a'(n) = (2L/c) xi_1 xi_n/sqrt(xi_n^2 + omega^2);
+    * from n = max(_EM_HEAD, nu/2) on, the remainder of the Euler-Maclaurin
+      formula that replaces it (_matsubara_tail.em_tail), which then is
+      added.  (Below n = nu/2 its quadrature loses accuracy at large nu b:
+      7e-10 at nu = 1000, nu b = 100, n = 12.)
+
+    So at most max(_EM_HEAD, nu/2) terms and a few dozen more are added
+    directly, whatever xbar; a state whose first _EM_HEAD terms do not
+    settle it and whose nu/2 exceeds _MATSUBARA_MAX_DIRECT is refused
+    (DomainError).
     """
     xi_1 = 2.0 * math.pi * K_B * T / HBAR
     tail_scale = _MATSUBARA_RTOL * L * xi_1 / C  # rtol a'(n) root/(2 xi), any n
+    check = _EM_HEAD
     total = 0.0
-    for term, root, xi in _finite_freq_terms(L, T, rho, 1):
+    for n, (term, root, xi) in enumerate(_finite_freq_terms(L, T, rho, 1), 1):
         total += term
         # the tail bound 2 |term|/a'(n) <= rtol |total|, times a'(n) root/2
         if term == 0.0 or abs(term) * root <= tail_scale * xi * abs(total):
-            return total
-    raise ConvergenceError(
-        f"Matsubara sum did not converge: L={L}, T={T}, rho={rho}, "
-        f"terms={_MATSUBARA_MAX_TERMS}, partial={total}"
-    )
+            return total, n, abs(term) * root * C / (L * xi_1 * xi)
+        if n < check:
+            continue
+        if n == _EM_HEAD:  # the tail, which most sums never reach
+            from ._matsubara_tail import em_tail
+            omega, prefactor, _ = _finite_freq_scales(L, T, rho)
+            b = 2.0 * L * xi_1 / C
+            nu = omega / xi_1
+            if nu > 2 * _MATSUBARA_MAX_DIRECT:
+                raise DomainError(
+                    f"plasma frequency too high for the Matsubara sum: omega_ep/xi_1 = "
+                    f"{nu:.6g} exceeds {2 * _MATSUBARA_MAX_DIRECT} (it would take about "
+                    f"omega_ep/(2 xi_1) direct terms)")
+            check = max(n, 0.5 * nu)
+            if n < check:
+                continue
+        limit = _MATSUBARA_RTOL * total / prefactor
+        tail, bound = em_tail(n, 2.0 * L * root / C, term / prefactor, b, nu * nu, limit)
+        if tail is not None:
+            return total + prefactor * tail, n, -prefactor * bound
+        # a failed bound costs about six terms: skip to where it should
+        # pass, as it falls about as e^(-b n)/n, and at small b as n^-7
+        ratio = bound / limit if limit > 0.0 else 1.0
+        skip = min(math.log(ratio) / (b + 1.0 / n), n * (ratio ** (1.0 / 7.0) - 1.0))
+        check = n + max(1, math.ceil(skip))
+    raise AssertionError("unreachable: _finite_freq_terms is endless")
+
+
+def finite_freq_sum(L: float, T: float, rho: float) -> float:
+    """Sum of all n > 0 Matsubara terms; the neglected remainder is bounded
+    below 1e-12 of the sum.
+
+    Model-free: every n > 0 term has mu = 1 (see matsubara_term).  The first
+    terms are added directly, the rest by an Euler-Maclaurin tail from closed
+    forms whose remainder is bounded (see _finite_freq_sum and
+    _matsubara_tail), so
+    the work does not grow as xbar falls: at most 34 terms for
+    omega_ep/xi_1 <= 10 at any xbar, about omega_ep/(2 xi_1) above that.
+    """
+    return _finite_freq_sum(L, T, rho)[0]
 
 
 def full_matsubara(

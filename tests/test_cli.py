@@ -76,6 +76,10 @@ HOSTILE_ARGV = [
     # the pinned state comes from the one state builder, so --Linit has the L^3 edge
     (["sweep", "--mode", "fixed", "--Linit", "1e-89", "--points", "2"], 2,
      "separation too small: L = 1.0000000000000001e-104 m, L^3 underflows"),
+    # omega_ep/xi_1 = 3.5e19 and terms that do not vanish: the n > 0 sum
+    # would add about 1.8e19 terms directly
+    (["sweep", "--method", "full", "--mode", "fixed", "--Linit", "1e-40", "--Lmin", "5e-59",
+      "--Lmax", "6e-59", "--points", "2"], 2, "plasma frequency too high for the Matsubara sum"),
     # an option the subcommand does not take is reported under its own usage
     (["equilibrium", "--format", "json"], 2,
      "casnuc equilibrium: error: unrecognized arguments: --format json"),
@@ -251,6 +255,18 @@ class TestSweep:
         assert code == 0
         _, rows = csv_rows(out)
         assert len(rows) == 5
+
+    def test_full_sweep_at_small_xbar(self, capsys):
+        # xbar of 7.6e-6 .. 1.5e-5 at the 100 fm state: the n > 0 sum once
+        # stopped at 200,000 terms here and exited 3
+        code, out, err = run_cli(
+            ["sweep", "--method", "full", "--mode", "fixed", "--Linit", "100",
+             "--Lmin", "0.001", "--Lmax", "0.002", "--points", "3"], capsys
+        )
+        assert (code, err) == (0, "")
+        _, rows = csv_rows(out)
+        assert len(rows) == 3
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
 
     def test_fixed_mode_holds_temperature(self, capsys):
         code, out, _ = run_cli(

@@ -26,6 +26,7 @@ from casnuc.lifshitz import (
     zero_freq_asymptote,
     zero_freq_exact,
 )
+from casnuc.nuclear import ideal_casimir
 from casnuc.plasma import (
     PermeabilityModel,
     density_from_distance,
@@ -35,7 +36,12 @@ from casnuc.plasma import (
 )
 from casnuc.units import J_PER_MEV
 
-from _oracles import zero_freq_quadrature, zero_freq_series
+from _oracles import (
+    matsubara_j_sum,
+    matsubara_sum_mpmath,
+    zero_freq_quadrature,
+    zero_freq_series,
+)
 
 UNITY = PermeabilityModel("unity")
 SPIN = PermeabilityModel("spin")
@@ -328,6 +334,104 @@ class TestFullMatsubara:
     def test_index_must_be_a_non_negative_integer(self, n):
         with pytest.raises(DomainError, match="Matsubara index n must be a non-negative integer"):
             matsubara_term(n, 1e-15, 8.7e11, 1e43)
+
+
+# xbar = 2 k_B T L/(hbar c) over 1e-6 .. 3; below 3e-5 the sum once ran out
+# of terms (ConvergenceError)
+TAIL_XBARS = [1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.3, 1.0, 3.0]
+# pinned states: omega_ep/xi_1 = 0.035 at 100 fm, and 10.0 in the hot state at 1.245e-3 fm
+PINNED_FM = [100.0, 1.245e-3]
+
+
+def counted_sum(L, T, rho, monkeypatch):
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return _mode_series(a)
+
+    monkeypatch.setattr(lifshitz, "_mode_series", counting)
+    value = finite_freq_sum(L, T, rho)
+    monkeypatch.undo()
+    return value, len(calls)
+
+
+def at_xbar(xbar, T):
+    return xbar * HBAR_C / (2.0 * K_B * T)
+
+
+class TestMatsubaraTail:
+    """The n > 0 sum with its Euler-Maclaurin tail, against oracles over
+    1e-6 <= xbar <= 3: 1e-12 relative, at most 40 series calls a sum."""
+
+    @pytest.mark.parametrize("xbar", TAIL_XBARS)
+    def test_zero_density_against_the_j_sum(self, xbar, monkeypatch):
+        pytest.importorskip("mpmath")
+        L = 1e-15
+        T = xbar * HBAR_C / (2.0 * K_B * L)
+        value, calls = counted_sum(L, T, 0.0, monkeypatch)
+        b = 2.0 * L * (2.0 * math.pi * K_B * T / HBAR) / C
+        exact = -K_B * T / (4.0 * math.pi * L * L) * matsubara_j_sum(b)
+        assert abs(value / exact - 1.0) <= 1e-12
+        assert calls <= 40
+
+    @pytest.mark.parametrize("L_init_fm", PINNED_FM, ids=["nu0.035", "nu10"])
+    @pytest.mark.parametrize("xbar", [1e-6, 1e-5, 1e-3, 0.03, 0.3, 3.0])
+    def test_pinned_density_against_mpmath(self, xbar, L_init_fm, monkeypatch):
+        pytest.importorskip("mpmath")
+        s = plasma_state_from_distance(L_init_fm * 1e-15, UNITY)
+        L = at_xbar(xbar, s.T)
+        value, calls = counted_sum(L, s.T, s.rho, monkeypatch)
+        xi_1 = 2.0 * math.pi * K_B * s.T / HBAR
+        nu = plasma_frequency(s.rho) / xi_1
+        assert nu == pytest.approx({100.0: 0.0353, 1.245e-3: 10.0}[L_init_fm], rel=1e-3)
+        exact = (-K_B * s.T / (4.0 * math.pi * L * L)
+                 * matsubara_sum_mpmath(2.0 * L * xi_1 / C, nu))
+        assert abs(value / exact - 1.0) <= 1e-12
+        assert calls <= 40
+
+    @pytest.mark.parametrize("xbar", [1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.05, 0.1])
+    def test_brown_maclay_low_temperature_law(self, xbar):
+        # full/E0 = 1 + (45 zeta(3)/pi^3) xbar^3 - xbar^4 + O(e^(-pi/xbar)) at
+        # rho = 0, E0 = -pi^2 hbar c/(720 L^3) the ideal Casimir energy per area
+        # (Brown and Maclay, Phys. Rev. 184, 1272 (1969))
+        L = 1e-15
+        T = xbar * HBAR_C / (2.0 * K_B * L)
+        energy, _ = ideal_casimir(L, 1.0)
+        law = 1.0 + 45.0 * ZETA_3 / math.pi**3 * xbar**3 - xbar**4
+        assert abs(full_matsubara(L, T, 0.0, UNITY) / (energy * law) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("xbar", [1e-5, 0.01, 0.1, 1.0])
+    def test_private_sum_reports_terms_and_bound(self, xbar, monkeypatch):
+        s = plasma_state_from_distance(1e-13, UNITY)
+        L = at_xbar(xbar, s.T)
+        value, calls = counted_sum(L, s.T, s.rho, monkeypatch)
+        total, n_direct, bound = lifshitz._finite_freq_sum(L, s.T, s.rho)
+        assert total == value
+        assert n_direct == calls
+        assert 0.0 <= bound <= 1e-12 * abs(total)
+
+    @pytest.mark.parametrize("L_fm", [0.5, 1.0, 3.0, 10.0])
+    def test_head_sums_keep_the_direct_rule(self, L_fm):
+        # coupled states converge within the direct terms: the sum is, bit for
+        # bit, the terms added until 2 |t_n|/a'(n) <= 1e-12 |partial sum|
+        L = L_fm * 1e-15
+        s = plasma_state_from_distance(L, SPIN)
+        xi_1 = 2.0 * math.pi * K_B * s.T / HBAR
+        total = 0.0
+        for n, (term, root, xi) in enumerate(lifshitz._finite_freq_terms(L, s.T, s.rho, 1), 1):
+            total += term
+            if abs(term) * root <= 1e-12 * L * xi_1 / C * xi * abs(total):
+                break
+        assert n < lifshitz._EM_HEAD
+        assert finite_freq_sum(L, s.T, s.rho) == total
+
+    def test_plasma_frequency_edge(self):
+        # omega_ep/xi_1 = 3.5e19 with terms that do not vanish would take
+        # about 1.8e19 direct terms
+        s = plasma_state_from_distance(1e-55, UNITY)
+        with pytest.raises(DomainError, match="plasma frequency too high"):
+            finite_freq_sum(5e-74, s.T, s.rho)
 
 
 class TestDistanceCoupled:
