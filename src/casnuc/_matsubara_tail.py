@@ -2,11 +2,11 @@
 
 lifshitz._finite_freq_sum adds the terms f(n) = S(a_n), a_n = b sqrt(n^2 + nu^2),
 directly and hands the rest to em_tail once its remainder bound is small
-enough.  Everything here is closed form or elementary, apart from one fixed
-Gauss-Legendre rule, and _mode_series runs nowhere here, so the series calls
-of a sum are its direct terms.  The module is imported on first use: most
-sums, and every cold process that runs no --method full sweep, never need
-it.
+enough; em_tail also says at which n to try it next.  Everything here is
+closed form or elementary, apart from one fixed Gauss-Legendre rule, and
+_mode_series runs nowhere here, so the series calls of a sum are its direct
+terms.  The module is imported on first use: most sums, and every cold
+process that runs no --method full sweep, never need it.
 """
 
 from __future__ import annotations
@@ -14,10 +14,13 @@ from __future__ import annotations
 import math
 
 from .constants import ZETA_3
+from .errors import DomainError
 from .lifshitz import _SERIES_MAX_TERMS, _SERIES_RTOL, _SERIES_SPLIT, _SMALL_A_COEFFS
 
 # the order p of the tail: it carries the odd derivatives up to f^(2p-1)
 _EM_ORDER = 4
+# the largest nu = omega_ep/xi_1 a sum may have once it reaches em_tail
+_NU_MAX = 200_000
 _ZETA_2 = math.pi**2 / 6.0
 _ZETA_4 = math.pi**4 / 90.0
 _LN_2 = math.log(2.0)
@@ -146,11 +149,21 @@ def _gauss_legendre_tau(n: int) -> tuple[tuple[float, float, float], ...]:
 _TAIL_RULE = _gauss_legendre_tau(32)
 
 
-def em_tail(N: int, a: float, s: float, b: float, nu2: float,
-             limit: float) -> tuple[float | None, float]:
-    """sum_{n>N} f(n) for f(n) = S(b sqrt(n^2 + nu2)) by the Euler-Maclaurin
-    formula, given a = a_N and s = S(a_N): (value, bound on its error), with
-    value None if that bound exceeds limit.
+def em_tail(N: int, a: float, s: float, b: float, nu: float,
+            limit: float) -> tuple[float, float] | tuple[None, int]:
+    """sum_{n>N} f(n) for f(n) = S(b sqrt(n^2 + nu2)), nu2 = nu^2, by the
+    Euler-Maclaurin formula, given a = a_N and s = S(a_N): (value, bound on
+    its error), or (None, the next N to try) while N < nu/2 or while that
+    bound exceeds limit.
+
+    Below N = nu/2 the quadrature of R4 loses accuracy at large nu b (7e-10
+    at nu = 1000, nu b = 100, N = 12), so the first try is at N >= nu/2; a
+    nu above _NU_MAX, which would take nu/2 direct terms first, raises
+    DomainError.  A failed bound costs about six direct terms, so the next
+    try is placed where it should pass: bound/limit falls about as
+    e^(-b N)/N, and at small b, where the bound falls as N^(3-2p) and the
+    partial sum grows as N, as N^(2-2p); the skip takes N^(1-2p), which
+    lands short of the pass point rather than past it.
 
     sum_{n>N} f(n) = int_N^inf f - f(N)/2 - sum_{k<=p} B_2k/(2k)! f^(2k-1)(N) + R.
     With Y = sqrt(N^2 + nu2), the integral is, in closed form,
@@ -165,7 +178,14 @@ def em_tail(N: int, a: float, s: float, b: float, nu2: float,
       |B_2p|/(2p)! (Y/N) b^2 Y^(3-2p) [w_0 M_0(a_N) + sum_i u_i l_i(a_N)].
     Every piece is scaled to stay finite for any a in (0, 760].
     """
+    if nu > _NU_MAX:
+        raise DomainError(
+            f"plasma frequency too high for the Matsubara sum: omega_ep/xi_1 = {nu:.6g} "
+            f"exceeds {_NU_MAX} (it would take about omega_ep/(2 xi_1) direct terms)")
+    if N < 0.5 * nu:
+        return None, math.ceil(0.5 * nu)
     p2 = 2 * _EM_ORDER
+    nu2 = nu * nu
     y2 = N * N + nu2
     y = math.sqrt(y2)
     # l_i = t^(i+1) sum_k q_ik z^(i+1-k) with z = e^a - 1 = a/t below a = 1,
@@ -195,7 +215,9 @@ def em_tail(N: int, a: float, s: float, b: float, nu2: float,
         bracket += u * l_i
     bound = _EM_SCALE * (y / N) * b * b * y ** (3 - p2) * bracket
     if not bound <= limit:
-        return None, bound
+        ratio = bound / limit if limit > 0.0 else 1.0
+        skip = min(math.log(ratio) / (b + 1.0 / N), N * (ratio ** (1.0 / (p2 - 1)) - 1.0))
+        return None, N + max(1, math.ceil(skip))
     # (-b^2/2)^r M_(r-1) = -(b^2/2) (-1/(2 Y^2))^(r-1) a^(2r-2) M_(r-1), a = b Y
     # ... Q_r(2N) = (-N/Y^2)^(r-1) sum_j e_rj (2N)^(1-j)
     x_pow = [2.0 * N]

@@ -23,7 +23,7 @@ from . import constants, lifshitz, nuclear, plasma, svgplot
 from ._version import __version__
 from .constants import CONSTANTS_VINTAGE, K_B, R_PROTON_DEFAULT
 from .errors import DomainError, NumericalError
-from .units import J_PER_MEV, M_PER_FM
+from .units import J_PER_MEV, M_PER_FM, fm_to_m
 
 ENV_PREFIX = "CASNUC_"
 
@@ -272,7 +272,7 @@ def _cmd_constants(params: dict[str, object]) -> str:
 
 
 def _cmd_state(params: dict[str, object]) -> str:
-    L = params["L"] * M_PER_FM
+    L = fm_to_m(params["L"], "separation", "L")
     model = _model_from_params(params)
     state = plasma.plasma_state_from_distance(L, model)
     kappa = lifshitz.screening_wavevector(state.rho, state.mu_ep)
@@ -348,7 +348,7 @@ def _cmd_sweep(params: dict[str, object]) -> str:
 
 
 def _cmd_equilibrium(params: dict[str, object]) -> str:
-    R = params["R"] * M_PER_FM
+    R = fm_to_m(params["R"], "plate radius", "R")
     res = nuclear.equilibrium_distance(R)
     return _json_document(
         {
@@ -363,7 +363,7 @@ def _cmd_equilibrium(params: dict[str, object]) -> str:
 
 
 def _cmd_meson(params: dict[str, object]) -> str:
-    L = params["L"] * M_PER_FM
+    L = fm_to_m(params["L"], "separation", "L")
     model = _model_from_params(params)
     state = plasma.plasma_state_from_distance(L, model)
     yq = nuclear.yukawa_quantities(state.rho, state.mu_ep)
@@ -383,7 +383,7 @@ def _cmd_meson(params: dict[str, object]) -> str:
 
 
 def _cmd_linewidth(params: dict[str, object]) -> str:
-    L = params["L"] * M_PER_FM
+    L = fm_to_m(params["L"], "separation", "L")
     rho = plasma.density_from_distance(L)
     use_total = params["total_density"]
     n = rho if use_total else 0.5 * rho

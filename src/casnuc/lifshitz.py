@@ -6,11 +6,12 @@ series S(a) = sum_j e^(-j a) (a/j^2 + 1/j^3) = a Li2(e^-a) + Li3(e^-a) of a
 single screening argument a = 2 kappa L, evaluated to double precision in a
 bounded number of operations (_mode_series).  Each term has one evaluator:
 zero_freq_exact the n = 0 term, the only one the permeability model enters,
-and _finite_freq_terms every n > 0 term (mu = 1), which both matsubara_term
-and finite_freq_sum draw on.  The n > 0 sum adds its first terms directly
-and replaces the rest by an Euler-Maclaurin tail built from closed forms
-(_matsubara_tail), whose remainder is bounded below 1e-12 of the sum; it and
-its large-x asymptote take (L, T, rho).  On top sit the distance-coupled closed
+and _finite_freq_term every n > 0 term (mu = 1), which both matsubara_term
+and finite_freq_sum call.  The n > 0 sum derives its scales once, adds its
+first terms directly and replaces the rest by an Euler-Maclaurin tail built
+from closed forms (_matsubara_tail, which also decides where the tail is
+tried), whose remainder is bounded below 1e-12 of the sum; it and its
+large-x asymptote take (L, T, rho).  On top sit the distance-coupled closed
 forms and separation sweeps.  The tests check S against mpmath, the sum
 against the j-sum, mpmath and the Brown-Maclay law, and the closed forms
 against the plasma pipeline.
@@ -18,11 +19,9 @@ against the plasma pipeline.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Iterator
 
 from .constants import (
     C,
@@ -43,7 +42,7 @@ from .plasma import (
     plasma_frequency,
     plasma_state_from_distance,
 )
-from .units import J_PER_MEV, M_PER_FM
+from .units import J_PER_MEV, M_PER_FM, fm_to_m
 
 DEFAULT_PLATE_AREA = math.pi * R_PROTON_DEFAULT**2  # [m^2]
 
@@ -80,8 +79,6 @@ _SMALL_A_COEFFS = (
 # _EM_HEAD-th direct term on
 _MATSUBARA_RTOL = 1e-12
 _EM_HEAD = 12
-# above omega_ep/xi_1 = 2 _MATSUBARA_MAX_DIRECT the sum is refused (DomainError)
-_MATSUBARA_MAX_DIRECT = 100_000
 
 SWEEP_METHODS = ("asymptote", "exact", "full")
 SWEEP_MODES = ("coupled", "fixed")
@@ -156,8 +153,7 @@ def _zero_freq_prefactor(kappa: float, L: float, T: float) -> float:
     # -k_B T/(8 pi L^2), the factor in front of S(a) in the n = 0 term
     if kappa < 0.0:
         raise DomainError(f"kappa must be non-negative, got {kappa}")
-    if not L > 0.0 or not T > 0.0:
-        raise DomainError(f"L and T must be positive, got L={L}, T={T}")
+    _check_state(L, T, 0.0)
     return -K_B * T / (8.0 * math.pi * L * L)
 
 
@@ -229,16 +225,15 @@ def _finite_freq_scales(L: float, T: float, rho: float) -> tuple[float, float, f
             2.0 * math.pi * K_B * T / HBAR)
 
 
-def _finite_freq_terms(L: float, T: float, rho: float,
-                       first: int) -> Iterator[tuple[float, float, float]]:
-    """The one evaluator of the n > 0 terms: (term, root, xi) for n = first,
-    first + 1, ..., term = -(k_B T/4 pi L^2) S(a_n) with xi = n xi_1,
-    root = sqrt(xi^2 + omega_ep^2) and a_n = 2 L root/c."""
-    omega, prefactor, xi_1 = _finite_freq_scales(L, T, rho)
-    for n in itertools.count(first):
-        xi = n * xi_1
-        root = math.sqrt(xi * xi + omega * omega)
-        yield prefactor * _mode_series(2.0 * L * root / C), root, xi
+def _finite_freq_term(n: int, L: float, omega: float, prefactor: float,
+                      xi_1: float) -> tuple[float, float, float]:
+    """The one evaluator of the n > 0 terms: (term, root, xi) with xi = n xi_1,
+    root = sqrt(xi^2 + omega_ep^2) and term = -(k_B T/4 pi L^2) S(a_n),
+    a_n = 2 L root/c, for the scales (omega_ep, prefactor, xi_1) of
+    _finite_freq_scales."""
+    xi = n * xi_1
+    root = math.sqrt(xi * xi + omega * omega)
+    return prefactor * _mode_series(2.0 * L * root / C), root, xi
 
 
 def matsubara_term(
@@ -253,7 +248,7 @@ def matsubara_term(
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"Matsubara index n must be a non-negative integer, got {n!r}")
     if n > 0:
-        return next(_finite_freq_terms(L, T, rho, n))[0]
+        return _finite_freq_term(n, L, *_finite_freq_scales(L, T, rho))[0]
     _check_state(L, T, rho)
     mu = (model or PermeabilityModel()).static_mu(rho, T)
     return zero_freq_exact(screening_wavevector(rho, mu), L, T)
@@ -269,50 +264,30 @@ def _finite_freq_sum(L: float, T: float, rho: float) -> tuple[float, int, float]
 
     * the rest itself: int_a^inf S = sum_j e^(-j a) (a/j^3 + 2/j^4) <= 2 S(a)
       bounds it by 2 |t_n|/a'(n), a'(n) = (2L/c) xi_1 xi_n/sqrt(xi_n^2 + omega^2);
-    * from n = max(_EM_HEAD, nu/2) on, the remainder of the Euler-Maclaurin
-      formula that replaces it (_matsubara_tail.em_tail), which then is
-      added.  (Below n = nu/2 its quadrature loses accuracy at large nu b:
-      7e-10 at nu = 1000, nu b = 100, n = 12.)
-
-    So at most max(_EM_HEAD, nu/2) terms and a few dozen more are added
-    directly, whatever xbar; a state whose first _EM_HEAD terms do not
-    settle it and whose nu/2 exceeds _MATSUBARA_MAX_DIRECT is refused
-    (DomainError).
+    * from the _EM_HEAD-th term on, the remainder of the Euler-Maclaurin
+      formula that replaces it, which then is added.  _matsubara_tail.em_tail
+      decides where to try it and refuses a state whose nu is too large for
+      its quadrature (DomainError).
     """
-    xi_1 = 2.0 * math.pi * K_B * T / HBAR
+    omega, prefactor, xi_1 = _finite_freq_scales(L, T, rho)
     tail_scale = _MATSUBARA_RTOL * L * xi_1 / C  # rtol a'(n) root/(2 xi), any n
-    check = _EM_HEAD
-    total = 0.0
-    for n, (term, root, xi) in enumerate(_finite_freq_terms(L, T, rho, 1), 1):
+    b = 2.0 * L * xi_1 / C
+    nu = omega / xi_1
+    n, check, total = 0, _EM_HEAD, 0.0
+    while True:
+        n += 1
+        term, root, xi = _finite_freq_term(n, L, omega, prefactor, xi_1)
         total += term
         # the tail bound 2 |term|/a'(n) <= rtol |total|, times a'(n) root/2
         if term == 0.0 or abs(term) * root <= tail_scale * xi * abs(total):
             return total, n, abs(term) * root * C / (L * xi_1 * xi)
-        if n < check:
-            continue
-        if n == _EM_HEAD:  # the tail, which most sums never reach
+        if n == check:  # the tail, which most sums never reach
             from ._matsubara_tail import em_tail
-            omega, prefactor, _ = _finite_freq_scales(L, T, rho)
-            b = 2.0 * L * xi_1 / C
-            nu = omega / xi_1
-            if nu > 2 * _MATSUBARA_MAX_DIRECT:
-                raise DomainError(
-                    f"plasma frequency too high for the Matsubara sum: omega_ep/xi_1 = "
-                    f"{nu:.6g} exceeds {2 * _MATSUBARA_MAX_DIRECT} (it would take about "
-                    f"omega_ep/(2 xi_1) direct terms)")
-            check = max(n, 0.5 * nu)
-            if n < check:
-                continue
-        limit = _MATSUBARA_RTOL * total / prefactor
-        tail, bound = em_tail(n, 2.0 * L * root / C, term / prefactor, b, nu * nu, limit)
-        if tail is not None:
-            return total + prefactor * tail, n, -prefactor * bound
-        # a failed bound costs about six terms: skip to where it should
-        # pass, as it falls about as e^(-b n)/n, and at small b as n^-7
-        ratio = bound / limit if limit > 0.0 else 1.0
-        skip = min(math.log(ratio) / (b + 1.0 / n), n * (ratio ** (1.0 / 7.0) - 1.0))
-        check = n + max(1, math.ceil(skip))
-    raise AssertionError("unreachable: _finite_freq_terms is endless")
+            tail, rest = em_tail(n, 2.0 * L * root / C, term / prefactor, b, nu,
+                                 _MATSUBARA_RTOL * total / prefactor)
+            if tail is not None:
+                return total + prefactor * tail, n, -prefactor * rest
+            check = rest
 
 
 def finite_freq_sum(L: float, T: float, rho: float) -> float:
@@ -429,6 +404,10 @@ class SweepSpec(namedtuple(
             raise DomainError(f"plate radius too small: R = {self.R_fm} fm, pi R^2 underflows")
         if self.L_init_fm is not None and not self.L_init_fm > 0.0:
             raise DomainError(f"L_init must be positive, got {self.L_init_fm}")
+        # every grid point is at least L_min, so it cannot underflow either
+        fm_to_m(self.L_min_fm, "separation", "L_min")
+        if self.L_init_fm is not None:
+            fm_to_m(self.L_init_fm, "separation", "L_init")
         return self
 
     def grid_fm(self) -> list[float]:

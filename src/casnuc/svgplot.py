@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from html import escape
 
 from .errors import DomainError, NumericalError
 
@@ -28,6 +27,11 @@ _MARGIN_BOTTOM = 54.0
 def _fmt(v: float) -> str:
     # fixed 2-decimal pixel coordinates keep the output byte-stable
     return f"{v:.2f}"
+
+
+def _escape(body: str) -> str:
+    # the three characters XML text may not hold literally
+    return body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _tick_positions(lo: float, hi: float, target: int = 5) -> list[float]:
@@ -107,7 +111,7 @@ def render_line_chart(
         transform_attr = f' transform="{transform}"' if transform else ""
         out.append(f'<text x="{x}" y="{y}" font-family="sans-serif" font-size="{size}"'
                    f'{anchor_attr} fill="{fill}"{transform_attr}>'
-                   f'{escape(body, quote=False)}</text>')
+                   f'{_escape(body)}</text>')
 
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '

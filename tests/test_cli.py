@@ -84,6 +84,15 @@ HOSTILE_ARGV = [
     (["equilibrium", "--format", "json"], 2,
      "casnuc equilibrium: error: unrecognized arguments: --format json"),
     (["sweep", "--bogus", "1"], 2, "casnuc sweep: error: unrecognized arguments: --bogus 1"),
+    # below about 2.5e-309 fm a length underflows to 0 m as it is converted
+    (["state", "--L", "1e-310"], 2, "separation too small: L = 1e-310 fm underflows to 0 m"),
+    (["meson", "--L", "1e-310"], 2, "separation too small: L = 1e-310 fm underflows to 0 m"),
+    (["linewidth", "--L", "1e-310"], 2, "separation too small: L = 1e-310 fm underflows to 0 m"),
+    (["sweep", "--Lmin", "1e-310"], 2, "separation too small: L_min = 1e-310 fm underflows"),
+    (["plot", "--Lmin", "1e-310"], 2, "separation too small: L_min = 1e-310 fm underflows"),
+    (["sweep", "--mode", "fixed", "--Linit", "1e-310"], 2,
+     "separation too small: L_init = 1e-310 fm underflows"),
+    (["equilibrium", "--R", "1e-310"], 2, "plate radius too small: R = 1e-310 fm underflows"),
 ]
 HOSTILE_MESSAGES = {tuple(argv): message for argv, _, message in HOSTILE_ARGV}
 
@@ -707,17 +716,20 @@ class TestGoldenOutput:
         assert mismatched == []
 
 
-def _loaded_by_cli_import(condition, *flags):
-    # the modules a fresh interpreter has loaded after import casnuc.cli that
-    # satisfy condition (an expression in the module name m)
+def _loaded_by_cli_import(condition, *flags, runs=()):
+    # the modules a fresh interpreter has loaded after import casnuc.cli, and
+    # after cli.run of each argv in runs (each must exit 0), that satisfy
+    # condition (an expression in the module name m)
     src = Path(__file__).resolve().parents[1] / "src"
-    probe = f"import casnuc.cli, sys; print(sorted(m for m in sys.modules if {condition}))"
+    probe = ("import casnuc.cli, sys\n"
+             f"if any(casnuc.cli.run(argv) for argv in {list(runs)!r}): sys.exit('a run failed')\n"
+             f"print(sorted(m for m in sys.modules if {condition}))")
     env = dict(os.environ, PYTHONPATH=str(src))
     result = subprocess.run(
         [sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True,
         check=True,
     )
-    return result.stdout.strip()
+    return result.stdout.strip().splitlines()[-1]
 
 
 class TestImports:
@@ -730,5 +742,14 @@ class TestImports:
 
     def test_cli_skips_heavy_modules_without_site(self):
         # without site nothing else preloads tempfile or typing
-        condition = "m in ('dataclasses', 'inspect', 'tempfile', 'typing')"
+        condition = "m in ('dataclasses', 'html', 'inspect', 'tempfile', 'typing')"
         assert _loaded_by_cli_import(condition, "-S") == "[]"
+
+    def test_matsubara_tail_loads_on_first_use(self):
+        # coupled sums settle within their direct terms; a state pinned at
+        # 100 fm, swept at 1-3 fm, reaches the Euler-Maclaurin tail
+        tail = "m == 'casnuc._matsubara_tail'"
+        coupled = [["sweep"], ["sweep", "--method", "full"]]
+        assert _loaded_by_cli_import(tail, runs=coupled) == "[]"
+        pinned = ["sweep", "--method", "full", "--mode", "fixed", "--Linit", "100"]
+        assert _loaded_by_cli_import(tail, runs=[pinned]) == "['casnuc._matsubara_tail']"

@@ -419,7 +419,9 @@ class TestMatsubaraTail:
         s = plasma_state_from_distance(L, SPIN)
         xi_1 = 2.0 * math.pi * K_B * s.T / HBAR
         total = 0.0
-        for n, (term, root, xi) in enumerate(lifshitz._finite_freq_terms(L, s.T, s.rho, 1), 1):
+        scales = lifshitz._finite_freq_scales(L, s.T, s.rho)
+        for n in range(1, 1000):
+            term, root, xi = lifshitz._finite_freq_term(n, L, *scales)
             total += term
             if abs(term) * root <= 1e-12 * L * xi_1 / C * xi * abs(total):
                 break
