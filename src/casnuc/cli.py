@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import warnings
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
 
@@ -35,9 +34,19 @@ _CHECK_L_MIN_FM = 0.1
 _CHECK_L_MAX_FM = 100.0
 
 
+def _parse_bool(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(raw)
+
+
 class _Opt(namedtuple("_Opt", "dest kind default choices help", defaults=(None, None, ""))):
-    """One option of a subcommand: kind is float | int | str | bool, and the
-    flag is --dest with each _ as -."""
+    """One option of a subcommand: kind converts its text (float, int, str or
+    _parse_bool, the one kind that is a flag), and the flag is --dest with
+    each _ as -."""
 
     __slots__ = ()
 
@@ -47,39 +56,39 @@ class _Opt(namedtuple("_Opt", "dest kind default choices help", defaults=(None, 
 
 
 # every subcommand takes --out; only the two that write tables take --format
-_OUT = _Opt("out", "str", None, help="output path (atomic write); stdout if omitted")
-_TABLE_OUTPUT = [_OUT, _Opt("format", "str", "csv", ("csv", "json"), help="csv|json")]
+_OUT = _Opt("out", str, None, help="output path (atomic write); stdout if omitted")
+_TABLE_OUTPUT = [_OUT, _Opt("format", str, "csv", ("csv", "json"), help="csv|json")]
 
-_L = _Opt("L", "float", 1.0, help="plate separation [fm]")
-_R = _Opt("R", "float", R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]")
-_CONVENTION = _Opt("convention", "str", "table", plasma.CONVENTIONS)
+_L = _Opt("L", float, 1.0, help="plate separation [fm]")
+_R = _Opt("R", float, R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]")
+_CONVENTION = _Opt("convention", str, "table", plasma.CONVENTIONS)
 _GRID = [
-    _Opt("Lmin", "float", 1.0, help="smallest separation [fm]"),
-    _Opt("Lmax", "float", 3.0, help="largest separation [fm]"),
-    _Opt("points", "int", 41),
+    _Opt("Lmin", float, 1.0, help="smallest separation [fm]"),
+    _Opt("Lmax", float, 3.0, help="largest separation [fm]"),
+    _Opt("points", int, 41),
 ]
 # the model kinds of the subcommands without --H: the field kind needs it
 _NO_FIELD_KINDS = ("unity", "spin")
-_MU_MODEL = _Opt("mu_model", "str", "spin", _NO_FIELD_KINDS)
+_MU_MODEL = _Opt("mu_model", str, "spin", _NO_FIELD_KINDS)
 
 _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
     "constants": [_OUT],
     "state": [
         _L,
-        _Opt("mu_model", "str", "spin", plasma.MODEL_KINDS),
-        _Opt("H", "float", 0.0, help="applied field [A/m], field model only"),
+        _Opt("mu_model", str, "spin", plasma.MODEL_KINDS),
+        _Opt("H", float, 0.0, help="applied field [A/m], field model only"),
         _CONVENTION,
         _OUT,
     ],
     "table": [
-        _Opt("which", "int", 2, (1, 2), help="1: closed-form check, 2: state table"),
+        _Opt("which", int, 2, (1, 2), help="1: closed-form check, 2: state table"),
     ] + _TABLE_OUTPUT,
     "sweep": _GRID + [
         _MU_MODEL,
-        _Opt("mode", "str", "coupled", lifshitz.SWEEP_MODES),
+        _Opt("mode", str, "coupled", lifshitz.SWEEP_MODES),
         _R,
-        _Opt("method", "str", "asymptote", lifshitz.SWEEP_METHODS),
-        _Opt("Linit", "float", None,
+        _Opt("method", str, "asymptote", lifshitz.SWEEP_METHODS),
+        _Opt("Linit", float, None,
              help="fixed mode: separation the state is pinned at [fm]; default Lmin"),
         _CONVENTION,
     ] + _TABLE_OUTPUT,
@@ -87,16 +96,16 @@ _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
     "meson": [_L, _MU_MODEL, _CONVENTION, _OUT],
     "linewidth": [
         _L,
-        _Opt("q_ratio", "float", 0.1, help="wavevector over q_F"),
-        _Opt("total_density", "bool", False,
+        _Opt("q_ratio", float, 0.1, help="wavevector over q_F"),
+        _Opt("total_density", _parse_bool, False,
              help="use the full pair density instead of the per-species half"),
         _OUT,
     ],
     "plot": [
-        _Opt("which", "int", 1, (1, 2), help="1: zero-freq comparison, 2: breakdown"),
+        _Opt("which", int, 1, (1, 2), help="1: zero-freq comparison, 2: breakdown"),
     ] + _GRID + [
         _R,
-        _Opt("mu_model", "str", "unity", _NO_FIELD_KINDS,
+        _Opt("mu_model", str, "unity", _NO_FIELD_KINDS,
              help="permeability model for the breakdown plot"),
         _CONVENTION,
         _OUT,
@@ -116,7 +125,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, opts in _SUBCOMMAND_OPTS.items():
         p = sub.add_parser(name)
         for o in opts:
-            if o.kind == "bool":
+            if o.kind is _parse_bool:
                 p.add_argument(o.flag, dest=o.dest, action="store_const", const=True,
                                default=None, help=o.help)
             else:
@@ -127,31 +136,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise DomainError(f"cannot interpret {raw!r} as a boolean")
-
-
 def _coerce(opt: _Opt, raw: object) -> object:
-    if raw is None:
-        return None
-    if isinstance(raw, bool):
+    if raw is None or isinstance(raw, bool):
         return raw
     text = str(raw)
-    value: object = text
     try:
-        if opt.kind == "float":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ValueError("non-finite")
-        elif opt.kind == "int":
-            value = int(text)
-        elif opt.kind == "bool":
-            value = _parse_bool(text)
+        value = opt.kind(text)
+        if opt.kind is float and not math.isfinite(value):
+            raise ValueError("non-finite")
     except ValueError as exc:
         raise DomainError(f"bad value for {opt.flag}: {text!r}") from exc
     if opt.choices is not None and value not in opt.choices:
@@ -229,10 +221,7 @@ def _json_text(obj: object, newline: str) -> str:
     if isinstance(obj, dict) and obj:
         items = (json.dumps(key) + ": " + _json_text(value, inner) for key, value in obj.items())
         return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if isinstance(obj, list) and obj:
-        items = (_json_text(value, inner) for value in obj)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    return json.dumps(obj)  # str, int, bool, None, {} or []
+    return json.dumps(obj)  # str, int, bool, None or {}
 
 
 def _json_document(obj: object) -> str:
@@ -387,12 +376,8 @@ def _cmd_linewidth(params: dict[str, object]) -> str:
     rho = plasma.density_from_distance(L)
     use_total = params["total_density"]
     n = rho if use_total else 0.5 * rho
-    eps_f, q_f = nuclear.fermi_quantities(n)
-    r, bracket = nuclear.linewidth_bracket(n)
-    with warnings.catch_warnings():
-        # the negative-bracket caveat is reported as a JSON field instead
-        warnings.simplefilter("ignore")
-        width = nuclear.plasmon_linewidth(n, params["q_ratio"])
+    # the negative-bracket caveat is reported as a JSON field, not a warning
+    eps_f, q_f, r, bracket, width = nuclear._plasmon_linewidth(n, params["q_ratio"])
     return _json_document(
         {
             "L_fm": params["L"],
@@ -453,25 +438,21 @@ def _write_output(document: str, path: str | None) -> None:
         return
     if not path:
         raise DomainError("--out must name a file, got ''")
-    import tempfile  # only --out needs it; a cold process without it starts faster
-
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)  # read the umask: setting it is the only way
-    os.umask(umask)
-    tmp_path = None
+    tmp_path = os.path.join(directory, ".casnuc-tmp-" + os.urandom(8).hex())
+    fd = None
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".casnuc-tmp-")
+        # 0o666 is the mode a shell redirect gives: the kernel applies the umask
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(document)
-            # mkstemp makes the file 0600; give it the mode a shell redirect would
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException as exc:
-        if tmp_path is not None:
+        if fd is not None:  # the temporary file is ours to remove
             try:
                 os.unlink(tmp_path)
             except OSError:
-                pass
+                pass  # the original error is the one to report
         if isinstance(exc, OSError):
             # name the path asked for, not the random temporary file
             raise OSError(exc.errno, exc.strerror, path) from exc

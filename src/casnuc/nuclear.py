@@ -1,10 +1,16 @@
 """Nuclear-scale energy balance: ideal Casimir attraction vs Coulomb
 repulsion, the resulting equilibrium separation, and the effective-meson
-quantities carried by the screened zero-frequency interaction."""
+quantities carried by the screened zero-frequency interaction.
+
+The plasmon linewidth has one evaluator, _plasmon_linewidth, which returns
+the Fermi quantities, r, the bracket and the width together;
+linewidth_bracket, plasmon_linewidth and the linewidth subcommand read
+from it."""
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 
@@ -26,8 +32,10 @@ class EquilibriumResult(namedtuple("EquilibriumResult", "D x_tilde L_eq residual
 class YukawaQuantities(namedtuple("YukawaQuantities",
                                   "meson_mass_energy screening_length kappa_source")):
     """Effective-meson view of the screened zero-frequency interaction: rest
-    energy meson_mass_energy = 2 hbar c kappa [J], screening_length = hbar c /
-    mass energy [m], and kappa_source, the wavevector the two derive from [1/m]."""
+    energy meson_mass_energy = 2 hbar sqrt(mu_ep) omega_ep [J] (equal to
+    2 hbar c kappa up to rounding), screening_length = hbar c / mass energy
+    [m], and kappa_source, the screening wavevector kappa of the same state
+    [1/m], computed separately by lifshitz.screening_wavevector."""
 
     __slots__ = ()
 
@@ -94,6 +102,9 @@ def equilibrium_distance(R: float) -> EquilibriumResult:
     """
     if not R > 0.0:
         raise DomainError(f"radius must be positive, got {R}")
+    if R < sys.float_info.min:
+        # a subnormal R carries too few significant bits for x R
+        raise DomainError(f"radius too small: R = {R} m is subnormal")
     D = math.pi**4 * EPS_0 * HBAR_C / (180.0 * E_CHARGE**2)
     x = solve_balance_cubic(D)
     return EquilibriumResult(
@@ -145,15 +156,25 @@ def fermi_quantities(n: float) -> tuple[float, float]:
     return eps_f, q_f
 
 
+def _plasmon_linewidth(n: float, q_ratio: float) -> tuple[float, float, float, float, float]:
+    # the one linewidth evaluator: (eps_F, q_F, r, bracket, width) at density
+    # n, with r = hbar omega_p/(2 eps_F) and omega_p at that same n
+    eps_f, q_f = fermi_quantities(n)
+    r = HBAR * plasma_frequency(n) / (2.0 * eps_f)
+    bracket = 10.0 * math.log(2.0) + 2.0 - 4.5 * r
+    # both density checks come first, as the linewidth subcommand reports them
+    if q_ratio < 0.0:
+        raise DomainError(f"q_ratio must be non-negative, got {q_ratio}")
+    return eps_f, q_f, r, bracket, 6.0 * math.pi / 5.0 * eps_f * q_ratio**2 * r**3 * bracket
+
+
 def linewidth_bracket(n: float) -> tuple[float, float]:
     """(hbar omega_p/(2 eps_F), bracket) entering the plasmon linewidth.
 
     The bracket 10 ln 2 + 2 - 4.5 r goes negative for r > ~1.985, outside
     the regime the damping expression was built for.
     """
-    eps_f, _ = fermi_quantities(n)
-    r = HBAR * plasma_frequency(n) / (2.0 * eps_f)
-    return r, 10.0 * math.log(2.0) + 2.0 - 4.5 * r
+    return _plasmon_linewidth(n, 0.0)[2:4]
 
 
 def plasmon_linewidth(n: float, q_ratio: float) -> float:
@@ -164,15 +185,10 @@ def plasmon_linewidth(n: float, q_ratio: float) -> float:
     the Fermi quantities use.  A negative bracket (r beyond ~1.985) is
     outside the expansion's validity and triggers a warning.
     """
-    if not n > 0.0:
-        raise DomainError(f"density must be positive, got {n}")
-    if q_ratio < 0.0:
-        raise DomainError(f"q_ratio must be non-negative, got {q_ratio}")
-    eps_f, _ = fermi_quantities(n)
-    r, bracket = linewidth_bracket(n)
+    _, _, r, bracket, width = _plasmon_linewidth(n, q_ratio)
     if bracket < 0.0:
         warnings.warn(
             f"linewidth bracket negative (r={r:.4g}); expansion out of regime",
             stacklevel=2,
         )
-    return 6.0 * math.pi / 5.0 * eps_f * q_ratio**2 * r**3 * bracket
+    return width

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -93,6 +94,9 @@ HOSTILE_ARGV = [
     (["sweep", "--mode", "fixed", "--Linit", "1e-310"], 2,
      "separation too small: L_init = 1e-310 fm underflows"),
     (["equilibrium", "--R", "1e-310"], 2, "plate radius too small: R = 1e-310 fm underflows"),
+    # a subnormal radius in metres has too few bits for L_eq = x R
+    (["equilibrium", "--R", "3e-309"], 2, "radius too small: R = 5e-324 m is subnormal"),
+    (["equilibrium", "--R", "2.2e-293"], 2, "radius too small: R = 2.2e-308 m is subnormal"),
 ]
 HOSTILE_MESSAGES = {tuple(argv): message for argv, _, message in HOSTILE_ARGV}
 
@@ -502,6 +506,28 @@ class TestPrecedence:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("raw, convention", [
+        ("yes", "total"), (" TRUE ", "total"), ("off", "per_species"),
+    ])
+    def test_env_bool(self, raw, convention, capsys, monkeypatch):
+        monkeypatch.setenv("CASNUC_TOTAL_DENSITY", raw)
+        code, out, _ = run_cli(["linewidth"], capsys)
+        assert code == 0
+        assert json.loads(out)["density_convention"] == convention
+
+    def test_env_bool_rejects_other_words(self, capsys, monkeypatch):
+        monkeypatch.setenv("CASNUC_TOTAL_DENSITY", "maybe")
+        code, out, err = run_cli(["linewidth"], capsys)
+        assert (code, out) == (2, "")
+        assert "casnuc: error: bad value for --total-density: 'maybe'" in err
+
+    def test_config_bool(self, capsys, tmp_path):
+        cfg = tmp_path / "bool.cfg"
+        cfg.write_text("total_density = on\n")
+        code, out, _ = run_cli(["linewidth", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["density_convention"] == "total"
+
     def test_invalid_format_for_subcommand(self, capsys):
         code, _, err = run_cli(["equilibrium", "--format", "csv"], capsys)
         assert code == 2
@@ -575,6 +601,26 @@ class TestOutput:
         assert ".casnuc-tmp-" not in err
         assert sorted(tmp_path.rglob("*")) == [work, work / "existing"]
 
+    def test_run_leaves_process_state_alone(self, capsys, tmp_path, monkeypatch):
+        # cli.run also runs in-process: it neither sets the umask nor swaps
+        # the warning filters, and a negative bracket does not warn
+        def forbidden(*args, **kwargs):
+            raise AssertionError("cli.run changed process-wide state")
+
+        # the patches are undone before a failure is reported, which pytest
+        # does under warnings.catch_warnings
+        with warnings.catch_warnings(), monkeypatch.context() as patch:
+            warnings.simplefilter("error")
+            patch.setattr(os, "umask", forbidden)
+            patch.setattr(warnings, "catch_warnings", forbidden)
+            code, out, err = run_cli(["linewidth", "--L", "1e6"], capsys)
+            assert code == 0, err
+            assert json.loads(out)["bracket_negative"] is True
+            target = tmp_path / "s.csv"
+            code, _, err = run_cli(["sweep", "--points", "3", "--out", str(target)], capsys)
+            assert code == 0, err
+            assert target.read_text().startswith("L_fm,")
+
     def test_overwrite_existing(self, capsys, tmp_path):
         target = tmp_path / "t.csv"
         target.write_text("stale")
@@ -636,12 +682,12 @@ _HOSTILE_FLOATS = st.integers(0, 3).flatmap(
 
 
 def _hostile_value(opt):
-    if opt.kind == "float":
+    if opt.kind is float:
         return _HOSTILE_FLOATS.map(repr)
-    if opt.kind == "int":
+    if opt.kind is int:
         # at most 3 grid points keeps every example cheap; 1 reaches --which 1
         return st.sampled_from(["1", "2", "3", "2", "3", "0", str(10**20)])
-    if opt.kind == "bool":
+    if opt.kind is cli._parse_bool:
         return st.just(None)
     return st.sampled_from(list(opt.choices) * 3 + ["bogus"])
 
@@ -740,10 +786,12 @@ class TestImports:
     def test_cli_skips_dataclasses_and_inspect(self):
         assert _loaded_by_cli_import("m in ('dataclasses', 'inspect')") == "[]"
 
-    def test_cli_skips_heavy_modules_without_site(self):
-        # without site nothing else preloads tempfile or typing
-        condition = "m in ('dataclasses', 'html', 'inspect', 'tempfile', 'typing')"
-        assert _loaded_by_cli_import(condition, "-S") == "[]"
+    def test_cli_skips_heavy_modules_without_site(self, tmp_path):
+        # without site nothing else preloads tempfile, random or typing; --out
+        # needs neither tempfile nor random
+        condition = "m in ('dataclasses', 'html', 'inspect', 'random', 'tempfile', 'typing')"
+        runs = [["constants", "--out", str(tmp_path / "c.json")]]
+        assert _loaded_by_cli_import(condition, "-S", runs=runs) == "[]"
 
     def test_matsubara_tail_loads_on_first_use(self):
         # coupled sums settle within their direct terms; a state pinned at

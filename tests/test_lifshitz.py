@@ -181,6 +181,10 @@ class TestZeroFreqAsymptote:
         nonmagnetic = zero_freq_asymptote(screening_wavevector(rho, 1.0), L, T)
         assert abs(magnetic) < 1e-4 * abs(nonmagnetic)
 
+    def test_screening_wavevector_domain(self):
+        with pytest.raises(DomainError, match="mu_ep must be >= 1"):
+            screening_wavevector(1e43, 0.5)
+
     def test_kappa_zero_rejected(self):
         with pytest.raises(DomainError):
             zero_freq_asymptote(0.0, 1e-15, 8.7e11)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -142,6 +143,15 @@ class TestEquilibrium:
     def test_domain(self):
         with pytest.raises(DomainError):
             equilibrium_distance(0.0)
+
+    def test_subnormal_radius(self):
+        # x R would keep only the few bits of a subnormal R
+        with pytest.raises(DomainError, match="radius too small"):
+            equilibrium_distance(3e-324)
+        with pytest.raises(DomainError, match="radius too small"):
+            equilibrium_distance(sys.float_info.min / 2.0)
+        res = equilibrium_distance(sys.float_info.min)
+        assert res.L_eq == res.x_tilde * sys.float_info.min
 
 
 class TestMesonMass:

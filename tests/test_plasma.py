@@ -372,6 +372,10 @@ class TestClosedForms:
             assert closed["omega_ep_rad_s"] == pytest.approx(s.omega_ep, rel=1e-12)
             assert closed["mu_ep"] == pytest.approx(s.mu_ep, rel=1e-12)
 
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            distance_closed_forms(0.0)
+
 
 def test_assumption_metadata_reports_relativistic_regime():
     s = plasma_state_from_distance(1e-15)

@@ -47,6 +47,16 @@ def test_constant_series_renders_flat_line():
     assert len(ys) == 1
 
 
+def test_constant_abscissa_renders():
+    # a degenerate x-range expands like a degenerate y-range
+    doc = render_line_chart([("point", [2.0, 2.0], [1.0, 3.0])], "x", "y")
+    start = doc.index("<polyline")
+    points_attr = doc[start:].split('points="', 1)[1].split('"', 1)[0]
+    xs = {pair.split(",")[0] for pair in points_attr.split()}
+    assert len(xs) == 1
+    assert doc.endswith("</svg>\n")
+
+
 def test_validation_errors():
     with pytest.raises(DomainError):
         render_line_chart([], "x", "y")
