@@ -4,7 +4,7 @@ The exact series evaluation is compared against independent adaptive
 quadrature over a grid of screening strengths, then against its own
 large-screening asymptote, and finally the magnetic enhancement of the
 screening wavevector is applied at the physical state.  The quadrature
-needs scipy, which casnuc itself does not.
+needs mpmath, which casnuc itself does not.
 """
 
 import math
@@ -25,21 +25,14 @@ def pair_energy_mev(f_per_area: float) -> float:
 
 
 def main() -> None:
-    from scipy.integrate import quad
-
-    def integrand(u: float) -> float:
-        # u ln(1 - e^-u), with the log taken stably on either side of ln 2
-        if u <= 0.0:
-            return 0.0
-        if u < math.log(2.0):
-            return u * math.log(-math.expm1(-u))
-        return u * math.log1p(-math.exp(-u))
+    import mpmath as mp
 
     def quadrature(kappa: float, L: float, T: float) -> float:
         # (k_B T / 8 pi L^2) int_a^(a+60) u ln(1 - e^-u) du, a = 2 kappa L
         a = 2.0 * kappa * L
-        value, _ = quad(integrand, a, a + 60.0, epsabs=0.0, epsrel=1e-10, limit=200)
-        return K_B * T / (8.0 * math.pi * L * L) * value
+        with mp.workdps(25):
+            value = mp.quad(lambda u: u * mp.log1p(-mp.exp(-u)), [a, a + 60.0])
+        return K_B * T / (8.0 * math.pi * L * L) * float(value)
 
     L = M_PER_FM
     state = plasma_state_from_distance(L, PermeabilityModel("unity"))

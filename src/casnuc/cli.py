@@ -32,6 +32,8 @@ TABLE2_GRID_FM = (1.0, 1.5, 2.0, 2.6, 3.0)
 _CHECK_GRID_POINTS = 25
 _CHECK_L_MIN_FM = 0.1
 _CHECK_L_MAX_FM = 100.0
+# the column names of the PlasmaState fields after L, in both tables
+_STATE_KEYS = ("T_K", "rho_m3", "omega_ep_rad_s", "mu_ep")
 
 
 def _parse_bool(raw: str) -> bool:
@@ -284,25 +286,18 @@ def _cmd_table(params: dict[str, object]) -> str:
     # --which 2 is the five-row state table, --which 1 the closed-form vs
     # composed-pipeline consistency report
     if params["which"] == 2:
-        header = ["L_fm", "T_K", "rho_m3", "omega_ep_rad_s", "mu_ep"]
-        rows: list[list[object]] = []
-        for L_fm in TABLE2_GRID_FM:
-            s = plasma.plasma_state_from_distance(L_fm * M_PER_FM)
-            rows.append([L_fm, s.T, s.rho, s.omega_ep, s.mu_ep])
-        return _table_document(header, rows, params["format"])
+        rows = [[L_fm, *plasma.plasma_state_from_distance(L_fm * M_PER_FM)[1:]]
+                for L_fm in TABLE2_GRID_FM]
+        return _table_document(["L_fm", *_STATE_KEYS], rows, params["format"])
     ratio = (_CHECK_L_MAX_FM / _CHECK_L_MIN_FM) ** (1.0 / (_CHECK_GRID_POINTS - 1))
-    deviations = {k: 0.0 for k in ("T_K", "rho_m3", "omega_ep_rad_s", "mu_ep")}
+    worst = [0.0] * len(_STATE_KEYS)
     for i in range(_CHECK_GRID_POINTS):
         L = _CHECK_L_MIN_FM * ratio**i * M_PER_FM
         closed = plasma.distance_closed_forms(L)
-        s = plasma.plasma_state_from_distance(L)
-        composed = {
-            "T_K": s.T, "rho_m3": s.rho, "omega_ep_rad_s": s.omega_ep,
-            "mu_ep": s.mu_ep,
-        }
-        for key, dev in deviations.items():
-            rel = abs(closed[key] - composed[key]) / abs(composed[key])
-            deviations[key] = max(dev, rel)
+        composed = plasma.plasma_state_from_distance(L)
+        worst = [max(dev, abs(c - p) / abs(p))
+                 for dev, c, p in zip(worst, closed[1:], composed[1:])]
+    deviations = dict(zip(_STATE_KEYS, worst))
     if params["format"] == "json":
         # the report as one object with its grid, not as a list of rows
         return _json_document(

@@ -1,7 +1,7 @@
 """Physical constants used throughout the package.
 
 CODATA-2018 values, hard coded at full published precision so that results
-do not drift with the installed scipy version.  All values are SI.
+do not drift with any other library's constants.  All values are SI.
 """
 
 from __future__ import annotations

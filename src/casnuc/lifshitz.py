@@ -237,7 +237,7 @@ def _finite_freq_term(n: int, L: float, omega: float, prefactor: float,
 
 
 def matsubara_term(
-    n: int, L: float, T: float, rho: float, model: PermeabilityModel | None = None
+    n: int, L: float, T: float, rho: float, model: PermeabilityModel = PermeabilityModel()
 ) -> float:
     """Single Matsubara term of the free energy per area (n = 0 at half weight).
 
@@ -250,7 +250,7 @@ def matsubara_term(
     if n > 0:
         return _finite_freq_term(n, L, *_finite_freq_scales(L, T, rho))[0]
     _check_state(L, T, rho)
-    mu = (model or PermeabilityModel()).static_mu(rho, T)
+    mu = model.static_mu(rho, T)
     return zero_freq_exact(screening_wavevector(rho, mu), L, T)
 
 
@@ -305,7 +305,7 @@ def finite_freq_sum(L: float, T: float, rho: float) -> float:
 
 
 def full_matsubara(
-    L: float, T: float, rho: float, model: PermeabilityModel | None = None
+    L: float, T: float, rho: float, model: PermeabilityModel = PermeabilityModel()
 ) -> float:
     """Full Lifshitz free energy per area between perfect conductors.
 
@@ -324,7 +324,7 @@ def screening_wavevector(rho: float, mu_ep: float) -> float:
 
 
 def distance_coupled_breakdown(
-    L: float, model: PermeabilityModel | None = None
+    L: float, model: PermeabilityModel = PermeabilityModel()
 ) -> FreeEnergyBreakdown:
     """Free-energy breakdown with every state variable eliminated in favor of L.
 
@@ -342,8 +342,6 @@ def distance_coupled_breakdown(
     1.2e-63 m (spin) or 2.9e-88 m (unity) they are not finite: DomainError.
     """
     cube = _separation_cube(L)
-    if model is None:
-        model = PermeabilityModel()
     denominator = 2.0 * cube * M_E
     if denominator < sys.float_info.min:
         raise DomainError(f"separation too small: L = {L} m, 2 L^3 m_e underflows")

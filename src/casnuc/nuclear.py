@@ -165,7 +165,11 @@ def _plasmon_linewidth(n: float, q_ratio: float) -> tuple[float, float, float, f
     # both density checks come first, as the linewidth subcommand reports them
     if q_ratio < 0.0:
         raise DomainError(f"q_ratio must be non-negative, got {q_ratio}")
-    return eps_f, q_f, r, bracket, 6.0 * math.pi / 5.0 * eps_f * q_ratio**2 * r**3 * bracket
+    try:
+        q2 = q_ratio**2
+    except OverflowError:
+        raise DomainError(f"q_ratio too large: q_ratio = {q_ratio}, q_ratio^2 overflows") from None
+    return eps_f, q_f, r, bracket, 6.0 * math.pi / 5.0 * eps_f * q2 * r**3 * bracket
 
 
 def linewidth_bracket(n: float) -> tuple[float, float]:

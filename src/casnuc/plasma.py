@@ -169,11 +169,9 @@ def _saturation(y: float) -> float:
 
 
 def plasma_state_from_distance(
-    L: float, model: PermeabilityModel | None = None
+    L: float, model: PermeabilityModel = PermeabilityModel()
 ) -> PlasmaState:
     """Full plasma record at separation L under the chosen permeability model."""
-    if model is None:
-        model = PermeabilityModel()
     T = temperature_from_distance(L)
     rho = density_from_distance(L)
     omega = plasma_frequency(rho)
@@ -181,12 +179,13 @@ def plasma_state_from_distance(
     return PlasmaState(L=L, T=T, rho=rho, omega_ep=omega, mu_ep=mu)
 
 
-def distance_closed_forms(L: float) -> dict[str, float]:
-    """The four closed-form distance expressions for (T, rho, omega_ep, mu_ep).
+def distance_closed_forms(L: float) -> PlasmaState:
+    """The PlasmaState at L from the four closed-form distance expressions.
 
-    These are the tabulated single-formula versions of the composed pipeline;
-    distance_closed_forms and plasma_state_from_distance must agree to
-    rounding.  mu_ep uses the table convention.
+    These are the tabulated single-formula versions of (T, rho, omega_ep,
+    mu_ep) in the composed pipeline; distance_closed_forms and
+    plasma_state_from_distance must agree to rounding.  mu_ep uses the
+    table convention.
     """
     if not L > 0.0:
         raise DomainError(f"separation must be positive, got {L}")
@@ -196,7 +195,7 @@ def distance_closed_forms(L: float) -> dict[str, float]:
         E_CHARGE**2 * ZETA_3 / (2.0 * M_E * EPS_0 * L**3)
     )
     mu = PermeabilityModel().coupled_mu(L)
-    return {"T_K": T, "rho_m3": rho, "omega_ep_rad_s": omega, "mu_ep": mu}
+    return PlasmaState(L, T, rho, omega, mu)
 
 
 def _distance_susceptibility(L: float) -> float:

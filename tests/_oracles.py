@@ -1,27 +1,19 @@
 """Independent oracles for the test suite (not collected by pytest).
 
-scipy is a test-only dependency: the package itself imports nothing beyond
-the standard library.
+Every reference computation here uses the standard library or mpmath, a
+test-only dependency: the package itself imports nothing beyond the
+standard library.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.integrate import quad
+import mpmath as mp
 
 from casnuc.constants import HBAR_C, K_B, ZETA_3
 from casnuc.errors import ConvergenceError, DomainError, NumericalError
 from casnuc.nuclear import balance_cubic_residual
-
-_LN2 = math.log(2.0)
-
-
-def _log1mexp(u: float) -> float:
-    """log(1 - e^-u) for u > 0, stable at both ends."""
-    if u < _LN2:
-        return math.log(-math.expm1(-u))
-    return math.log1p(-math.exp(-u))
 
 
 def zero_freq_quadrature(kappa: float, L: float, T: float) -> float:
@@ -29,7 +21,9 @@ def zero_freq_quadrature(kappa: float, L: float, T: float) -> float:
 
     Independent oracle for zero_freq_exact: integrates
     (k_B T / 8 pi L^2) u ln(1 - e^-u) over u in [a, a + 60], a = 2 kappa L
-    (the integrand is below 1e-24 of its peak beyond the cap).
+    (the integrand is below 1e-24 of its peak beyond the cap), with mpmath's
+    tanh-sinh quadrature at 25 digits.  mp.quad's error target is absolute,
+    so the integrand is scaled by e^a to order one.
     """
     if kappa < 0.0:
         raise DomainError(f"kappa must be non-negative, got {kappa}")
@@ -38,16 +32,16 @@ def zero_freq_quadrature(kappa: float, L: float, T: float) -> float:
     a = 2.0 * kappa * L
     if a > 745.0:
         return 0.0
-
-    def integrand(u: float) -> float:
-        return u * _log1mexp(u) if u > 0.0 else 0.0
-
-    value, abserr = quad(integrand, a, a + 60.0, epsabs=0.0, epsrel=1e-10, limit=200)
+    with mp.workdps(25):
+        scale = mp.exp(a)
+        value, abserr = mp.quad(lambda u: scale * u * mp.log1p(-mp.exp(-u)), [a, a + 60.0],
+                                error=True)
+        value, abserr = value / scale, abserr / scale
     if value != 0.0 and abserr > 1e-6 * abs(value):
         raise ConvergenceError(
             f"quadrature failed to converge: a={a}, value={value}, abserr={abserr}"
         )
-    return K_B * T / (8.0 * math.pi * L * L) * value
+    return K_B * T / (8.0 * math.pi * L * L) * float(value)
 
 
 def zero_freq_series(kappa: float, L: float, T: float, terms: int | None = None) -> float:
@@ -132,8 +126,6 @@ def matsubara_j_sum(b: float) -> float:
     sum_j [b e^(-j b)/(j^2 (1 - e^(-j b))^2) + 1/(j^3 (e^(j b) - 1))],
     which mpmath's nsum extrapolates (30 digits).
     """
-    import mpmath as mp
-
     with mp.workdps(30):
         b = mp.mpf(b)
         value = mp.nsum(lambda j: b * mp.exp(-j * b) / (j**2 * mp.expm1(-j * b) ** 2)
@@ -151,8 +143,6 @@ def matsubara_sum_mpmath(b: float, nu: float, head: int = 40, order: int = 6) ->
     closed forms.  mpmath's nsum extrapolation is 0.999 off at b = 6e-6 and
     its own Euler-Maclaurin method takes 10-80 s a sum, hence this one.
     """
-    import mpmath as mp
-
     with mp.workdps(20):
         b, nu = mp.mpf(b), mp.mpf(nu)
 

@@ -97,6 +97,9 @@ HOSTILE_ARGV = [
     # a subnormal radius in metres has too few bits for L_eq = x R
     (["equilibrium", "--R", "3e-309"], 2, "radius too small: R = 5e-324 m is subnormal"),
     (["equilibrium", "--R", "2.2e-293"], 2, "radius too small: R = 2.2e-308 m is subnormal"),
+    # (q/q_F)^2 of the linewidth overflows above about 1.3e154
+    (["linewidth", "--q-ratio", "1e200"], 2,
+     "q_ratio too large: q_ratio = 1e+200, q_ratio^2 overflows"),
 ]
 HOSTILE_MESSAGES = {tuple(argv): message for argv, _, message in HOSTILE_ARGV}
 

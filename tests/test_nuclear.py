@@ -270,3 +270,7 @@ class TestPlasmonLinewidth:
             plasmon_linewidth(0.0, 0.1)
         with pytest.raises(DomainError):
             plasmon_linewidth(1e43, -0.1)
+
+    def test_q_ratio_whose_square_overflows(self):
+        with pytest.raises(DomainError, match=r"q_ratio too large: q_ratio = 1e\+200"):
+            plasmon_linewidth(1e43, 1e200)

@@ -367,10 +367,10 @@ class TestClosedForms:
             L = 0.1e-15 * (1000.0) ** (i / 24)
             closed = distance_closed_forms(L)
             s = plasma_state_from_distance(L)
-            assert closed["T_K"] == pytest.approx(s.T, rel=1e-12)
-            assert closed["rho_m3"] == pytest.approx(s.rho, rel=1e-12)
-            assert closed["omega_ep_rad_s"] == pytest.approx(s.omega_ep, rel=1e-12)
-            assert closed["mu_ep"] == pytest.approx(s.mu_ep, rel=1e-12)
+            assert closed.T == pytest.approx(s.T, rel=1e-12)
+            assert closed.rho == pytest.approx(s.rho, rel=1e-12)
+            assert closed.omega_ep == pytest.approx(s.omega_ep, rel=1e-12)
+            assert closed.mu_ep == pytest.approx(s.mu_ep, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):
