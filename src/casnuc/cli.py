@@ -11,12 +11,13 @@ layout.  Exit codes: 0 success, 2 usage/domain error, 3 numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from . import constants, lifshitz, nuclear, plasma, svgplot
 from ._version import __version__
@@ -115,6 +116,7 @@ _SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
 }
 
 
+@functools.cache  # one parser per process: run() only reads it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casnuc",
@@ -204,16 +206,6 @@ def _finite(value: float) -> float:
     return value + 0.0
 
 
-def _csv_document(header: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
-    # floats to 9 significant digits, scientific: lossless enough for
-    # regression CSVs; no cell holds a comma, quote or newline to quote
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(f"{_finite(v):.8e}" if isinstance(v, float) else str(v)
-                              for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def _json_text(obj: object, newline: str) -> str:
     # obj in exactly the json.dumps(indent=2) layout, nested at newline; json
     # escapes only the keys and strings
@@ -230,17 +222,35 @@ def _json_document(obj: object) -> str:
     return _json_text(obj, "\n") + "\n"
 
 
-def _table_document(header: Sequence[str], rows: Iterable[Iterable[object]], fmt: str) -> str:
-    """rows under header as CSV, or as a JSON list with one object per row."""
-    if fmt != "json":
-        return _csv_document(header, rows)
-    # _json_document([dict(zip(header, row)) for row in rows]), with each key
-    # escaped once per document rather than once per row
-    prefixes = [json.dumps(key) + ": " for key in header]
-    objects = ("{\n    " + ",\n    ".join(prefix + _json_text(value, "\n    ")
-                                         for prefix, value in zip(prefixes, row)) + "\n  }"
-               for row in rows)
-    return "[\n  " + ",\n  ".join(objects) + "\n]\n"
+def _table_document(header: Sequence[str], rows: Sequence[tuple[float, ...]], fmt: str) -> str:
+    """rows of floats under header as CSV, or as a JSON list with one object per row.
+
+    Each row is formatted by one % template, and _finite's two rules then run
+    on the formatted body, where each case has one spelling.
+    """
+    if fmt == "json":
+        # json.dumps([dict(zip(header, row)) for row in rows], indent=2) with
+        # each key escaped once per document; no key holds a %
+        fields = ",\n    ".join(json.dumps(key) + ": %r" for key in header)
+        head, template, sep, tail = "[\n  ", "{\n    " + fields + "\n  }", ",\n  ", "\n]\n"
+        non_finite = (": inf", ": -inf", ": nan")
+        negative_zeros = ((": -0.0,", ": 0.0,"), (": -0.0\n", ": 0.0\n"))
+    else:
+        # floats to 9 significant digits, scientific: lossless enough for
+        # regression CSVs; no cell holds a comma, quote or newline to quote
+        head, sep, tail = ",".join(header) + "\n", "\n", "\n"
+        template = ",".join(["%.8e"] * len(header))
+        non_finite = ("n",)  # of inf and nan: %.8e spells a finite float with no n
+        negative_zeros = (("-0.00000000e+00", "0.00000000e+00"),)
+    body = sep.join(map(template.__mod__, rows))
+    if any(marker in body for marker in non_finite):
+        for row in rows:  # name the first non-finite value, in row order
+            for value in row:
+                _finite(value)
+    for negative, zero in negative_zeros:
+        if negative in body:
+            body = body.replace(negative, zero)
+    return "".join((head, body, tail))
 
 
 def _cmd_constants(params: dict[str, object]) -> str:
@@ -286,7 +296,7 @@ def _cmd_table(params: dict[str, object]) -> str:
     # --which 2 is the five-row state table, --which 1 the closed-form vs
     # composed-pipeline consistency report
     if params["which"] == 2:
-        rows = [[L_fm, *plasma.plasma_state_from_distance(L_fm * M_PER_FM)[1:]]
+        rows = [(L_fm, *plasma.plasma_state_from_distance(L_fm * M_PER_FM)[1:])
                 for L_fm in TABLE2_GRID_FM]
         return _table_document(["L_fm", *_STATE_KEYS], rows, params["format"])
     ratio = (_CHECK_L_MAX_FM / _CHECK_L_MIN_FM) ** (1.0 / (_CHECK_GRID_POINTS - 1))
@@ -308,7 +318,8 @@ def _cmd_table(params: dict[str, object]) -> str:
                 "max_rel_dev": deviations,
             }
         )
-    return _csv_document(["quantity", "max_rel_dev"], [[k, v] for k, v in deviations.items()])
+    return "quantity,max_rel_dev\n" + "".join(f"{key},{_finite(dev):.8e}\n"
+                                               for key, dev in deviations.items())
 
 
 def _sweep_spec(params: dict[str, object]) -> lifshitz.SweepSpec:

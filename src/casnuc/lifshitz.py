@@ -200,6 +200,8 @@ def zero_freq_asymptote(kappa: float, L: float, T: float) -> float:
 def _check_state(L: float, T: float, rho: float) -> None:
     if not L > 0.0 or not T > 0.0:
         raise DomainError(f"L and T must be positive, got L={L}, T={T}")
+    if L * L < sys.float_info.min:  # the n >= 0 prefactors divide by L^2
+        raise DomainError(f"separation too small: L = {L} m, L^2 underflows")
     if rho < 0.0:
         raise DomainError(f"density must be non-negative, got {rho}")
 

@@ -169,7 +169,11 @@ def _plasmon_linewidth(n: float, q_ratio: float) -> tuple[float, float, float, f
         q2 = q_ratio**2
     except OverflowError:
         raise DomainError(f"q_ratio too large: q_ratio = {q_ratio}, q_ratio^2 overflows") from None
-    return eps_f, q_f, r, bracket, 6.0 * math.pi / 5.0 * eps_f * q2 * r**3 * bracket
+    width = 6.0 * math.pi / 5.0 * eps_f * q2 * r**3 * bracket
+    if not math.isfinite(width):  # eps_F r^3 grows as n^(1/6): dense, it overflows first
+        raise DomainError(f"q_ratio too large: q_ratio = {q_ratio}, the linewidth at n = {n} "
+                          "m^-3 overflows")
+    return eps_f, q_f, r, bracket, width
 
 
 def linewidth_bracket(n: float) -> tuple[float, float]:

@@ -7,6 +7,7 @@ standard library.
 
 from __future__ import annotations
 
+import json
 import math
 
 import mpmath as mp
@@ -157,3 +158,24 @@ def matsubara_sum_mpmath(b: float, nu: float, head: int = 40, order: int = 6) ->
         for k in range(1, order + 1):
             total -= mp.bernoulli(2 * k) / (2 * k) * derivatives[2 * k - 1]
     return float(total)
+
+
+def table_document_per_value(header, rows, fmt: str) -> str:
+    """Oracle for cli._table_document: the same table written one value at a
+    time, each value through the CLI's two output rules (a non-finite value
+    raises NumericalError naming it, -0.0 prints as 0.0).
+
+    CSV cells carry 9 significant digits; JSON is json.dumps(indent=2) of one
+    object per row.
+    """
+    def finite(value: float) -> float:
+        if not math.isfinite(value):
+            raise NumericalError(f"non-finite value in output: {value}")
+        return value + 0.0
+
+    if fmt == "json":
+        objects = [{key: finite(value) for key, value in zip(header, row)} for row in rows]
+        return json.dumps(objects, indent=2) + "\n"
+    lines = [",".join(header)]
+    lines += [",".join(f"{finite(value):.8e}" for value in row) for row in rows]
+    return "\n".join(lines) + "\n"

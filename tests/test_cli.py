@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from _oracles import table_document_per_value
 from casnuc import cli, lifshitz, plasma
+from casnuc.errors import NumericalError
 from casnuc.lifshitz import FreeEnergyBreakdown
 
 
@@ -100,6 +102,12 @@ HOSTILE_ARGV = [
     # (q/q_F)^2 of the linewidth overflows above about 1.3e154
     (["linewidth", "--q-ratio", "1e200"], 2,
      "q_ratio too large: q_ratio = 1e+200, q_ratio^2 overflows"),
+    # eps_F r^3 grows as n^(1/6): at 1e-60 fm the width overflows below that edge
+    (["linewidth", "--L", "1e-60", "--q-ratio", "1e150"], 2,
+     "q_ratio too large: q_ratio = 1e+150, the linewidth at n = 1.0018105767262817e+223 m^-3"),
+    # a state pinned at 1 fm leaves the L^2 of each grid point's prefactor to underflow
+    (["sweep", "--mode", "fixed", "--Linit", "1", "--Lmin", "1e-200", "--Lmax", "1e-190",
+      "--points", "3"], 2, "separation too small: L = 1e-215 m, L^2 underflows"),
 ]
 HOSTILE_MESSAGES = {tuple(argv): message for argv, _, message in HOSTILE_ARGV}
 
@@ -126,6 +134,19 @@ class TestParsing:
     def test_nan_rejected(self, capsys):
         code, _, _ = run_cli(["state", "--L", "nan"], capsys)
         assert code == 2
+
+    def test_one_parser_survives_a_usage_error(self, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        code, _, err = run_cli(["sweep", "--points"], capsys)
+        assert code == 2
+        assert "casnuc sweep: error: argument --points: expected one argument" in err
+        code, out, _ = run_cli(["constants"], capsys)
+        assert code == 0
+        assert json.loads(out)["vintage"] == "CODATA-2018"
+        code, _, err = run_cli(["equilibrium", "--format", "json"], capsys)
+        assert code == 2
+        assert err.startswith("usage: casnuc equilibrium ")
+        assert "casnuc equilibrium: error: unrecognized arguments: --format json" in err
 
     @pytest.mark.parametrize("argv, expected", [case[:2] for case in HOSTILE_ARGV])
     def test_hostile_values_exit_cleanly(self, argv, expected, capsys):
@@ -674,6 +695,41 @@ class TestSignedZero:
         assert "-0.00000000e+00" not in cells
         assert "-0.0" not in cells
         assert "0.00000000e+00" in cells or "0.0" in cells
+
+
+# Fn_MeV puts an n in the header, which spells no value
+_WRITER_HEADER = ("L_fm", "Fn_MeV", "Ftot_MeV", "rho_m3")
+_WRITER_ROW = (1.0, -2.5e-300, 3.0e10, 4.0)
+
+
+def _writer_tables():
+    # the edges of the double range, and -0.001, whose repr starts with -0.0
+    yield [(5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -0.001),
+           (-0.001, -0.0, -5e-324, -0.0), _WRITER_ROW]
+    # -0.0, inf, -inf and nan in each column, between two finite rows
+    for column in range(len(_WRITER_HEADER)):
+        for special in (-0.0, math.inf, -math.inf, math.nan):
+            row = list(_WRITER_ROW)
+            row[column] = special
+            yield [_WRITER_ROW, tuple(row), _WRITER_ROW]
+    # non-finite values in the last column, then in two columns of the next
+    # row: the first in row order is named
+    yield [(1.0, 2.0, 3.0, math.nan), (math.inf, -math.inf, 3.0, 4.0)]
+    yield [_WRITER_ROW, (1.0, math.nan, -math.inf, 4.0), (math.inf, 2.0, 3.0, 4.0)]
+
+
+class TestTableWriter:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_matches_the_per_value_writer(self, fmt):
+        for rows in _writer_tables():
+            try:
+                expected = table_document_per_value(_WRITER_HEADER, rows, fmt)
+            except NumericalError as exc:
+                with pytest.raises(NumericalError) as info:
+                    cli._table_document(_WRITER_HEADER, rows, fmt)
+                assert str(info.value) == str(exc), rows
+            else:
+                assert cli._table_document(_WRITER_HEADER, rows, fmt) == expected, rows
 
 
 # three in four floats are positive, so that many argv get past validation

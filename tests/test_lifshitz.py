@@ -128,6 +128,8 @@ class TestZeroFreqExact:
             zero_freq_exact(1.0, 0.0, 1e11)
         with pytest.raises(DomainError):
             zero_freq_exact(1.0, 1e-15, 0.0)
+        with pytest.raises(DomainError, match="L = 1e-160 m, L\\^2 underflows"):
+            zero_freq_exact(1.0, 1e-160, 1e11)
 
 
 class TestZeroFreqQuadrature:

@@ -274,3 +274,8 @@ class TestPlasmonLinewidth:
     def test_q_ratio_whose_square_overflows(self):
         with pytest.raises(DomainError, match=r"q_ratio too large: q_ratio = 1e\+200"):
             plasmon_linewidth(1e43, 1e200)
+
+    def test_width_that_overflows(self):
+        # eps_F r^3 grows as n^(1/6), so the width overflows while q^2 is finite
+        with pytest.raises(DomainError, match=r"q_ratio = 1e\+150, the linewidth at n = 1e\+223"):
+            plasmon_linewidth(1e223, 1e150)
