@@ -12,7 +12,9 @@ first terms directly and replaces the rest by an Euler-Maclaurin tail built
 from closed forms (_matsubara_tail, which also decides where the tail is
 tried), whose remainder is bounded below 1e-12 of the sum; it and its
 large-x asymptote take (L, T, rho).  On top sit the distance-coupled closed
-forms and separation sweeps.  The tests check S against mpmath, the sum
+forms, whose constant factors are folded once, at import, each in its
+display's own operation order so that no bit of a result moves, and
+separation sweeps.  The tests check S against mpmath, the sum
 against the j-sum, mpmath and the Brown-Maclay law, and the closed forms
 against the plasma pipeline.
 """
@@ -91,6 +93,19 @@ MAX_GRID_POINTS = 1_000_000
 # L = 1 fm with rho pinned to the 1 fm balance density and T varied.  Measured
 # against the full sum; regression-pinned.
 XBAR_CROSSOVER_10PCT = 1.65
+
+# constant factors of the distance-coupled closed forms (see
+# distance_coupled_breakdown), folded once; each is the leading run of its
+# display's products, evaluated left to right as the display is, so folding
+# moves no bit of the result
+_NEG_HBAR_C = -HBAR_C
+_KAPPA_SCALE = 3.0**0.125 / (2.0 * math.pi)
+_KAPPA_NUM = E_CHARGE**2 * MU_0 * ZETA_3
+_F0_DEN = 4.0 * 3.0**0.25 * math.pi
+_FN_DEN = 4.0 * math.sqrt(3.0)
+_FN_EXP_NUM = -math.sqrt(3.0) * ZETA_3 * E_CHARGE**2 * MU_0
+_FN_EXP_DEN = 8.0 * math.pi**3 * M_E
+_FN_EXP_SHIFT = 2.0 * math.pi / 3.0**0.25
 
 
 class FreeEnergyBreakdown(namedtuple("FreeEnergyBreakdown", "zero_freq finite_freq total kappa")):
@@ -347,29 +362,15 @@ def distance_coupled_breakdown(
     denominator = 2.0 * cube * M_E
     if denominator < sys.float_info.min:
         raise DomainError(f"separation too small: L = {L} m, 2 L^3 m_e underflows")
-    kappa = (3.0**0.125 / (2.0 * math.pi)) * math.sqrt(
-        E_CHARGE**2 * MU_0 * ZETA_3 / denominator * model.coupled_mu(L)
-    )
+    kappa = _KAPPA_SCALE * math.sqrt(_KAPPA_NUM / denominator * model.coupled_mu(L))
     a = 2.0 * kappa * L
-    zero = (
-        -HBAR_C
-        / (4.0 * 3.0**0.25 * math.pi * L)
-        * kappa**2
-        * math.exp(-a)
-        * (1.0 / a + 1.0 / a**2)
-    )
-    finite = (
-        -HBAR_C
-        / (4.0 * math.sqrt(3.0) * L**3)
-        * math.exp(
-            -math.sqrt(3.0) * ZETA_3 * E_CHARGE**2 * MU_0 / (8.0 * math.pi**3 * M_E * L)
-            - 2.0 * math.pi / 3.0**0.25
-        )
-    )
+    zero = _NEG_HBAR_C / (_F0_DEN * L) * kappa**2 * math.exp(-a) * (1.0 / a + 1.0 / a**2)
+    finite = _NEG_HBAR_C / (_FN_DEN * cube) * math.exp(
+        _FN_EXP_NUM / (_FN_EXP_DEN * L) - _FN_EXP_SHIFT)
     total = zero + finite
     if not (math.isfinite(kappa) and math.isfinite(total)):
         raise DomainError(f"separation too small: L = {L} m, the closed forms are not finite")
-    return FreeEnergyBreakdown(zero_freq=zero, finite_freq=finite, total=total, kappa=kappa)
+    return FreeEnergyBreakdown(zero, finite, total, kappa)
 
 
 class SweepSpec(namedtuple(

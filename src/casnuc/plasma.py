@@ -14,6 +14,9 @@ in a field, times the saturation 3 L(y)/y).  It enters the Lifshitz sum only
 through its n = 0 term; by the first Matsubara frequency,
 xi_1 = 2 pi k_B T/hbar (about 7e23 rad/s at 1 fm), the spin response has
 died out, so every n > 0 term uses mu = 1.
+
+The constant factors of the closed forms are folded once, at import, each in
+its display's own operation order, so that no bit of a result moves.
 """
 
 from __future__ import annotations
@@ -42,6 +45,18 @@ from .errors import DomainError
 _CONVENTION_SCALE = {"table": 2.0, "literal": 1.0}
 CONVENTIONS = tuple(_CONVENTION_SCALE)
 MODEL_KINDS = ("unity", "spin", "field")
+
+# constant factors of the closed forms below, folded once; each is the leading
+# run of its display's products, evaluated left to right as the display is, so
+# folding moves no bit of the result
+_KB_GAMMA = K_B * GAMMA_BALANCE
+_RHO_NUM = 3.0**0.25 * ZETA_3
+_RHO_DEN = 8.0 * math.pi**2
+_E2 = E_CHARGE**2
+_EPS0_ME = EPS_0 * M_E
+_MU_B2 = MU_B**2
+_CHI_NUM = math.sqrt(3.0) * MU_0 * ZETA_3 * _MU_B2
+_CHI_DEN = 4.0 * math.pi**2 * HBAR_C
 
 # levels of the continued fraction in _saturation; 28 already hold it within
 # 4e-16 of mpmath everywhere below y = 20
@@ -92,7 +107,7 @@ class PermeabilityModel(namedtuple("PermeabilityModel", "kind convention H",
             raise DomainError(f"temperature must be positive, got {T}")
         if rho < 0.0:
             raise DomainError(f"density must be non-negative, got {rho}")
-        chi = MU_0 * rho * MU_B**2 / (K_B * T) * _CONVENTION_SCALE[self.convention]
+        chi = MU_0 * rho * _MU_B2 / (K_B * T) * _CONVENTION_SCALE[self.convention]
         if self.kind == "field":
             chi *= _saturation(MU_B * MU_0 * self.H / (K_B * T))
         return 1.0 + chi
@@ -112,7 +127,7 @@ def temperature_from_distance(L: float) -> float:
     if not L > 0.0:
         raise DomainError(f"separation must be positive, got {L}")
     # below about 6.1e-286 m the denominator is no longer a normal double
-    scale = K_B * GAMMA_BALANCE * L
+    scale = _KB_GAMMA * L
     if scale < sys.float_info.min:
         raise DomainError(f"separation too small: L = {L} m, k_B gamma L underflows")
     return HBAR_C / scale
@@ -135,7 +150,7 @@ def _separation_cube(L: float) -> float:
 
 def density_from_distance(L: float) -> float:
     """Pair density at the balance temperature: rho = 3^(1/4) zeta(3)/(8 pi^2 L^3)."""
-    return 3.0**0.25 * ZETA_3 / (8.0 * math.pi**2 * _separation_cube(L))
+    return _RHO_NUM / (_RHO_DEN * _separation_cube(L))
 
 
 def plasma_frequency(rho: float) -> float:
@@ -143,10 +158,10 @@ def plasma_frequency(rho: float) -> float:
     0 < rho < 8.7e-271 1/m^3, where rho e^2 underflows, raises DomainError."""
     if rho < 0.0:
         raise DomainError(f"density must be non-negative, got {rho}")
-    charge = rho * E_CHARGE**2
+    charge = rho * _E2
     if rho > 0.0 and charge < sys.float_info.min:
         raise DomainError(f"density too small: rho = {rho} 1/m^3, rho e^2 underflows")
-    return math.sqrt(charge / (EPS_0 * M_E))
+    return math.sqrt(charge / _EPS0_ME)
 
 
 def _saturation(y: float) -> float:
@@ -176,7 +191,7 @@ def plasma_state_from_distance(
     rho = density_from_distance(L)
     omega = plasma_frequency(rho)
     mu = model.static_mu(rho, T)
-    return PlasmaState(L=L, T=T, rho=rho, omega_ep=omega, mu_ep=mu)
+    return PlasmaState(L, T, rho, omega, mu)
 
 
 def distance_closed_forms(L: float) -> PlasmaState:
@@ -203,7 +218,7 @@ def _distance_susceptibility(L: float) -> float:
     # closed form; written via mu_B^2, not the substituted e^2 hbar/(m^2 c) form:
     # CODATA mu_B differs from e hbar/(2 m) at ~3e-10, which would break the
     # 1e-12 agreement with the composed pipeline
-    return math.sqrt(3.0) * MU_0 * ZETA_3 * MU_B**2 / (4.0 * math.pi**2 * HBAR_C * L**2)
+    return _CHI_NUM / (_CHI_DEN * L**2)
 
 
 def state_assumptions(state: PlasmaState) -> dict[str, object]:

@@ -1,7 +1,9 @@
 """Minimal deterministic SVG line charts.
 
 No timestamps, no randomness, fixed palette and float formatting: identical
-input must yield byte-identical output.
+input must yield byte-identical output.  Each polyline vertex is written with
+one "%.2f,%.2f" template around the affine pixel maps, inlined in their own
+operation order, so its bytes are those of _fmt(px(x)) and _fmt(py(y)).
 """
 
 from __future__ import annotations
@@ -77,9 +79,10 @@ def render_line_chart(
             raise DomainError(f"series {label!r}: x/y length mismatch")
         if len(xs) < 2:
             raise DomainError(f"series {label!r}: at least 2 points required")
-        for v in list(xs) + list(ys):
-            if not math.isfinite(v):
-                raise NumericalError(f"series {label!r}: non-finite value {v}")
+        if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+            for v in list(xs) + list(ys):  # name the first non-finite value
+                if not math.isfinite(v):
+                    raise NumericalError(f"series {label!r}: non-finite value {v}")
 
     xmin = min(min(xs) for _, xs, _ in series)
     xmax = max(max(xs) for _, xs, _ in series)
@@ -92,12 +95,13 @@ def render_line_chart(
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+    x_span, y_span = xmax - xmin, ymax - ymin
 
     def px(x: float) -> float:
-        return _MARGIN_LEFT + (x - xmin) / (xmax - xmin) * plot_w
+        return _MARGIN_LEFT + (x - xmin) / x_span * plot_w
 
     def py(y: float) -> float:
-        return _MARGIN_TOP + (1.0 - (y - ymin) / (ymax - ymin)) * plot_h
+        return _MARGIN_TOP + (1.0 - (y - ymin) / y_span) * plot_h
 
     out: list[str] = []
 
@@ -140,7 +144,10 @@ def render_line_chart(
 
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(xs, ys))
+        # px and py inlined, in their own operation order: one template, no call, per vertex
+        pts = " ".join(["%.2f,%.2f" % (_MARGIN_LEFT + (x - xmin) / x_span * plot_w,
+                                       _MARGIN_TOP + (1.0 - (y - ymin) / y_span) * plot_h)
+                        for x, y in zip(xs, ys)])
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

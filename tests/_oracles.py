@@ -9,12 +9,35 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 
 import mpmath as mp
 
-from casnuc.constants import HBAR_C, K_B, ZETA_3
+from casnuc.constants import (
+    E_CHARGE,
+    EPS_0,
+    GAMMA_BALANCE,
+    HBAR_C,
+    K_B,
+    M_E,
+    MU_0,
+    MU_B,
+    ZETA_3,
+)
 from casnuc.errors import ConvergenceError, DomainError, NumericalError
+from casnuc.lifshitz import FreeEnergyBreakdown
 from casnuc.nuclear import balance_cubic_residual
+from casnuc.plasma import _separation_cube
+from casnuc.svgplot import (
+    _HEIGHT,
+    _MARGIN_BOTTOM,
+    _MARGIN_LEFT,
+    _MARGIN_RIGHT,
+    _MARGIN_TOP,
+    _WIDTH,
+    _fmt,
+)
 
 
 def zero_freq_quadrature(kappa: float, L: float, T: float) -> float:
@@ -179,3 +202,131 @@ def table_document_per_value(header, rows, fmt: str) -> str:
     lines = [",".join(header)]
     lines += [",".join(f"{finite(value):.8e}" for value in row) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+# The closed forms of casnuc.plasma and casnuc.lifshitz with every constant
+# factor written out in the display, evaluated on each call.  Oracles for the
+# folded evaluators, which must match them bit for bit: a factor folded in
+# another operation order rounds differently at some separation.
+
+_UNFOLDED_SCALE = {"table": 2.0, "literal": 1.0}
+
+
+def temperature_unfolded(L: float) -> float:
+    """plasma.temperature_from_distance, unfolded."""
+    if not L > 0.0:
+        raise DomainError(f"separation must be positive, got {L}")
+    scale = K_B * GAMMA_BALANCE * L
+    if scale < sys.float_info.min:
+        raise DomainError(f"separation too small: L = {L} m, k_B gamma L underflows")
+    return HBAR_C / scale
+
+
+def density_unfolded(L: float) -> float:
+    """plasma.density_from_distance, unfolded."""
+    return 3.0**0.25 * ZETA_3 / (8.0 * math.pi**2 * _separation_cube(L))
+
+
+def plasma_frequency_unfolded(rho: float) -> float:
+    """plasma.plasma_frequency, unfolded."""
+    if rho < 0.0:
+        raise DomainError(f"density must be non-negative, got {rho}")
+    charge = rho * E_CHARGE**2
+    if rho > 0.0 and charge < sys.float_info.min:
+        raise DomainError(f"density too small: rho = {rho} 1/m^3, rho e^2 underflows")
+    return math.sqrt(charge / (EPS_0 * M_E))
+
+
+def static_mu_unfolded(model, rho: float, T: float) -> float:
+    """PermeabilityModel.static_mu for the unity and spin kinds, unfolded."""
+    if model.kind == "unity":
+        return 1.0
+    if not T > 0.0:
+        raise DomainError(f"temperature must be positive, got {T}")
+    if rho < 0.0:
+        raise DomainError(f"density must be non-negative, got {rho}")
+    return 1.0 + MU_0 * rho * MU_B**2 / (K_B * T) * _UNFOLDED_SCALE[model.convention]
+
+
+def susceptibility_unfolded(L: float) -> float:
+    """plasma._distance_susceptibility, unfolded."""
+    return math.sqrt(3.0) * MU_0 * ZETA_3 * MU_B**2 / (4.0 * math.pi**2 * HBAR_C * L**2)
+
+
+def plasma_state_unfolded(L: float, model) -> tuple[float, float, float, float, float]:
+    """plasma.plasma_state_from_distance from the unfolded functions."""
+    T = temperature_unfolded(L)
+    rho = density_unfolded(L)
+    return L, T, rho, plasma_frequency_unfolded(rho), static_mu_unfolded(model, rho, T)
+
+
+def breakdown_unfolded(L: float, model) -> FreeEnergyBreakdown:
+    """lifshitz.distance_coupled_breakdown for the unity and spin kinds, unfolded."""
+    cube = _separation_cube(L)
+    denominator = 2.0 * cube * M_E
+    if denominator < sys.float_info.min:
+        raise DomainError(f"separation too small: L = {L} m, 2 L^3 m_e underflows")
+    coupled_mu = (1.0 if model.kind == "unity"
+                  else 1.0 + _UNFOLDED_SCALE[model.convention] * susceptibility_unfolded(L))
+    kappa = (3.0**0.125 / (2.0 * math.pi)) * math.sqrt(
+        E_CHARGE**2 * MU_0 * ZETA_3 / denominator * coupled_mu
+    )
+    a = 2.0 * kappa * L
+    zero = (
+        -HBAR_C
+        / (4.0 * 3.0**0.25 * math.pi * L)
+        * kappa**2
+        * math.exp(-a)
+        * (1.0 / a + 1.0 / a**2)
+    )
+    finite = (
+        -HBAR_C
+        / (4.0 * math.sqrt(3.0) * L**3)
+        * math.exp(
+            -math.sqrt(3.0) * ZETA_3 * E_CHARGE**2 * MU_0 / (8.0 * math.pi**3 * M_E * L)
+            - 2.0 * math.pi / 3.0**0.25
+        )
+    )
+    total = zero + finite
+    if not (math.isfinite(kappa) and math.isfinite(total)):
+        raise DomainError(f"separation too small: L = {L} m, the closed forms are not finite")
+    return FreeEnergyBreakdown(zero_freq=zero, finite_freq=finite, total=total, kappa=kappa)
+
+
+def polylines_per_vertex(doc: str, series) -> str:
+    """Oracle for the polyline vertices of svgplot.render_line_chart: doc with
+    the points of its i-th polyline rewritten from series i by the per-vertex
+    writer f"{_fmt(px(x))},{_fmt(py(y))}", px and py the affine pixel maps.
+
+    The bounds are those of all series together, widened by 1 on each side
+    where they coincide.  Raises ValueError unless doc holds one polyline per
+    series.
+    """
+    xmin = min(min(xs) for _, xs, _ in series)
+    xmax = max(max(xs) for _, xs, _ in series)
+    ymin = min(min(ys) for _, _, ys in series)
+    ymax = max(max(ys) for _, _, ys in series)
+    if xmin == xmax:
+        xmin, xmax = xmin - 1.0, xmax + 1.0
+    if ymin == ymax:
+        ymin, ymax = ymin - 1.0, ymax + 1.0
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
+
+    def px(x: float) -> float:
+        return _MARGIN_LEFT + (x - xmin) / (xmax - xmin) * plot_w
+
+    def py(y: float) -> float:
+        return _MARGIN_TOP + (1.0 - (y - ymin) / (ymax - ymin)) * plot_h
+
+    pending = iter(series)
+
+    def points(_match: re.Match) -> str:
+        _, xs, ys = next(pending)
+        return 'points="' + " ".join(f"{_fmt(px(x))},{_fmt(py(y))}"
+                                     for x, y in zip(xs, ys)) + '"'
+
+    rewritten, count = re.subn(r'(?<=<polyline )points="[^"]*"', points, doc)
+    if count != len(series):
+        raise ValueError(f"{count} polylines for {len(series)} series")
+    return rewritten

@@ -51,3 +51,17 @@ def test_series_calls_are_direct_children_of_the_sum():
                    if key.startswith("children.lifshitz.mode_series"))
     assert sums["calls"] == 5
     assert children >= sums["calls"]
+
+
+def test_closed_form_plot_layers():
+    # the zero-frequency figure evaluates both models on the grid and renders once
+    stats = traced_run(["plot", "--which", "1", "--points", "5"])
+    assert stats["lifshitz.distance_coupled_breakdown"]["calls"] == 10
+    assert stats["svgplot.render_line_chart"]["calls"] == 1
+
+
+def test_closed_form_sweep_layers():
+    # one plasma state and one closed-form breakdown per coupled asymptote row
+    stats = traced_run(["sweep", "--points", "5"])
+    assert stats["plasma.plasma_state_from_distance"]["calls"] == 5
+    assert stats["lifshitz.distance_coupled_breakdown"]["calls"] == 5

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casnuc import lifshitz
+from casnuc import lifshitz, plasma
 from casnuc.constants import C, HBAR, HBAR_C, K_B, ZETA_3
 from casnuc.errors import DomainError
 from casnuc.lifshitz import (
@@ -37,8 +37,15 @@ from casnuc.plasma import (
 from casnuc.units import J_PER_MEV
 
 from _oracles import (
+    breakdown_unfolded,
+    density_unfolded,
     matsubara_j_sum,
     matsubara_sum_mpmath,
+    plasma_frequency_unfolded,
+    plasma_state_unfolded,
+    static_mu_unfolded,
+    susceptibility_unfolded,
+    temperature_unfolded,
     zero_freq_quadrature,
     zero_freq_series,
 )
@@ -54,6 +61,19 @@ def state_at(L):
 
 def per_pair_mev(f_per_area):
     return f_per_area * DEFAULT_PLATE_AREA / J_PER_MEV
+
+
+def bits(f, *args):
+    # every float of the result as float.hex, or the DomainError message
+    try:
+        value = f(*args)
+    except DomainError as exc:
+        return str(exc)
+    return [float(v).hex() for v in (value if isinstance(value, tuple) else (value,))]
+
+
+CLOSED_FORM_MODELS = [PermeabilityModel(kind, convention)
+                      for kind in ("spin", "unity") for convention in ("table", "literal")]
 
 
 class TestModeSeries:
@@ -497,6 +517,39 @@ class TestDistanceCoupled:
         with pytest.raises(DomainError, match="separation too small") as info:
             distance_coupled_breakdown(L, model)
         assert repr(L) in str(info.value)
+
+    @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=str)
+    def test_folded_constants_keep_every_bit(self, model):
+        # 20 points a decade from 1e-72 to 1e117 fm; the spin forms stop
+        # being finite below about 1.2e-48 fm
+        for k in range(189 * 20 + 1):
+            L = 10.0 ** (-72.0 + k / 20.0) * 1e-15
+            assert bits(distance_coupled_breakdown, L, model) == bits(
+                breakdown_unfolded, L, model), L
+            assert bits(plasma_state_from_distance, L, model) == bits(
+                plasma_state_unfolded, L, model), L
+            assert bits(temperature_from_distance, L) == bits(temperature_unfolded, L), L
+            assert bits(density_from_distance, L) == bits(density_unfolded, L), L
+            rho, T = density_unfolded(L), temperature_unfolded(L)
+            assert bits(plasma_frequency, rho) == bits(plasma_frequency_unfolded, rho), L
+            assert bits(model.static_mu, rho, T) == bits(static_mu_unfolded, model, rho, T), L
+            assert bits(plasma._distance_susceptibility, L) == bits(
+                susceptibility_unfolded, L), L
+
+    @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=str)
+    @pytest.mark.parametrize(
+        "L, words",
+        [
+            (1e-104, "L^3 underflows"),
+            (1e-95, "2 L^3 m_e underflows"),
+            (1e-89, "the closed forms are not finite"),
+            (1e103, "L^3 overflows"),
+        ],
+    )
+    def test_folded_constants_keep_every_edge(self, model, L, words):
+        message = bits(distance_coupled_breakdown, L, model)
+        assert message == bits(breakdown_unfolded, L, model)
+        assert isinstance(message, str) and words in message
 
     @pytest.mark.parametrize("model, L", [(UNITY, 3e-88), (SPIN, 1.2e-63)])
     def test_finite_just_above_the_edge(self, model, L):

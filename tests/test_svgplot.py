@@ -5,11 +5,21 @@ import pytest
 from casnuc.errors import DomainError, NumericalError
 from casnuc.svgplot import _tick_positions, render_line_chart
 
+from _oracles import polylines_per_vertex
+
 XS = [1.0, 2.0, 3.0]
 SERIES = [
     ("alpha", XS, [-3.4, -1.1, -0.4]),
     ("beta", XS, [-0.4, -0.2, -0.1]),
 ]
+# a 40k-vertex grid over a range that does not start at zero
+BIG_XS = [0.1 + i * (100.0 - 0.1) / 39_999 for i in range(40_000)]
+BIG_YS = [-math.exp(-x) / x for x in BIG_XS]
+# 544 x 8 + 1 and 352 x 8 + 1 evenly spaced values put vertices on eighths of
+# a pixel in the 544 x 352 plot area: exact ties of the 2-decimal format, where
+# a pixel map evaluated in another operation order prints differently
+TIE_XS = [i * 1.1 for i in range(4353)]
+TIE_YS = [(i % 2817) * 0.04 for i in range(4353)]
 
 
 def test_deterministic_output():
@@ -66,11 +76,41 @@ def test_validation_errors():
         render_line_chart([("s", [1.0, 2.0], [3.0])], "x", "y")
 
 
+@pytest.mark.parametrize(
+    "series",
+    [
+        [("one", XS, [-3.4, -1.1, -0.4])],
+        SERIES,
+        SERIES + [("gamma", [0.5, 1.7, 2.9, 3.3], [0.25, -7.0, 1e-3, 2.0])],
+        [("flat", XS, [2.0, 2.0, 2.0])],
+        [("point", [2.0, 2.0], [1.0, 3.0])],
+        [("s", [1.0, 1.0000000000000002], [-3.3, -3.3000000000000003])],
+        [("big", BIG_XS, BIG_YS), ("half", BIG_XS, [0.5 * y for y in BIG_YS])],
+        [("ties", TIE_XS, TIE_YS)],
+    ],
+    ids=["1-series", "2-series", "3-series", "constant", "constant-x", "sub-ulp", "40k",
+         "ties"],
+)
+def test_matches_the_per_vertex_writer(series):
+    doc = render_line_chart(series, "x", "y", title="t")
+    assert doc == polylines_per_vertex(doc, series)
+
+
 def test_non_finite_rejected():
-    with pytest.raises(NumericalError):
-        render_line_chart([("s", XS, [1.0, math.nan, 2.0])], "x", "y")
-    with pytest.raises(NumericalError):
-        render_line_chart([("s", XS, [1.0, math.inf, 2.0])], "x", "y")
+    # the message names the first non-finite value: series in order, and in
+    # each series its x values before its y values
+    cases = [
+        ([("s", XS, [1.0, math.nan, 2.0])], "nan", "s"),
+        ([("s", XS, [1.0, math.inf, 2.0])], "inf", "s"),
+        ([("s", XS, [-math.inf, math.nan, 2.0])], "-inf", "s"),
+        ([("s", [1.0, math.nan, 3.0], [math.inf, 1.0, 2.0])], "nan", "s"),
+        ([("clean", XS, [1.0, 2.0, 3.0]), ("bad", XS, [1.0, -math.inf, math.nan]),
+          ("worse", [math.nan, 2.0, 3.0], XS)], "-inf", "bad"),
+    ]
+    for series, value, label in cases:
+        with pytest.raises(NumericalError) as info:
+            render_line_chart(series, "x", "y")
+        assert str(info.value) == f"series {label!r}: non-finite value {value}"
 
 
 def test_sub_ulp_span_terminates():
