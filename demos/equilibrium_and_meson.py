@@ -12,7 +12,6 @@ from casnuc.nuclear import (
     coulomb_energy,
     equilibrium_distance,
     ideal_casimir,
-    linewidth_bracket,
     plasmon_linewidth,
     yukawa_quantities,
 )
@@ -50,11 +49,10 @@ def main() -> None:
     print()
 
     n = 0.5 * density_from_distance(M_PER_FM)  # one species carries half the pairs
-    r, bracket = linewidth_bracket(n)
-    width = plasmon_linewidth(n, 0.1)
+    lw = plasmon_linewidth(n, 0.1)
     print(f"plasmon damping at 1 fm (q = 0.1 q_F): "
-          f"{width / J_PER_MEV:.4f} MeV "
-          f"(r = {r:.3f}, bracket = {bracket:.3f})")
+          f"{lw.width / J_PER_MEV:.4f} MeV "
+          f"(r = {lw.r:.3f}, bracket = {lw.bracket:.3f})")
 
 
 if __name__ == "__main__":

@@ -383,7 +383,7 @@ def _cmd_linewidth(params: dict[str, object]) -> str:
     use_total = params["total_density"]
     n = rho if use_total else 0.5 * rho
     # the negative-bracket caveat is reported as a JSON field, not a warning
-    eps_f, q_f, r, bracket, width = nuclear._plasmon_linewidth(n, params["q_ratio"])
+    eps_f, q_f, r, bracket, width = nuclear.plasmon_linewidth(n, params["q_ratio"])
     return _json_document(
         {
             "L_fm": params["L"],

@@ -2,22 +2,20 @@
 repulsion, the resulting equilibrium separation, and the effective-meson
 quantities carried by the screened zero-frequency interaction.
 
-The plasmon linewidth has one evaluator, _plasmon_linewidth, which returns
-the Fermi quantities, r, the bracket and the width together;
-linewidth_bracket, plasmon_linewidth and the linewidth subcommand read
-from it."""
+Each observable has one evaluator returning one record:
+equilibrium_distance (EquilibriumResult), yukawa_quantities
+(YukawaQuantities) and plasmon_linewidth (PlasmonLinewidth)."""
 
 from __future__ import annotations
 
 import math
 import sys
-import warnings
 from collections import namedtuple
 
 from .constants import E_CHARGE, EPS_0, HBAR, HBAR_C, M_E
 from .errors import DomainError
 from .lifshitz import screening_wavevector
-from .plasma import plasma_frequency
+from .plasma import _separation_cube, plasma_frequency
 
 
 class EquilibriumResult(namedtuple("EquilibriumResult", "D x_tilde L_eq residual")):
@@ -40,18 +38,39 @@ class YukawaQuantities(namedtuple("YukawaQuantities",
     __slots__ = ()
 
 
+class PlasmonLinewidth(namedtuple("PlasmonLinewidth", "eps_F q_F r bracket width")):
+    """Plasmon damping by electron-electron collisions at number density n:
+    the Fermi energy eps_F = hbar^2 q_F^2/(2 m) [J] and wavevector
+    q_F = (3 pi^2 n)^(1/3) [1/m] (nonrelativistic electron-mass dispersion),
+    r = hbar omega_p/(2 eps_F) with omega_p at the same n, the bracket
+    10 ln 2 + 2 - 4.5 r, and the width (6 pi/5) eps_F (q/q_F)^2 r^3 bracket
+    [J].  The bracket is negative for r > ~1.985, outside the regime the
+    damping expression was built for."""
+
+    __slots__ = ()
+
+
 def ideal_casimir(L: float, area: float) -> tuple[float, float]:
     """Ideal-mirror Casimir energy and force for plate area A at separation L.
 
     E = -pi^2 hbar c A/(720 L^3), F = -pi^2 hbar c A/(240 L^4); both negative
-    (attraction), F L = 3 E.
+    (attraction), F L = 3 E.  Where L^3 or L^4 is not a normal double (L
+    below about 1.2e-77 m or above about 1.2e77 m), and where E or F
+    overflows (an infinite area among them), DomainError.
     """
-    if not L > 0.0:
-        raise DomainError(f"separation must be positive, got {L}")
+    cube = _separation_cube(L)
     if not area > 0.0:
         raise DomainError(f"area must be positive, got {area}")
-    energy = -math.pi**2 * HBAR_C * area / (720.0 * L**3)
-    force = -math.pi**2 * HBAR_C * area / (240.0 * L**4)
+    try:
+        quartic = L**4
+    except OverflowError:
+        raise DomainError(f"separation too large: L = {L} m, L^4 overflows") from None
+    if quartic < sys.float_info.min:
+        raise DomainError(f"separation too small: L = {L} m, L^4 underflows")
+    energy = -math.pi**2 * HBAR_C * area / (720.0 * cube)
+    force = -math.pi**2 * HBAR_C * area / (240.0 * quartic)
+    if math.isinf(energy) or math.isinf(force):
+        raise DomainError(f"area too large: A = {area} m^2, E or F at L = {L} m overflows")
     return energy, force
 
 
@@ -65,101 +84,62 @@ def coulomb_energy(R: float, L: float) -> float:
     return E_CHARGE**2 / (4.0 * math.pi * EPS_0 * (2.0 * R + L))
 
 
-def _cbrt(v: float) -> float:
-    # math.cbrt arrived in 3.11; the package supports 3.10
-    return math.copysign(abs(v) ** (1.0 / 3.0), v)
-
-
-def balance_cubic_residual(x: float, D: float) -> float:
-    """Residual of the force-balance cubic x^3 - D x - 2 D."""
-    return x**3 - D * x - 2.0 * D
-
-
-def solve_balance_cubic(D: float) -> float:
-    """Largest positive root of x^3 - D x - 2 D = 0 for D > 0, in closed form.
-
-    Cardano's formula, switching to the trigonometric branch where the
-    discriminant turns negative (D > 27, three real roots).  The test suite
-    checks it against an independent bisection.
-    """
-    if not D > 0.0:
-        raise DomainError(f"balance constant must be positive, got {D}")
-    # depressed cubic t^3 + p t + q with p = -D, q = -2D
-    disc = D * D - D**3 / 27.0  # (q/2)^2 + (p/3)^3
-    if disc >= 0.0:
-        s = math.sqrt(disc)
-        return _cbrt(D + s) + _cbrt(D - s)
-    # three real roots; k = 0 picks the largest
-    return 2.0 * math.sqrt(D / 3.0) * math.cos(math.acos(math.sqrt(27.0 / D)) / 3.0)
+# With x = L/R the balance condition reduces to x^3 - D x - 2 D = 0, the
+# depressed cubic t^3 + p t + q with p = -D, q = -2D.  D is a constant, about
+# 5.9 < 27, so the discriminant (q/2)^2 + (p/3)^3 is positive, Cardano's
+# single real root applies, and both radicands D +- s are positive.
+_D = math.pi**4 * EPS_0 * HBAR_C / (180.0 * E_CHARGE**2)
+_S = math.sqrt(_D * _D - _D**3 / 27.0)
+_X_TILDE = (_D + _S) ** (1.0 / 3.0) + (_D - _S) ** (1.0 / 3.0)
+_RESIDUAL = _X_TILDE**3 - _D * _X_TILDE - 2.0 * _D
 
 
 def equilibrium_distance(R: float) -> EquilibriumResult:
     """Separation at which Casimir attraction balances Coulomb repulsion.
 
-    With x = L/R the balance condition reduces to x^3 - D x - 2 D = 0,
-    D = pi^4 eps0 hbar c/(180 e^2).  D is a constant (about 5.9, so
-    Cardano's single-real-root branch applies), hence so is x = L_eq/R.
+    D = pi^4 eps0 hbar c/(180 e^2) does not depend on R, hence neither does
+    x = L_eq/R, the largest positive root of x^3 - D x - 2 D = 0 (Cardano's
+    closed form; the test suite checks it against an independent bisection).
     """
     if not R > 0.0:
         raise DomainError(f"radius must be positive, got {R}")
     if R < sys.float_info.min:
         # a subnormal R carries too few significant bits for x R
         raise DomainError(f"radius too small: R = {R} m is subnormal")
-    D = math.pi**4 * EPS_0 * HBAR_C / (180.0 * E_CHARGE**2)
-    x = solve_balance_cubic(D)
-    return EquilibriumResult(
-        D=D, x_tilde=x, L_eq=x * R, residual=balance_cubic_residual(x, D)
-    )
+    L_eq = _X_TILDE * R
+    if L_eq == math.inf:
+        raise DomainError(f"radius too large: R = {R} m, L_eq = x_tilde R overflows")
+    return EquilibriumResult(_D, _X_TILDE, L_eq, _RESIDUAL)
 
 
-def meson_mass(rho: float, mu_ep: float) -> float:
-    """Rest energy 2 hbar sqrt(mu_ep) omega_ep of the effective exchange boson.
+def yukawa_quantities(rho: float, mu_ep: float) -> YukawaQuantities:
+    """Meson rest energy, its range, and the screening wavevector they share.
 
-    Twice the screening scale: the Yukawa range of the zero-frequency
-    interaction is hbar c/(2 hbar c kappa) = 1/(2 kappa).
+    The rest energy 2 hbar sqrt(mu_ep) omega_ep of the effective exchange
+    boson is twice the screening scale: the Yukawa range of the
+    zero-frequency interaction is hbar c/(2 hbar c kappa) = 1/(2 kappa).
     """
     if rho < 0.0:
         raise DomainError(f"density must be non-negative, got {rho}")
     if mu_ep < 1.0:
         raise DomainError(f"mu_ep must be >= 1, got {mu_ep}")
-    return 2.0 * HBAR * math.sqrt(mu_ep) * plasma_frequency(rho)
+    mass = 2.0 * HBAR * math.sqrt(mu_ep) * plasma_frequency(rho)
+    if not mass > 0.0:
+        raise DomainError(f"mass energy must be positive, got {mass}")
+    return YukawaQuantities(mass, HBAR_C / mass, screening_wavevector(rho, mu_ep))
 
 
-def screening_length(mass_energy: float) -> float:
-    """Compton-style range hbar c / E of an exchange boson of rest energy E."""
-    if not mass_energy > 0.0:
-        raise DomainError(f"mass energy must be positive, got {mass_energy}")
-    return HBAR_C / mass_energy
+def plasmon_linewidth(n: float, q_ratio: float) -> PlasmonLinewidth:
+    """Plasmon energy width from electron-electron collisions at density n
+    and wavevector ratio q_ratio = q/q_F (see PlasmonLinewidth).
 
-
-def yukawa_quantities(rho: float, mu_ep: float) -> YukawaQuantities:
-    """Meson rest energy, its range, and the screening wavevector they share."""
-    mass = meson_mass(rho, mu_ep)
-    kappa = screening_wavevector(rho, mu_ep)
-    return YukawaQuantities(
-        meson_mass_energy=mass,
-        screening_length=screening_length(mass),
-        kappa_source=kappa,
-    )
-
-
-def fermi_quantities(n: float) -> tuple[float, float]:
-    """(eps_F, q_F) of an ideal degenerate gas at number density n.
-
-    q_F = (3 pi^2 n)^(1/3), eps_F = hbar^2 q_F^2/(2 m); nonrelativistic
-    electron-mass dispersion is assumed throughout.
+    A negative bracket is returned as it is; the linewidth subcommand
+    reports it as bracket_negative.
     """
     if not n > 0.0:
         raise DomainError(f"density must be positive, got {n}")
     q_f = (3.0 * math.pi**2 * n) ** (1.0 / 3.0)
     eps_f = HBAR**2 * q_f**2 / (2.0 * M_E)
-    return eps_f, q_f
-
-
-def _plasmon_linewidth(n: float, q_ratio: float) -> tuple[float, float, float, float, float]:
-    # the one linewidth evaluator: (eps_F, q_F, r, bracket, width) at density
-    # n, with r = hbar omega_p/(2 eps_F) and omega_p at that same n
-    eps_f, q_f = fermi_quantities(n)
     r = HBAR * plasma_frequency(n) / (2.0 * eps_f)
     bracket = 10.0 * math.log(2.0) + 2.0 - 4.5 * r
     # both density checks come first, as the linewidth subcommand reports them
@@ -173,30 +153,4 @@ def _plasmon_linewidth(n: float, q_ratio: float) -> tuple[float, float, float, f
     if not math.isfinite(width):  # eps_F r^3 grows as n^(1/6): dense, it overflows first
         raise DomainError(f"q_ratio too large: q_ratio = {q_ratio}, the linewidth at n = {n} "
                           "m^-3 overflows")
-    return eps_f, q_f, r, bracket, width
-
-
-def linewidth_bracket(n: float) -> tuple[float, float]:
-    """(hbar omega_p/(2 eps_F), bracket) entering the plasmon linewidth.
-
-    The bracket 10 ln 2 + 2 - 4.5 r goes negative for r > ~1.985, outside
-    the regime the damping expression was built for.
-    """
-    return _plasmon_linewidth(n, 0.0)[2:4]
-
-
-def plasmon_linewidth(n: float, q_ratio: float) -> float:
-    """Plasmon energy width from electron-electron collisions.
-
-    Delta E = (6 pi/5) eps_F (q/q_F)^2 r^3 (10 ln 2 + 2 - 4.5 r),
-    r = hbar omega_p/(2 eps_F), with omega_p evaluated at the same density n
-    the Fermi quantities use.  A negative bracket (r beyond ~1.985) is
-    outside the expansion's validity and triggers a warning.
-    """
-    _, _, r, bracket, width = _plasmon_linewidth(n, q_ratio)
-    if bracket < 0.0:
-        warnings.warn(
-            f"linewidth bracket negative (r={r:.4g}); expansion out of regime",
-            stacklevel=2,
-        )
-    return width
+    return PlasmonLinewidth(eps_f, q_f, r, bracket, width)

@@ -27,7 +27,6 @@ from casnuc.constants import (
 )
 from casnuc.errors import ConvergenceError, DomainError, NumericalError
 from casnuc.lifshitz import FreeEnergyBreakdown
-from casnuc.nuclear import balance_cubic_residual
 from casnuc.plasma import _separation_cube
 from casnuc.svgplot import (
     _HEIGHT,
@@ -115,12 +114,18 @@ def blackbody_energy(T: float, volume: float) -> float:
     return math.pi**2 / 15.0 * (K_B * T) ** 4 / HBAR_C**3 * volume
 
 
+def balance_cubic_residual(x: float, D: float) -> float:
+    """Residual x^3 - D x - 2 D of the force-balance cubic."""
+    return x**3 - D * x - 2.0 * D
+
+
 def balance_cubic_bisection(D: float) -> float:
     """Largest positive root of x^3 - D x - 2 D = 0 by bisection.
 
-    Independent oracle for nuclear.solve_balance_cubic: doubles an upper
-    bracket from 1 until the residual turns positive, then halves [0, hi]
-    until the midpoint stops moving.
+    Independent oracle for the closed-form root behind
+    nuclear.equilibrium_distance: doubles an upper bracket from 1 until the
+    residual turns positive, then halves [0, hi] until the midpoint stops
+    moving.
     """
     if not D > 0.0:
         raise DomainError(f"balance constant must be positive, got {D}")

@@ -24,7 +24,7 @@ from casnuc.lifshitz import (
     zero_freq_asymptote,
     zero_freq_exact,
 )
-from casnuc.nuclear import balance_cubic_residual, equilibrium_distance, solve_balance_cubic
+from casnuc.nuclear import equilibrium_distance
 from casnuc.plasma import (
     PermeabilityModel,
     density_from_distance,
@@ -33,7 +33,12 @@ from casnuc.plasma import (
 )
 from casnuc.units import J_PER_MEV, M_PER_FM
 
-from _oracles import balance_cubic_bisection, zero_freq_quadrature, zero_freq_series
+from _oracles import (
+    balance_cubic_bisection,
+    balance_cubic_residual,
+    zero_freq_quadrature,
+    zero_freq_series,
+)
 
 UNITY = PermeabilityModel("unity")
 SPIN = PermeabilityModel("spin")
@@ -85,7 +90,7 @@ def test_criterion_2_density_distance_invariant():
 
 def test_criterion_3_equilibrium_separation():
     res = equilibrium_distance(0.84e-15)
-    x_c = solve_balance_cubic(res.D)
+    x_c = res.x_tilde
     x_b = balance_cubic_bisection(res.D)
     ok = abs(res.L_eq - 2.6e-15) / 2.6e-15 < 0.02
     ok = ok and abs(x_c - x_b) <= 1e-12 * abs(x_c)

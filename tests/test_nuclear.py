@@ -1,5 +1,7 @@
 import math
+import re
 import sys
+import warnings
 
 import pytest
 from hypothesis import given
@@ -9,16 +11,10 @@ from casnuc.constants import HBAR_C
 from casnuc.errors import DomainError
 from casnuc.lifshitz import screening_wavevector
 from casnuc.nuclear import (
-    balance_cubic_residual,
     coulomb_energy,
     equilibrium_distance,
-    fermi_quantities,
     ideal_casimir,
-    linewidth_bracket,
-    meson_mass,
     plasmon_linewidth,
-    screening_length,
-    solve_balance_cubic,
     yukawa_quantities,
 )
 from casnuc.plasma import (
@@ -26,9 +22,9 @@ from casnuc.plasma import (
     density_from_distance,
     temperature_from_distance,
 )
-from casnuc.units import J_PER_MEV, M_PER_FM
+from casnuc.units import J_PER_MEV
 
-from _oracles import balance_cubic_bisection, blackbody_energy
+from _oracles import balance_cubic_bisection, balance_cubic_residual, blackbody_energy
 
 AREA = math.pi * (0.84e-15) ** 2
 
@@ -59,6 +55,27 @@ class TestIdealCasimir:
             ideal_casimir(0.0, AREA)
         with pytest.raises(DomainError):
             ideal_casimir(1e-15, -1.0)
+
+    @pytest.mark.parametrize("L, message", [
+        (1e-80, "L = 1e-80 m, L^4 underflows"),  # subnormal L^4
+        (1e-90, "L = 1e-90 m, L^4 underflows"),  # L^4 is 0
+        (1e80, "L = 1e+80 m, L^4 overflows"),
+        (1e103, "L = 1e+103 m, L^3 overflows"),
+    ])
+    def test_separation_whose_powers_are_not_normal(self, L, message):
+        with pytest.raises(DomainError, match="separation too (small|large): " + re.escape(message)):
+            ideal_casimir(L, AREA)
+
+    @pytest.mark.parametrize("L", [sys.float_info.min ** 0.25 * 1.001,
+                                   sys.float_info.max ** 0.25 * 0.999])
+    def test_edges_of_the_normal_range(self, L):
+        energy, force = ideal_casimir(L, 1.0)
+        assert math.isfinite(energy) and math.isfinite(force)
+
+    @pytest.mark.parametrize("area", [math.inf, 1e300])
+    def test_area_that_overflows(self, area):
+        with pytest.raises(DomainError, match=re.escape(f"area too large: A = {area} m^2")):
+            ideal_casimir(1e-15, area)
 
 
 class TestBlackbody:
@@ -100,25 +117,17 @@ class TestCoulomb:
 
 
 class TestBalanceCubic:
-    @pytest.mark.parametrize("D", [5.9013556946663135, 26.5, 27.5, 30.0, 500.0])
-    def test_cardano_matches_bisection(self, D):
-        x_c = solve_balance_cubic(D)
-        assert x_c == pytest.approx(balance_cubic_bisection(D), rel=1e-12)
-        assert abs(balance_cubic_residual(x_c, D)) < 1e-9 * max(abs(x_c) ** 3, 1.0)
+    @pytest.mark.parametrize("R", [sys.float_info.min, 1e-20, 0.84e-15, 1.0, 1e300])
+    def test_closed_form_root_against_bisection(self, R):
+        res = equilibrium_distance(R)
+        assert abs(res.x_tilde - balance_cubic_bisection(res.D)) <= 1e-14 * res.x_tilde
+        assert res.residual == balance_cubic_residual(res.x_tilde, res.D)
+        assert res.L_eq == res.x_tilde * R
 
-    @given(D=st.floats(min_value=0.1, max_value=1000.0))
-    def test_root_agreement_property(self, D):
-        assert solve_balance_cubic(D) == pytest.approx(balance_cubic_bisection(D), rel=1e-12)
-
-    def test_root_is_positive_and_beyond_sqrt_D(self):
+    def test_root_is_beyond_sqrt_D(self):
         # x^3 = D(x + 2) with D > 0 forces x > sqrt(D)
-        for D in (0.5, 5.9, 40.0):
-            x = solve_balance_cubic(D)
-            assert x > math.sqrt(D)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            solve_balance_cubic(0.0)
+        res = equilibrium_distance(0.84e-15)
+        assert res.x_tilde > math.sqrt(res.D)
 
 
 class TestEquilibrium:
@@ -153,18 +162,23 @@ class TestEquilibrium:
         res = equilibrium_distance(sys.float_info.min)
         assert res.L_eq == res.x_tilde * sys.float_info.min
 
+    @pytest.mark.parametrize("R", [math.inf, 1e308])
+    def test_radius_whose_separation_overflows(self, R):
+        with pytest.raises(DomainError, match=re.escape(f"radius too large: R = {R} m")):
+            equilibrium_distance(R)
 
-class TestMesonMass:
-    def test_frozen_values_1fm(self):
+
+class TestYukawaQuantities:
+    def test_frozen_meson_mass_1fm(self):
         rho = density_from_distance(1e-15)
         T = temperature_from_distance(1e-15)
 
-        unity = meson_mass(rho, 1.0) / J_PER_MEV
+        unity = yukawa_quantities(rho, 1.0).meson_mass_energy / J_PER_MEV
         assert unity == pytest.approx(332.4260872027714, rel=1e-12)
         assert unity == pytest.approx(329.0, rel=0.03)
 
         mu = PermeabilityModel().static_mu(rho, T)
-        magnetic = meson_mass(rho, mu) / J_PER_MEV
+        magnetic = yukawa_quantities(rho, mu).meson_mass_energy / J_PER_MEV
         assert magnetic == pytest.approx(6321.184956045245, rel=1e-12)
         assert magnetic == pytest.approx(6242.0, rel=0.03)
 
@@ -173,36 +187,13 @@ class TestMesonMass:
         mu=st.floats(min_value=1.0, max_value=1e3),
     )
     def test_mass_is_twice_screening_scale(self, rho, mu):
-        mass = meson_mass(rho, mu)
-        assert mass == pytest.approx(
+        q = yukawa_quantities(rho, mu)
+        assert q.meson_mass_energy == pytest.approx(
             2.0 * HBAR_C * screening_wavevector(rho, mu), rel=1e-12
         )
+        assert q.kappa_source == screening_wavevector(rho, mu)
+        assert q.screening_length * q.meson_mass_energy == pytest.approx(HBAR_C, rel=1e-14)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            meson_mass(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            meson_mass(1e43, 0.5)
-
-
-class TestScreeningLength:
-    def test_pion_scale(self):
-        length = screening_length(135.0 * J_PER_MEV)
-        assert length / M_PER_FM == pytest.approx(
-            1.4616813358399736, rel=1e-12
-        )
-
-    @given(E_MeV=st.floats(min_value=1.0, max_value=1e4))
-    def test_round_trip(self, E_MeV):
-        E = E_MeV * J_PER_MEV
-        assert screening_length(E) * E == pytest.approx(HBAR_C, rel=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            screening_length(0.0)
-
-
-class TestYukawaQuantities:
     def test_consistency(self):
         rho = density_from_distance(1e-15)
         T = temperature_from_distance(1e-15)
@@ -217,58 +208,65 @@ class TestYukawaQuantities:
             HBAR_C / q.meson_mass_energy, rel=1e-14
         )
 
-
-class TestFermiQuantities:
-    def test_frozen_values(self):
-        eps_F, q_F = fermi_quantities(1e43)
-        assert q_F == pytest.approx(666510506892997.5, rel=1e-12)
-        assert eps_F == pytest.approx(2.7117355236930515e-9, rel=1e-12)
-
-    def test_wavevector_scaling(self):
-        _, q1 = fermi_quantities(1e43)
-        _, q8 = fermi_quantities(8e43)
-        assert q8 == pytest.approx(2.0 * q1, rel=1e-12)
-
     def test_domain(self):
-        with pytest.raises(DomainError):
-            fermi_quantities(0.0)
+        with pytest.raises(DomainError, match="density must be non-negative"):
+            yukawa_quantities(-1.0, 1.0)
+        with pytest.raises(DomainError, match="mu_ep must be >= 1"):
+            yukawa_quantities(1e43, 0.5)
+
+    def test_massless_at_zero_density(self):
+        # omega_ep = 0 at rho = 0: no mass, so no range
+        with pytest.raises(DomainError, match="mass energy must be positive, got 0.0"):
+            yukawa_quantities(0.0, 1.0)
 
 
 class TestPlasmonLinewidth:
+    def test_frozen_fermi_quantities(self):
+        lw = plasmon_linewidth(1e43, 0.1)
+        assert lw.q_F == pytest.approx(666510506892997.5, rel=1e-12)
+        assert lw.eps_F == pytest.approx(2.7117355236930515e-9, rel=1e-12)
+
+    def test_wavevector_scaling(self):
+        q1 = plasmon_linewidth(1e43, 0.1).q_F
+        q8 = plasmon_linewidth(8e43, 0.1).q_F
+        assert q8 == pytest.approx(2.0 * q1, rel=1e-12)
+
     def test_frozen_value(self):
-        assert plasmon_linewidth(1e43, 0.1) == pytest.approx(
+        assert plasmon_linewidth(1e43, 0.1).width == pytest.approx(
             3.804633913045759e-17, rel=1e-12
         )
 
     def test_quadratic_in_wavevector_ratio(self):
-        w1 = plasmon_linewidth(1e43, 0.05)
-        w2 = plasmon_linewidth(1e43, 0.10)
+        w1 = plasmon_linewidth(1e43, 0.05).width
+        w2 = plasmon_linewidth(1e43, 0.10).width
         assert w2 == pytest.approx(4.0 * w1, rel=1e-12)
 
     def test_bracket_zero_constant(self):
         # r scales as n^(-1/6), so the density n0 = n (r/r0)^6 has r = r0:
         # the bracket vanishes there
-        r, _ = linewidth_bracket(1e26)
-        r0, bracket0 = linewidth_bracket(1e26 * (r / LINEWIDTH_BRACKET_ZERO) ** 6)
-        assert r0 == pytest.approx(LINEWIDTH_BRACKET_ZERO, rel=1e-14)
-        assert abs(bracket0) < 1e-13
-        r, bracket = linewidth_bracket(1e43)
-        assert r < LINEWIDTH_BRACKET_ZERO
-        assert bracket > 0.0
+        r = plasmon_linewidth(1e26, 0.0).r
+        at_zero = plasmon_linewidth(1e26 * (r / LINEWIDTH_BRACKET_ZERO) ** 6, 0.0)
+        assert at_zero.r == pytest.approx(LINEWIDTH_BRACKET_ZERO, rel=1e-14)
+        assert abs(at_zero.bracket) < 1e-13
+        dense = plasmon_linewidth(1e43, 0.0)
+        assert dense.r < LINEWIDTH_BRACKET_ZERO
+        assert dense.bracket > 0.0
 
-    def test_negative_bracket_warns(self):
+    def test_negative_bracket_is_a_field_not_a_warning(self):
         # dilute gas: the plasmon energy exceeds the particle-hole band and
-        # the leading-order damping formula loses validity
-        r, bracket = linewidth_bracket(1e26)
-        assert r > LINEWIDTH_BRACKET_ZERO
-        assert bracket < 0.0
-        with pytest.warns(UserWarning):
-            plasmon_linewidth(1e26, 0.1)
+        # the leading-order damping formula loses validity; the record's
+        # bracket says so
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lw = plasmon_linewidth(1e26, 0.1)
+        assert lw.r > LINEWIDTH_BRACKET_ZERO
+        assert lw.bracket < 0.0
+        assert lw.width < 0.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="density must be positive"):
             plasmon_linewidth(0.0, 0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="q_ratio must be non-negative"):
             plasmon_linewidth(1e43, -0.1)
 
     def test_q_ratio_whose_square_overflows(self):

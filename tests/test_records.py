@@ -4,7 +4,7 @@ import pytest
 
 from casnuc import cli
 from casnuc.lifshitz import SweepSpec, distance_coupled_breakdown, sweep_rows
-from casnuc.nuclear import equilibrium_distance, yukawa_quantities
+from casnuc.nuclear import equilibrium_distance, plasmon_linewidth, yukawa_quantities
 from casnuc.plasma import PermeabilityModel, plasma_state_from_distance
 
 MODEL = PermeabilityModel()
@@ -25,6 +25,7 @@ RECORDS = {
     "PermeabilityModel": lambda: MODEL,
     "EquilibriumResult": lambda: equilibrium_distance(0.84e-15),
     "YukawaQuantities": _yukawa,
+    "PlasmonLinewidth": lambda: plasmon_linewidth(1e43, 0.1),
 }
 
 
