@@ -149,12 +149,12 @@ def _gauss_legendre_tau(n: int) -> tuple[tuple[float, float, float], ...]:
 _TAIL_RULE = _gauss_legendre_tau(32)
 
 
-def em_tail(N: int, a: float, s: float, b: float, nu: float,
+def em_tail(N: int, s: float, b: float, nu: float,
             limit: float) -> tuple[float, float] | tuple[None, int]:
     """sum_{n>N} f(n) for f(n) = S(b sqrt(n^2 + nu2)), nu2 = nu^2, by the
-    Euler-Maclaurin formula, given a = a_N and s = S(a_N): (value, bound on
-    its error), or (None, the next N to try) while N < nu/2 or while that
-    bound exceeds limit.
+    Euler-Maclaurin formula, given s = f(N) = S(a_N), a_N = b Y: (value,
+    bound on its error), or (None, the next N to try) while N < nu/2 or
+    while that bound exceeds limit.
 
     Below N = nu/2 the quadrature of R4 loses accuracy at large nu b (7e-10
     at nu = 1000, nu b = 100, N = 12), so the first try is at N >= nu/2; a
@@ -188,6 +188,7 @@ def em_tail(N: int, a: float, s: float, b: float, nu: float,
     nu2 = nu * nu
     y2 = N * N + nu2
     y = math.sqrt(y2)
+    a = b * y
     # l_i = t^(i+1) sum_k q_ik z^(i+1-k) with z = e^a - 1 = a/t below a = 1,
     # and a^(i+1) sum_k q_ik beta^k with beta = 1/z above: finite for any a
     lam = []

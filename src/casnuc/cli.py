@@ -206,20 +206,18 @@ def _finite(value: float) -> float:
     return value + 0.0
 
 
-def _json_text(obj: object, newline: str) -> str:
-    # obj in exactly the json.dumps(indent=2) layout, nested at newline; json
-    # escapes only the keys and strings
+def _finite_floats(obj: object) -> object:
+    # obj with _finite applied to each float, nested dicts included, in
+    # document order, so that the first non-finite value is the one named
     if isinstance(obj, float):
-        return repr(_finite(obj))
-    inner = newline + "  "
-    if isinstance(obj, dict) and obj:
-        items = (json.dumps(key) + ": " + _json_text(value, inner) for key, value in obj.items())
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(obj)  # str, int, bool, None or {}
+        return _finite(obj)
+    if isinstance(obj, dict):
+        return {key: _finite_floats(value) for key, value in obj.items()}
+    return obj
 
 
 def _json_document(obj: object) -> str:
-    return _json_text(obj, "\n") + "\n"
+    return json.dumps(_finite_floats(obj), indent=2) + "\n"
 
 
 def _table_document(header: Sequence[str], rows: Sequence[tuple[float, ...]], fmt: str) -> str:

@@ -4,19 +4,21 @@ pair plasma.
 Both plates are ideal mirrors, so every Matsubara term reduces to the mode
 series S(a) = sum_j e^(-j a) (a/j^2 + 1/j^3) = a Li2(e^-a) + Li3(e^-a) of a
 single screening argument a = 2 kappa L, evaluated to double precision in a
-bounded number of operations (_mode_series).  Each term has one evaluator:
-zero_freq_exact the n = 0 term, the only one the permeability model enters,
-and _finite_freq_term every n > 0 term (mu = 1), which both matsubara_term
-and finite_freq_sum call.  The n > 0 sum derives its scales once, adds its
-first terms directly and replaces the rest by an Euler-Maclaurin tail built
-from closed forms (_matsubara_tail, which also decides where the tail is
-tried), whose remainder is bounded below 1e-12 of the sum; it and its
-large-x asymptote take (L, T, rho).  On top sit the distance-coupled closed
-forms, whose constant factors are folded once, at import, each in its
-display's own operation order so that no bit of a result moves, and
-separation sweeps.  The tests check S against mpmath, the sum
-against the j-sum, mpmath and the Brown-Maclay law, and the closed forms
-against the plasma pipeline.
+bounded number of operations (_mode_series).  zero_freq_exact is the one
+evaluator of the n = 0 term, the only one the permeability model enters.
+Every n > 0 term (mu = 1) depends on the state only through the scales
+(prefactor, b, nu) of _finite_freq_scales: it is prefactor S(b sqrt(n^2 +
+nu^2)), with prefactor = -k_B T/(4 pi L^2), b = 2 L xi_1/c and nu =
+omega_ep/xi_1.  matsubara_term, the n > 0 sum and its large-x asymptote all
+read these three numbers.  The sum adds its first terms directly and
+replaces the rest by an Euler-Maclaurin tail built from closed forms
+(_matsubara_tail, which also decides where the tail is tried), whose
+remainder is bounded below 1e-12 of the sum.  On top sit the
+distance-coupled closed forms, whose constant factors are folded once, at
+import, each in its display's own operation order so that no bit of a
+result moves, and separation sweeps.  The tests check S against mpmath,
+the sum against the j-sum, mpmath and the Brown-Maclay law, and the closed
+forms against the plasma pipeline.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from collections import namedtuple
 from .constants import (
     C,
     E_CHARGE,
-    EPS_0,
     HBAR,
     HBAR_C,
     K_B,
@@ -221,36 +222,29 @@ def _check_state(L: float, T: float, rho: float) -> None:
         raise DomainError(f"density must be non-negative, got {rho}")
 
 
+def _finite_freq_scales(L: float, T: float, rho: float) -> tuple[float, float, float]:
+    """(prefactor, b, nu) of the n > 0 terms prefactor S(b sqrt(n^2 + nu^2)):
+    prefactor = -k_B T/(4 pi L^2), b = 2 L xi_1/c and nu = omega_ep/xi_1, with
+    xi_1 = 2 pi k_B T/hbar the first Matsubara frequency.  The only n > 0 code
+    that computes xi_1 or omega_ep; b = 2 pi xbar and nu^2 = rhobar."""
+    _check_state(L, T, rho)
+    if K_B * T < sys.float_info.min:
+        raise DomainError(f"temperature too small: T = {T} K, k_B T underflows")
+    xi_1 = 2.0 * math.pi * K_B * T / HBAR
+    return -K_B * T / (4.0 * math.pi * L * L), 2.0 * L * xi_1 / C, plasma_frequency(rho) / xi_1
+
+
 def finite_freq_asymptote(L: float, T: float, rho: float) -> float:
     """Leading large-x asymptote of the summed n > 0 Matsubara terms.
 
     Fn/A = -((k_B T)^2 / hbar c) e^(-pi rhobar xbar) e^(-2 pi xbar) / L with
-    xbar = 2 k_B T L/(hbar c) and rhobar = rho e^2 hbar^2/(4 pi^2 m eps0 (k_B T)^2).
-    The untracked remainder of the source expansion is dropped.
+    xbar = 2 k_B T L/(hbar c) and rhobar = rho e^2 hbar^2/(4 pi^2 m eps0 (k_B T)^2),
+    evaluated as prefactor b e^(-b (1 + nu^2/2)) in the scales of
+    _finite_freq_scales (b = 2 pi xbar, nu^2 = rhobar).  The untracked
+    remainder of the source expansion is dropped.
     """
-    _check_state(L, T, rho)
-    kT = K_B * T
-    xbar = 2.0 * kT * L / HBAR_C
-    rhobar = rho * E_CHARGE**2 * HBAR**2 / (4.0 * math.pi**2 * M_E * EPS_0 * kT**2)
-    return -(kT * kT) / HBAR_C * math.exp(-math.pi * rhobar * xbar - 2.0 * math.pi * xbar) / L
-
-
-def _finite_freq_scales(L: float, T: float, rho: float) -> tuple[float, float, float]:
-    # (omega_ep, prefactor -k_B T/(4 pi L^2), xi_1 = 2 pi k_B T/hbar) of the n > 0 terms
-    _check_state(L, T, rho)
-    return (plasma_frequency(rho), -K_B * T / (4.0 * math.pi * L * L),
-            2.0 * math.pi * K_B * T / HBAR)
-
-
-def _finite_freq_term(n: int, L: float, omega: float, prefactor: float,
-                      xi_1: float) -> tuple[float, float, float]:
-    """The one evaluator of the n > 0 terms: (term, root, xi) with xi = n xi_1,
-    root = sqrt(xi^2 + omega_ep^2) and term = -(k_B T/4 pi L^2) S(a_n),
-    a_n = 2 L root/c, for the scales (omega_ep, prefactor, xi_1) of
-    _finite_freq_scales."""
-    xi = n * xi_1
-    root = math.sqrt(xi * xi + omega * omega)
-    return prefactor * _mode_series(2.0 * L * root / C), root, xi
+    prefactor, b, nu = _finite_freq_scales(L, T, rho)
+    return prefactor * b * math.exp(-b * (1.0 + 0.5 * nu * nu))
 
 
 def matsubara_term(
@@ -260,12 +254,14 @@ def matsubara_term(
 
     n = 0 delegates to zero_freq_exact with the model's static permeability.
     Every n > 0 term has mu = 1 whatever the model: the spin response has
-    died out far below the first Matsubara frequency xi_1 = 2 pi k_B T/hbar.
+    died out far below the first Matsubara frequency xi_1 = 2 pi k_B T/hbar,
+    and the term is prefactor S(b sqrt(n^2 + nu^2)) (see _finite_freq_scales).
     """
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"Matsubara index n must be a non-negative integer, got {n!r}")
     if n > 0:
-        return _finite_freq_term(n, L, *_finite_freq_scales(L, T, rho))[0]
+        prefactor, b, nu = _finite_freq_scales(L, T, rho)
+        return prefactor * _mode_series(b * math.sqrt(n * n + nu * nu))
     _check_state(L, T, rho)
     mu = model.static_mu(rho, T)
     return zero_freq_exact(screening_wavevector(rho, mu), L, T)
@@ -274,49 +270,50 @@ def matsubara_term(
 def _finite_freq_sum(L: float, T: float, rho: float) -> tuple[float, int, float]:
     """(sum of the n > 0 terms, direct terms added, bound on the rest) [J/m^2].
 
-    With a_n = b sqrt(n^2 + nu^2), b = 2 L xi_1/c and nu = omega_ep/xi_1, the
-    terms are -(k_B T/4 pi L^2) f(n), f(n) = S(a_n): a_n rises and is convex
-    in n.  The direct terms stop at the first n at which one of two bounds on
-    the rest is below 1e-12 of the partial sum:
+    In the scales (prefactor, b, nu) of _finite_freq_scales the terms are
+    prefactor f(n), f(n) = S(a_n) with a_n = b y_n, y_n = sqrt(n^2 + nu^2):
+    a_n rises and is convex in n, with a'(n) = b n/y_n.  The sum adds f(n)
+    directly and multiplies by the prefactor once, at the end, so nothing
+    in it underflows with the prefactor.  It stops at the first n at which
+    one of two bounds on the rest is below 1e-12 of the partial sum:
 
     * the rest itself: int_a^inf S = sum_j e^(-j a) (a/j^3 + 2/j^4) <= 2 S(a)
-      bounds it by 2 |t_n|/a'(n), a'(n) = (2L/c) xi_1 xi_n/sqrt(xi_n^2 + omega^2);
+      bounds it by 2 f(n)/a'(n) = 2 f(n) y_n/(b n);
     * from the _EM_HEAD-th term on, the remainder of the Euler-Maclaurin
       formula that replaces it, which then is added.  _matsubara_tail.em_tail
       decides where to try it and refuses a state whose nu is too large for
       its quadrature (DomainError).
     """
-    omega, prefactor, xi_1 = _finite_freq_scales(L, T, rho)
-    tail_scale = _MATSUBARA_RTOL * L * xi_1 / C  # rtol a'(n) root/(2 xi), any n
-    b = 2.0 * L * xi_1 / C
-    nu = omega / xi_1
+    prefactor, b, nu = _finite_freq_scales(L, T, rho)
+    nu2 = nu * nu
+    half_rtol_b = 0.5 * _MATSUBARA_RTOL * b
     n, check, total = 0, _EM_HEAD, 0.0
     while True:
         n += 1
-        term, root, xi = _finite_freq_term(n, L, omega, prefactor, xi_1)
-        total += term
-        # the tail bound 2 |term|/a'(n) <= rtol |total|, times a'(n) root/2
-        if term == 0.0 or abs(term) * root <= tail_scale * xi * abs(total):
-            return total, n, abs(term) * root * C / (L * xi_1 * xi)
+        y = math.sqrt(n * n + nu2)
+        f = _mode_series(b * y)
+        total += f
+        # the tail bound 2 f y/(b n) <= rtol total, times b n/2
+        if f == 0.0 or f * y <= half_rtol_b * n * total:
+            return prefactor * total, n, -prefactor * (2.0 * f * y / (b * n))
         if n == check:  # the tail, which most sums never reach
             from ._matsubara_tail import em_tail
-            tail, rest = em_tail(n, 2.0 * L * root / C, term / prefactor, b, nu,
-                                 _MATSUBARA_RTOL * total / prefactor)
+            tail, rest = em_tail(n, f, b, nu, _MATSUBARA_RTOL * total)
             if tail is not None:
-                return total + prefactor * tail, n, -prefactor * rest
+                return prefactor * (total + tail), n, -prefactor * rest
             check = rest
 
 
 def finite_freq_sum(L: float, T: float, rho: float) -> float:
-    """Sum of all n > 0 Matsubara terms; the neglected remainder is bounded
+    """Sum of all n > 0 Matsubara terms, prefactor sum_n S(b sqrt(n^2 + nu^2))
+    in the scales of _finite_freq_scales; the neglected remainder is bounded
     below 1e-12 of the sum.
 
     Model-free: every n > 0 term has mu = 1 (see matsubara_term).  The first
     terms are added directly, the rest by an Euler-Maclaurin tail from closed
     forms whose remainder is bounded (see _finite_freq_sum and
-    _matsubara_tail), so
-    the work does not grow as xbar falls: at most 34 terms for
-    omega_ep/xi_1 <= 10 at any xbar, about omega_ep/(2 xi_1) above that.
+    _matsubara_tail), so the work does not grow as b = 2 pi xbar falls: at
+    most 34 terms for nu <= 10 at any b, about nu/2 above that.
     """
     return _finite_freq_sum(L, T, rho)[0]
 

@@ -76,12 +76,19 @@ def ideal_casimir(L: float, area: float) -> tuple[float, float]:
 
 def coulomb_energy(R: float, L: float) -> float:
     """Coulomb repulsion e^2/(4 pi eps0 (2R + L)) of two unit charges whose
-    centers sit one radius behind each plate face."""
-    if not R > 0.0:
-        raise DomainError(f"radius must be positive, got {R}")
-    if L < 0.0:
-        raise DomainError(f"separation must be non-negative, got {L}")
-    return E_CHARGE**2 / (4.0 * math.pi * EPS_0 * (2.0 * R + L))
+    centers sit one radius behind each plate face.  A non-finite R or L, or a
+    denominator 4 pi eps0 (2R + L) that is not a normal double, raises
+    DomainError."""
+    if not 0.0 < R < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {R}")
+    if not 0.0 <= L < math.inf:
+        raise DomainError(f"separation must be non-negative and finite, got {L}")
+    denominator = 4.0 * math.pi * EPS_0 * (2.0 * R + L)
+    if not sys.float_info.min <= denominator < math.inf:
+        raise DomainError(
+            f"radius and separation out of range: R = {R} m, L = {L} m, "
+            f"4 pi eps0 (2R + L) is not a normal double")
+    return E_CHARGE**2 / denominator
 
 
 # With x = L/R the balance condition reduces to x^3 - D x - 2 D = 0, the

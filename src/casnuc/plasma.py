@@ -142,7 +142,9 @@ def _separation_cube(L: float) -> float:
     try:
         cube = L**3
     except OverflowError:
-        raise DomainError(f"separation too large: L = {L} m, L^3 overflows") from None
+        cube = math.inf
+    if cube == math.inf:
+        raise DomainError(f"separation too large: L = {L} m, L^3 overflows")
     if cube < sys.float_info.min:
         raise DomainError(f"separation too small: L = {L} m, L^3 underflows")
     return cube

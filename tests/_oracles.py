@@ -15,9 +15,11 @@ import sys
 import mpmath as mp
 
 from casnuc.constants import (
+    C,
     E_CHARGE,
     EPS_0,
     GAMMA_BALANCE,
+    HBAR,
     HBAR_C,
     K_B,
     M_E,
@@ -186,6 +188,22 @@ def matsubara_sum_mpmath(b: float, nu: float, head: int = 40, order: int = 6) ->
         for k in range(1, order + 1):
             total -= mp.bernoulli(2 * k) / (2 * k) * derivatives[2 * k - 1]
     return float(total)
+
+
+def finite_freq_asymptote_mpmath(L: float, T: float, rho: float) -> float:
+    """The display of lifshitz.finite_freq_asymptote with mpmath (30 digits):
+    -((k_B T)^2/hbar c) e^(-pi rhobar xbar) e^(-2 pi xbar)/L with
+    xbar = 2 k_B T L/(hbar c) and rhobar = rho e^2 hbar^2/(4 pi^2 m eps0 (k_B T)^2)."""
+    with mp.workdps(30):
+        L, rho = mp.mpf(L), mp.mpf(rho)
+        kT = mp.mpf(K_B) * mp.mpf(T)
+        hbar = mp.mpf(HBAR)
+        hbar_c = hbar * mp.mpf(C)
+        xbar = 2 * kT * L / hbar_c
+        rhobar = (rho * mp.mpf(E_CHARGE) ** 2 * hbar**2
+                  / (4 * mp.pi**2 * mp.mpf(M_E) * mp.mpf(EPS_0) * kT**2))
+        value = -kT * kT / hbar_c * mp.exp(-mp.pi * rhobar * xbar - 2 * mp.pi * xbar) / L
+    return float(value)
 
 
 def table_document_per_value(header, rows, fmt: str) -> str:

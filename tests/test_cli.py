@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from _oracles import table_document_per_value
-from casnuc import cli, lifshitz, plasma
+from _oracles import matsubara_sum_mpmath, table_document_per_value
+from casnuc import cli, lifshitz, plasma, units
+from casnuc.constants import C, HBAR, K_B
 from casnuc.errors import NumericalError
 from casnuc.lifshitz import FreeEnergyBreakdown
 
@@ -304,6 +305,23 @@ class TestSweep:
         _, rows = csv_rows(out)
         assert len(rows) == 3
         assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+    def test_full_sweep_at_huge_separations(self, capsys):
+        # the n > 0 sum once stopped after one term here, 1.5% off
+        pytest.importorskip("mpmath")
+        code, out, err = run_cli(
+            ["sweep", "--method", "full", "--Lmin", "1e92", "--Lmax", "2e92", "--points", "3"],
+            capsys)
+        assert (code, err) == (0, "")
+        header, rows = csv_rows(out)
+        for row in rows:
+            L = float(row[0]) * units.M_PER_FM
+            T, rho = plasma.temperature_from_distance(L), plasma.density_from_distance(L)
+            xi_1 = 2.0 * math.pi * K_B * T / HBAR
+            exact = (-K_B * T / (4.0 * math.pi * L * L)
+                     * matsubara_sum_mpmath(2.0 * L * xi_1 / C, plasma.plasma_frequency(rho) / xi_1)
+                     * lifshitz.DEFAULT_PLATE_AREA / units.J_PER_MEV)
+            assert abs(float(row[header.index("Fn_MeV")]) / exact - 1.0) <= 1e-8
 
     def test_fixed_mode_holds_temperature(self, capsys):
         code, out, _ = run_cli(

@@ -39,6 +39,7 @@ from casnuc.units import J_PER_MEV
 from _oracles import (
     breakdown_unfolded,
     density_unfolded,
+    finite_freq_asymptote_mpmath,
     matsubara_j_sum,
     matsubara_sum_mpmath,
     plasma_frequency_unfolded,
@@ -244,6 +245,28 @@ class TestFiniteFreqAsymptote:
         with pytest.raises(DomainError):
             finite_freq_asymptote(1e-15, 0.0, 2e43)
 
+    def test_matches_mpmath_at_finite_density(self):
+        # the display in xbar and rhobar against the evaluation in the
+        # scales (b, nu), b = 2 pi xbar and nu^2 = rhobar
+        pytest.importorskip("mpmath")
+        compared = 0
+        for L_fm in (0.01, 0.3, 1.0, 3.0, 30.0, 1e3):
+            for T in (1e9, 1e10, 1e11, 8.7e11, 1e13):
+                for rho in (1e25, 1e35, 1e40, 2e43, 1e45):
+                    exact = finite_freq_asymptote_mpmath(L_fm * 1e-15, T, rho)
+                    if abs(exact) <= 1e-290:
+                        continue
+                    value = finite_freq_asymptote(L_fm * 1e-15, T, rho)
+                    assert abs(value / exact - 1.0) <= 1e-12, (L_fm, T, rho)
+                    compared += 1
+        assert compared >= 60
+
+    def test_density_too_small_for_the_plasma_frequency(self):
+        # rho e^2 underflows: the same DomainError as finite_freq_sum
+        for finite_freq in (finite_freq_asymptote, finite_freq_sum):
+            with pytest.raises(DomainError, match="density too small"):
+                finite_freq(1e-15, 8.7e11, 1e-300)
+
 
 class TestFullMatsubara:
     def test_zero_term_matches_exact_evaluator(self):
@@ -440,19 +463,60 @@ class TestMatsubaraTail:
     @pytest.mark.parametrize("L_fm", [0.5, 1.0, 3.0, 10.0])
     def test_head_sums_keep_the_direct_rule(self, L_fm):
         # coupled states converge within the direct terms: the sum is, bit for
-        # bit, the terms added until 2 |t_n|/a'(n) <= 1e-12 |partial sum|
+        # bit, the prefactor times f(n) = S(b y_n), y_n = sqrt(n^2 + nu^2),
+        # added until the rest's bound 2 f(n) y_n/(b n) <= 1e-12 sum f
         L = L_fm * 1e-15
         s = plasma_state_from_distance(L, SPIN)
-        xi_1 = 2.0 * math.pi * K_B * s.T / HBAR
+        prefactor, b, nu = lifshitz._finite_freq_scales(L, s.T, s.rho)
         total = 0.0
-        scales = lifshitz._finite_freq_scales(L, s.T, s.rho)
         for n in range(1, 1000):
-            term, root, xi = lifshitz._finite_freq_term(n, L, *scales)
-            total += term
-            if abs(term) * root <= 1e-12 * L * xi_1 / C * xi * abs(total):
+            y = math.sqrt(n * n + nu * nu)
+            f = _mode_series(b * y)
+            total += f
+            if f * y <= 0.5 * 1e-12 * b * n * total:
                 break
         assert n < lifshitz._EM_HEAD
-        assert finite_freq_sum(L, s.T, s.rho) == total
+        assert finite_freq_sum(L, s.T, s.rho) == prefactor * total
+
+    @pytest.mark.parametrize("L_fm, L_init_fm", [
+        (1e92, None), (1e100, None), (1e100, 1e104), (3e101, 1e104),
+    ], ids=["coupled-1e92", "coupled-1e100", "pinned-1e100", "pinned-3e101"])
+    def test_sum_at_huge_separations(self, L_fm, L_init_fm):
+        # the prefactor -k_B T/(4 pi L^2) is near the bottom of the double
+        # range here, so a stop test that carries it underflows
+        pytest.importorskip("mpmath")
+        L = L_fm * 1e-15
+        s = plasma_state_from_distance((L_init_fm or L_fm) * 1e-15, UNITY)
+        total, _, bound = lifshitz._finite_freq_sum(L, s.T, s.rho)
+        xi_1 = 2.0 * math.pi * K_B * s.T / HBAR
+        nu = plasma_frequency(s.rho) / xi_1
+        exact = (-K_B * s.T / (4.0 * math.pi * L * L)
+                 * matsubara_sum_mpmath(2.0 * L * xi_1 / C, nu))
+        assert abs(total / exact - 1.0) <= 1e-12
+        assert 0.0 < bound <= 1e-12 * abs(total)
+
+    @pytest.mark.parametrize("L_fm", [1e80, 2e80])
+    def test_pinned_sum_at_huge_separations_and_small_b(self, L_fm):
+        # pinned at 1e104 fm, b = 2 pi xbar is about 5e-24 and nu 3.5e-53
+        # (nu^2 is far below rounding), so the j-sum at rho = 0 is the oracle
+        pytest.importorskip("mpmath")
+        L = L_fm * 1e-15
+        s = plasma_state_from_distance(1e104 * 1e-15, UNITY)
+        total, _, bound = lifshitz._finite_freq_sum(L, s.T, s.rho)
+        xi_1 = 2.0 * math.pi * K_B * s.T / HBAR
+        assert plasma_frequency(s.rho) / xi_1 < 1e-50
+        exact = -K_B * s.T / (4.0 * math.pi * L * L) * matsubara_j_sum(2.0 * L * xi_1 / C)
+        assert abs(total / exact - 1.0) <= 1e-12
+        assert 0.0 < bound <= 1e-12 * abs(total)
+
+    @pytest.mark.parametrize("T", [1e-290, 1e-320])
+    def test_scales_reject_an_underflowing_temperature(self, T):
+        # k_B T is subnormal or 0: the n > 0 scales would lose their digits
+        # or divide by xi_1 = 0
+        for evaluator in (finite_freq_sum, finite_freq_asymptote,
+                          lambda L, T, rho: matsubara_term(1, L, T, rho)):
+            with pytest.raises(DomainError, match="temperature too small"):
+                evaluator(1e-15, T, 0.0)
 
     def test_plasma_frequency_edge(self):
         # omega_ep/xi_1 = 3.5e19 with terms that do not vanish would take

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from casnuc.constants import HBAR_C
 from casnuc.errors import DomainError
-from casnuc.lifshitz import screening_wavevector
+from casnuc.lifshitz import distance_coupled_breakdown, screening_wavevector
 from casnuc.nuclear import (
     coulomb_energy,
     equilibrium_distance,
@@ -19,6 +19,7 @@ from casnuc.nuclear import (
 )
 from casnuc.plasma import (
     PermeabilityModel,
+    _separation_cube,
     density_from_distance,
     temperature_from_distance,
 )
@@ -114,6 +115,31 @@ class TestCoulomb:
             coulomb_energy(0.0, 1e-15)
         with pytest.raises(DomainError):
             coulomb_energy(0.84e-15, -1e-15)
+
+
+# lengths that are infinite or whose Coulomb denominator is not a normal
+# double: each raises a DomainError that names the parameter
+INF = math.inf
+LENGTH_EDGES = [
+    (coulomb_energy, (1e-320, 0.0), "radius and separation out of range: R = 1e-320 m"),
+    (coulomb_energy, (5e-324, 0.0), "radius and separation out of range: R = 5e-324 m"),
+    (coulomb_energy, (1e308, 1e308), "radius and separation out of range: R = 1e+308 m"),
+    (coulomb_energy, (0.84e-15, math.nan), "separation must be non-negative and finite, got nan"),
+    (coulomb_energy, (0.84e-15, INF), "separation must be non-negative and finite, got inf"),
+    (coulomb_energy, (INF, 0.0), "radius must be positive and finite, got inf"),
+    (_separation_cube, (INF,), "separation too large: L = inf m, L^3 overflows"),
+    (ideal_casimir, (INF, 1.0), "separation too large: L = inf m, L^3 overflows"),
+    (density_from_distance, (INF,), "separation too large: L = inf m, L^3 overflows"),
+    (distance_coupled_breakdown, (INF,), "separation too large: L = inf m, L^3 overflows"),
+]
+
+
+@pytest.mark.parametrize("evaluator, args, message", LENGTH_EDGES,
+                         ids=[f"{f.__name__}{args}" for f, args, _ in LENGTH_EDGES])
+def test_lengths_out_of_range(evaluator, args, message):
+    with pytest.raises(DomainError) as info:
+        evaluator(*args)
+    assert str(info.value).startswith(message)
 
 
 class TestBalanceCubic:
