@@ -153,8 +153,10 @@ def em_tail(N: int, s: float, b: float, nu: float,
             limit: float) -> tuple[float, float] | tuple[None, int]:
     """sum_{n>N} f(n) for f(n) = S(b sqrt(n^2 + nu2)), nu2 = nu^2, by the
     Euler-Maclaurin formula, given s = f(N) = S(a_N), a_N = b Y: (value,
-    bound on its error), or (None, the next N to try) while N < nu/2 or
-    while that bound exceeds limit.
+    bound on its error over b), or (None, the next N to try) while N < nu/2
+    or while that bound exceeds limit.  The bound comes over b because it
+    carries b^2, which underflows for b below about 1.5e-154 where the
+    bound times the sum's prefactor can still be a normal double.
 
     Below N = nu/2 the quadrature of R4 loses accuracy at large nu b (7e-10
     at nu = 1000, nu b = 100, N = 12), so the first try is at N >= nu/2; a
@@ -214,9 +216,9 @@ def em_tail(N: int, s: float, b: float, nu: float,
     bracket = _EM_W0 * m0
     for u, l_i in zip(_EM_U, lam):
         bracket += u * l_i
-    bound = _EM_SCALE * (y / N) * b * b * y ** (3 - p2) * bracket
-    if not bound <= limit:
-        ratio = bound / limit if limit > 0.0 else 1.0
+    bound = _EM_SCALE * (y / N) * b * y ** (3 - p2) * bracket  # over b: b^2 may underflow
+    if not bound * b <= limit:
+        ratio = bound * b / limit if limit > 0.0 else 1.0
         skip = min(math.log(ratio) / (b + 1.0 / N), N * (ratio ** (1.0 / (p2 - 1)) - 1.0))
         return None, N + max(1, math.ceil(skip))
     # (-b^2/2)^r M_(r-1) = -(b^2/2) (-1/(2 Y^2))^(r-1) a^(2r-2) M_(r-1), a = b Y
@@ -241,14 +243,14 @@ def em_tail(N: int, s: float, b: float, nu: float,
     if nu2:
         width = N + y
         alpha, gamma, v2 = 0.5 * b * width, 0.5 * b * nu2 / width, nu2 / (width * width)
-        r4_scale = b * b * nu2 * nu2 / (4.0 * width)
-        # -ln(1 - e^-u) <= min(ln(1 + 1/u), 1/(e^u - 1)), both falling in u
-        r4_bound = r4_scale * min((1.0 + alpha) * math.log1p(1.0 / alpha) - 1.0,
-                                  1.0 / math.expm1(alpha) if alpha < 700.0 else 0.0)
-        if bound + r4_bound <= limit:
+        # -ln(1 - e^-u) <= min(ln(1 + 1/u), 1/(e^u - 1)), both falling in u; over b
+        r4_bound = b * nu2 * nu2 / (4.0 * width) * min(
+            (1.0 + alpha) * math.log1p(1.0 / alpha) - 1.0,
+            1.0 / math.expm1(alpha) if alpha < 700.0 else 0.0)
+        if (bound + r4_bound) * b <= limit:
             return value, bound + r4_bound
         r4 = 0.0
         for tau, tau2, weight in _TAIL_RULE:
             r4 += weight * _ln1m_exp(alpha / tau + gamma * tau) * (1.0 - v2 * tau2)
-        value += r4_scale * r4
+        value += b * b * nu2 * nu2 / (4.0 * width) * r4
     return value, bound

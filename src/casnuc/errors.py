@@ -11,7 +11,3 @@ class DomainError(CasnucError, ValueError):
 
 class NumericalError(CasnucError, RuntimeError):
     """A numerical evaluation produced no trustworthy result."""
-
-
-class ConvergenceError(NumericalError):
-    """An iterative evaluation exhausted its budget before converging."""

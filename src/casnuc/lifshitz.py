@@ -38,7 +38,7 @@ from .constants import (
     R_PROTON_DEFAULT,
     ZETA_3,
 )
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .plasma import (
     PermeabilityModel,
     _separation_cube,
@@ -49,11 +49,17 @@ from .units import J_PER_MEV, M_PER_FM, fm_to_m
 
 DEFAULT_PLATE_AREA = math.pi * R_PROTON_DEFAULT**2  # [m^2]
 
-# mode series (see _mode_series): at a >= _SERIES_SPLIT the tail bound falls
-# below _SERIES_RTOL within 21 terms, so no finite argument reaches the cap
+# mode series (see _mode_series): at a >= _SERIES_SPLIT the stop test holds
+# by the 21st term, so the sum never runs past _SERIES_MAX_TERMS.  The 21st
+# term t_21 = r^20 (a/441 + 1/9261), r = e^-a, passes once t_21 r is below
+# 2^-53 (1 - r) of the partial sum, itself above its first term a + 1; the
+# ratio r^21 (a/441 + 1/9261)/(2^-53 (1 - r)(a + 1)) is 0.34 at a = 1.5 and
+# falls as a rises (its log falls at least 20 per unit of a).  The same
+# holds for the two series of _matsubara_tail._mode_series_tails (0.55 at
+# a = 1.5).  a = 1.5 still needs all 21 terms; a = 2 needs 16.
 _SERIES_SPLIT = 1.5
 _SERIES_RTOL = 2.0**-53
-_SERIES_MAX_TERMS = 32
+_SERIES_MAX_TERMS = 21
 _SERIES_INV_POWERS = tuple(
     (1.0 / (j * j), 1.0 / (j * j * j)) for j in range(1, _SERIES_MAX_TERMS + 1)
 )
@@ -128,8 +134,9 @@ def _mode_series(a: float) -> float:
       summed to m = 30 (the rest is below 1e-20 of S); S(0) = zeta(3).
     * a >= 1.5: the exponential sum.  Successive terms shrink by at least
       r = e^-a, so the tail after a term t is at most t r/(1 - r); the sum
-      stops once that bound is below 2^-53 of the partial sum (at most 21
-      terms).  e^-a enters as (e^(-a/2))^2 so that a subnormal e^-a costs
+      stops once that bound is below 2^-53 of the partial sum, which it is
+      by the 21st term at every a >= 1.5 (see _SERIES_SPLIT), so 21 terms
+      is the cap.  e^-a enters as (e^(-a/2))^2 so that a subnormal e^-a costs
       no precision.
 
     Relative error below 6e-16 against a Li2(e^-a) + Li3(e^-a) (mpmath,
@@ -158,18 +165,16 @@ def _mode_series(a: float) -> float:
         term = power * (a * inv2 + inv3)
         total += term
         if term * decay <= tol * total:
-            return total * half * half
+            break
         power *= decay
-    raise ConvergenceError(
-        f"mode series did not converge: a={a}, terms={_SERIES_MAX_TERMS}, sum={total}"
-    )
+    return total * half * half
 
 
 def _zero_freq_prefactor(kappa: float, L: float, T: float) -> float:
     # -k_B T/(8 pi L^2), the factor in front of S(a) in the n = 0 term
     if kappa < 0.0:
         raise DomainError(f"kappa must be non-negative, got {kappa}")
-    _check_state(L, T, 0.0)
+    _check_state(L, T)
     return -K_B * T / (8.0 * math.pi * L * L)
 
 
@@ -213,25 +218,30 @@ def zero_freq_asymptote(kappa: float, L: float, T: float) -> float:
     return prefactor * (math.exp(-a) * (1.0 + a) if a < 760.0 else 0.0)
 
 
-def _check_state(L: float, T: float, rho: float) -> None:
+def _check_state(L: float, T: float) -> None:
+    # the density is checked where it is read, by plasma_frequency or static_mu
     if not L > 0.0 or not T > 0.0:
         raise DomainError(f"L and T must be positive, got L={L}, T={T}")
     if L * L < sys.float_info.min:  # the n >= 0 prefactors divide by L^2
         raise DomainError(f"separation too small: L = {L} m, L^2 underflows")
-    if rho < 0.0:
-        raise DomainError(f"density must be non-negative, got {rho}")
 
 
 def _finite_freq_scales(L: float, T: float, rho: float) -> tuple[float, float, float]:
     """(prefactor, b, nu) of the n > 0 terms prefactor S(b sqrt(n^2 + nu^2)):
     prefactor = -k_B T/(4 pi L^2), b = 2 L xi_1/c and nu = omega_ep/xi_1, with
     xi_1 = 2 pi k_B T/hbar the first Matsubara frequency.  The only n > 0 code
-    that computes xi_1 or omega_ep; b = 2 pi xbar and nu^2 = rhobar."""
-    _check_state(L, T, rho)
+    that computes xi_1 or omega_ep; b = 2 pi xbar and nu^2 = rhobar.  A b
+    that is not a normal double (L T below about 4e-312 m K, or above about
+    3e304 m K) raises DomainError: the sum's tail divides by b."""
+    _check_state(L, T)
     if K_B * T < sys.float_info.min:
         raise DomainError(f"temperature too small: T = {T} K, k_B T underflows")
     xi_1 = 2.0 * math.pi * K_B * T / HBAR
-    return -K_B * T / (4.0 * math.pi * L * L), 2.0 * L * xi_1 / C, plasma_frequency(rho) / xi_1
+    nu = plasma_frequency(rho) / xi_1
+    b = 2.0 * L * xi_1 / C
+    if not sys.float_info.min <= b <= sys.float_info.max:
+        raise DomainError(f"L and T out of range: L = {L} m, T = {T} K, b = 2 L xi_1/c = {b}")
+    return -K_B * T / (4.0 * math.pi * L * L), b, nu
 
 
 def finite_freq_asymptote(L: float, T: float, rho: float) -> float:
@@ -262,7 +272,7 @@ def matsubara_term(
     if n > 0:
         prefactor, b, nu = _finite_freq_scales(L, T, rho)
         return prefactor * _mode_series(b * math.sqrt(n * n + nu * nu))
-    _check_state(L, T, rho)
+    _check_state(L, T)
     mu = model.static_mu(rho, T)
     return zero_freq_exact(screening_wavevector(rho, mu), L, T)
 
@@ -299,8 +309,8 @@ def _finite_freq_sum(L: float, T: float, rho: float) -> tuple[float, int, float]
         if n == check:  # the tail, which most sums never reach
             from ._matsubara_tail import em_tail
             tail, rest = em_tail(n, f, b, nu, _MATSUBARA_RTOL * total)
-            if tail is not None:
-                return prefactor * (total + tail), n, -prefactor * rest
+            if tail is not None:  # rest is the tail's bound over b
+                return prefactor * (total + tail), n, -prefactor * b * rest
             check = rest
 
 

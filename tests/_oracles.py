@@ -27,7 +27,7 @@ from casnuc.constants import (
     MU_B,
     ZETA_3,
 )
-from casnuc.errors import ConvergenceError, DomainError, NumericalError
+from casnuc.errors import DomainError, NumericalError
 from casnuc.lifshitz import FreeEnergyBreakdown
 from casnuc.plasma import _separation_cube
 from casnuc.svgplot import (
@@ -63,7 +63,7 @@ def zero_freq_quadrature(kappa: float, L: float, T: float) -> float:
                                 error=True)
         value, abserr = value / scale, abserr / scale
     if value != 0.0 and abserr > 1e-6 * abs(value):
-        raise ConvergenceError(
+        raise NumericalError(
             f"quadrature failed to converge: a={a}, value={value}, abserr={abserr}"
         )
     return K_B * T / (8.0 * math.pi * L * L) * float(value)
@@ -87,6 +87,54 @@ def zero_freq_series(kappa: float, L: float, T: float, terms: int | None = None)
         terms = int(50.0 / a) + 1
     parts = [math.exp(-j * a) * (a / j**2 + 1.0 / j**3) for j in range(1, terms + 1)]
     return -K_B * T / (8.0 * math.pi * L * L) * math.fsum(parts)
+
+
+# 1/j^2, 1/j^3 and 2/j^4 for j = 1 .. 32, a table longer than the 21 terms
+# the two loops below can need at a >= 1.5
+_LOOP_INV_POWERS = tuple((1.0 / (j * j), 1.0 / (j * j * j), 2.0 / (j * j * j * j))
+                         for j in range(1, 33))
+
+
+def mode_series_loop(a: float) -> tuple[float, int]:
+    """(S(a), terms summed) by the large-a loop of lifshitz._mode_series on
+    up to 32 terms, a >= 1.5.
+
+    Oracle for the 21-term loop, which must return the same bits: the sum
+    stops once the next term's geometric tail bound is below 2^-53 of the
+    partial sum, and the loop's length only decides where it gives up
+    (NumericalError)."""
+    half = math.exp(-0.5 * a)
+    decay = half * half
+    tol = 2.0**-53 * (1.0 - decay)
+    power = 1.0
+    total = 0.0
+    for j, (inv2, inv3, _) in enumerate(_LOOP_INV_POWERS, 1):
+        term = power * (a * inv2 + inv3)
+        total += term
+        if term * decay <= tol * total:
+            return total * half * half, j
+        power *= decay
+    raise NumericalError(f"mode series did not stop within 32 terms: a={a}")
+
+
+def mode_series_tails_loop(a: float) -> tuple[tuple[float, float], int]:
+    """((Li2(e^-a), a Li3(e^-a) + 2 Li4(e^-a)), terms summed) by the large-a
+    loop of _matsubara_tail._mode_series_tails on up to 32 terms, a >= 1.5;
+    the oracle for its 21-term loop, as mode_series_loop is for S."""
+    half = math.exp(-0.5 * a)
+    decay = half * half
+    tol = 2.0**-53 * (1.0 - decay)
+    power = 1.0
+    li2 = integral = 0.0
+    for j, (inv2, inv3, inv4) in enumerate(_LOOP_INV_POWERS, 1):
+        term2 = power * inv2
+        term = power * (a * inv3 + inv4)
+        li2 += term2
+        integral += term
+        if term2 * decay <= tol * li2 and term * decay <= tol * integral:
+            return (li2 * decay, integral * decay), j
+        power *= decay
+    raise NumericalError(f"mode series tails did not stop within 32 terms: a={a}")
 
 
 def pair_density(T: float) -> float:
@@ -171,8 +219,10 @@ def matsubara_sum_mpmath(b: float, nu: float, head: int = 40, order: int = 6) ->
     (b = 2 L xi_1/c, nu = omega_ep/xi_1): the first `head` terms directly,
     the rest by the Euler-Maclaurin formula with the integral from mp.quad
     and the derivatives from mp.taylor, both numerical, in place of the
-    closed forms.  mpmath's nsum extrapolation is 0.999 off at b = 6e-6 and
-    its own Euler-Maclaurin method takes 10-80 s a sum, hence this one.
+    closed forms.  The summand decays over x ~ 1/b, so the quadrature's
+    breakpoints sit at head + 1/b, 10/b and 100/b.  mpmath's nsum
+    extrapolation is 0.999 off at b = 6e-6 and its own Euler-Maclaurin
+    method takes 10-80 s a sum, hence this one.
     """
     with mp.workdps(20):
         b, nu = mp.mpf(b), mp.mpf(nu)
@@ -183,7 +233,7 @@ def matsubara_sum_mpmath(b: float, nu: float, head: int = 40, order: int = 6) ->
             return a * mp.polylog(2, z) + mp.polylog(3, z)
 
         total = mp.fsum(f(n) for n in range(1, head + 1)) - f(head) / 2
-        total += mp.quad(f, [head, 2 * head, 10 * head, mp.inf])
+        total += mp.quad(f, [head] + [head + k / b for k in (1, 10, 100)] + [mp.inf])
         derivatives = mp.taylor(f, head, 2 * order - 1)
         for k in range(1, order + 1):
             total -= mp.bernoulli(2 * k) / (2 * k) * derivatives[2 * k - 1]

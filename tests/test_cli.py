@@ -323,6 +323,33 @@ class TestSweep:
                      * lifshitz.DEFAULT_PLATE_AREA / units.J_PER_MEV)
             assert abs(float(row[header.index("Fn_MeV")]) / exact - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("L_init, L_min, L_max, rows", [
+        ("1e100", "1e-60", "2e-60", [
+            "1.00000000e-60,8.69967987e-89,2.00362115e-257,2.52522067e-127,1.00000000e+00,"
+            "8.42322947e-136,-7.94821804e+20,-5.99600745e+180,-5.99600745e+180",
+            "1.50000000e-60,8.69967987e-89,2.00362115e-257,2.52522067e-127,1.00000000e+00,"
+            "8.42322947e-136,-3.53254135e+20,-1.77659480e+180,-1.77659480e+180",
+            "2.00000000e-60,8.69967987e-89,2.00362115e-257,2.52522067e-127,1.00000000e+00,"
+            "8.42322947e-136,-1.98705451e+20,-7.49500931e+179,-7.49500931e+179",
+        ]),
+        ("1e71", "1e-85", "2e-85", [
+            "1.00000000e-85,8.69967987e-60,2.00362115e-170,7.98544890e-84,1.00000000e+00,"
+            "2.66365904e-92,-7.94821804e+99,-5.99600745e+255,-5.99600745e+255",
+            "1.50000000e-85,8.69967987e-60,2.00362115e-170,7.98544890e-84,1.00000000e+00,"
+            "2.66365904e-92,-3.53254135e+99,-1.77659480e+255,-1.77659480e+255",
+            "2.00000000e-85,8.69967987e-60,2.00362115e-170,7.98544890e-84,1.00000000e+00,"
+            "2.66365904e-92,-1.98705451e+99,-7.49500931e+254,-7.49500931e+254",
+        ]),
+    ], ids=["b5e-160", "b5e-156"])
+    def test_full_sweep_where_b_squared_underflows(self, L_init, L_min, L_max, rows, capsys):
+        # pinned far above the grid, b = 2 L xi_1/c is so small that b^2 is
+        # subnormal; the sums reach the tail, whose bound is taken over b
+        code, out, err = run_cli(
+            ["sweep", "--method", "full", "--mode", "fixed", "--Linit", L_init,
+             "--Lmin", L_min, "--Lmax", L_max, "--points", "3"], capsys)
+        assert (code, err) == (0, "")
+        assert out == "\n".join([",".join(lifshitz.SweepRow._fields)] + rows) + "\n"
+
     def test_fixed_mode_holds_temperature(self, capsys):
         code, out, _ = run_cli(
             ["sweep", "--mode", "fixed", "--points", "7"], capsys

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import time
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from casnuc import lifshitz, plasma
+from casnuc._matsubara_tail import _EM_SCALE, _EM_U, _EM_W0, _mode_series_tails
 from casnuc.constants import C, HBAR, HBAR_C, K_B, ZETA_3
 from casnuc.errors import DomainError
 from casnuc.lifshitz import (
@@ -42,6 +44,8 @@ from _oracles import (
     finite_freq_asymptote_mpmath,
     matsubara_j_sum,
     matsubara_sum_mpmath,
+    mode_series_loop,
+    mode_series_tails_loop,
     plasma_frequency_unfolded,
     plasma_state_unfolded,
     static_mu_unfolded,
@@ -103,6 +107,28 @@ class TestModeSeries:
         for k in range(100):
             _mode_series((0.0, 1e-6, 1e-3)[k % 3])
         assert time.perf_counter() - start < 0.1
+
+    def test_capped_loops_keep_every_bit(self):
+        # both large-a loops stop by the 21st term at every a >= 1.5, so the
+        # 21-term cap returns the bits of the 32-term loops; the ulps above
+        # the split need the most terms
+        grid = [_SERIES_SPLIT + k * (760.0 - _SERIES_SPLIT) / 20000 for k in range(20001)]
+        a = _SERIES_SPLIT
+        for _ in range(2000):
+            a = math.nextafter(a, math.inf)
+            grid.append(a)
+        most = 0
+        for a in grid:
+            value, terms = mode_series_loop(a)
+            tails, tail_terms = mode_series_tails_loop(a)
+            assert _mode_series(a) == value, a
+            assert _mode_series_tails(a) == tails, a
+            most = max(most, terms, tail_terms)
+        assert most == lifshitz._SERIES_MAX_TERMS == 21
+
+    def test_split_needs_the_21st_term(self):
+        assert mode_series_loop(_SERIES_SPLIT)[1] == 21
+        assert mode_series_tails_loop(_SERIES_SPLIT)[1] == 21
 
     def test_domain(self):
         assert _mode_series(0.0) == ZETA_3
@@ -386,7 +412,7 @@ class TestFullMatsubara:
 
 
 # xbar = 2 k_B T L/(hbar c) over 1e-6 .. 3; below 3e-5 the sum once ran out
-# of terms (ConvergenceError)
+# of terms
 TAIL_XBARS = [1e-6, 1e-5, 1e-4, 1e-3, 0.01, 0.1, 0.3, 1.0, 3.0]
 # pinned states: omega_ep/xi_1 = 0.035 at 100 fm, and 10.0 in the hot state at 1.245e-3 fm
 PINNED_FM = [100.0, 1.245e-3]
@@ -517,6 +543,51 @@ class TestMatsubaraTail:
                           lambda L, T, rho: matsubara_term(1, L, T, rho)):
             with pytest.raises(DomainError, match="temperature too small"):
                 evaluator(1e-15, T, 0.0)
+
+    @pytest.mark.parametrize("L, T", [(1e-150, 1e-280), (1e150, 1e160)],
+                             ids=["underflow", "overflow"])
+    def test_scales_reject_a_b_that_is_not_normal(self, L, T):
+        # b = 2 L xi_1/c is 0.0 or inf, and the sum's tail divides by b
+        for evaluator in (finite_freq_sum, finite_freq_asymptote,
+                          lambda L, T, rho: matsubara_term(1, L, T, rho)):
+            with pytest.raises(DomainError, match="L and T out of range"):
+                evaluator(L, T, 0.0)
+
+    @pytest.mark.parametrize("L, L_init", [
+        (1e-75, 1e85), (1e-100, 1e56), (1e-100, None),
+    ], ids=["pinned-1e100fm", "pinned-1e71fm", "T-1e-200"])
+    def test_tail_bound_where_b_squared_underflows(self, L, L_init):
+        # b is about 5e-160, 5e-156 and 5e-297: b^2 is subnormal or 0.0, yet
+        # the bound -prefactor b^2 |B_8|/8! N^-5 [w_0 M_0 + sum u_i l_i] at
+        # a = b N is a normal double in the first two states (below the
+        # smallest double in the third, where the sum is 1/b large)
+        mp = pytest.importorskip("mpmath")
+        if L_init is None:
+            T, rho = 1e-200, 0.0
+        else:
+            s = plasma_state_from_distance(L_init, UNITY)
+            T, rho = s.T, s.rho
+        total, n, bound = lifshitz._finite_freq_sum(L, T, rho)
+        prefactor, b, nu = lifshitz._finite_freq_scales(L, T, rho)
+        assert nu < 1e-30 and b < 1e-154
+        assert abs(total / (prefactor * matsubara_j_sum(b)) - 1.0) <= 1e-12
+        with mp.workdps(400):
+            a = mp.mpf(b) * n
+            z = mp.exp(-a)
+            bracket = _EM_W0 * -mp.log1p(-z) + mp.fsum(
+                u * a ** (i + 1) * mp.polylog(-i, z) for i, u in enumerate(_EM_U))
+            expected = float(mp.mpf(K_B) * T / (4 * mp.pi * mp.mpf(L) ** 2) * _EM_SCALE
+                             * mp.mpf(b) ** 2 * mp.mpf(n) ** -5 * bracket)
+        assert abs(bound - expected) <= 1e-12 * expected
+        assert bound <= 1e-12 * abs(total)
+        assert (bound >= sys.float_info.min) == (L_init is not None)
+
+    @pytest.mark.parametrize("b", [4.8e-24, 1e-12, 1e-6, 1e-2, 1.0])
+    def test_mpmath_oracle_against_the_j_sum(self, b):
+        # the quadrature in matsubara_sum_mpmath must follow the summand's
+        # decay length 1/b
+        pytest.importorskip("mpmath")
+        assert abs(matsubara_sum_mpmath(b, 0.0) / matsubara_j_sum(b) - 1.0) <= 1e-12
 
     def test_plasma_frequency_edge(self):
         # omega_ep/xi_1 = 3.5e19 with terms that do not vanish would take
