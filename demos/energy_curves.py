@@ -29,20 +29,16 @@ def main() -> None:
     spin = PermeabilityModel("spin")
     xs = grid()
 
-    def mev(f_per_area: float) -> float:
-        return f_per_area * DEFAULT_PLATE_AREA / J_PER_MEV
+    # the closed forms on the whole grid, one call per model
+    grid_m = [L_fm * M_PER_FM for L_fm in xs]
+    b_u = distance_coupled_breakdown(grid_m, unity)
+    b_s = distance_coupled_breakdown(grid_m, spin, zero_freq_only=True)
 
-    f0_unity, f0_spin = [], []
-    zero, finite, total = [], [], []
-    for L_fm in xs:
-        L = L_fm * M_PER_FM
-        b_u = distance_coupled_breakdown(L, unity)
-        b_s = distance_coupled_breakdown(L, spin)
-        f0_unity.append(mev(b_u.zero_freq))
-        f0_spin.append(mev(b_s.zero_freq))
-        zero.append(mev(b_u.zero_freq))
-        finite.append(mev(b_u.finite_freq))
-        total.append(mev(b_u.total))
+    def mev(column: list[float]) -> list[float]:
+        return [f_per_area * DEFAULT_PLATE_AREA / J_PER_MEV for f_per_area in column]
+
+    f0_unity, f0_spin = mev(b_u.zero_freq), mev(b_s.zero_freq)
+    zero, finite, total = f0_unity, mev(b_u.finite_freq), mev(b_u.total)
 
     comparison = render_line_chart(
         [("mu = 1", xs, f0_unity), ("spin permeability", xs, f0_spin)],

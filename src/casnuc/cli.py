@@ -403,23 +403,24 @@ def _cmd_linewidth(params: dict[str, object]) -> str:
 def _cmd_plot(params: dict[str, object]) -> str:
     spec = _sweep_spec(params)
     grid_fm, area = spec.grid_fm(), spec.plate_area()
+    grid = [L_fm * M_PER_FM for L_fm in grid_fm]
 
-    def breakdowns(model: plasma.PermeabilityModel) -> list[lifshitz.FreeEnergyBreakdown]:
-        return [lifshitz.distance_coupled_breakdown(L_fm * M_PER_FM, model)
-                for L_fm in grid_fm]
-
-    def curve(label: str, bs: list[lifshitz.FreeEnergyBreakdown], part: str) -> svgplot.Series:
-        return label, grid_fm, [getattr(b, part) * area / J_PER_MEV for b in bs]
+    def curve(label: str, column: list[float]) -> svgplot.Series:
+        # a column of energies per unit area as energies per plate pair [MeV]
+        return label, grid_fm, [value * area / J_PER_MEV for value in column]
 
     if params["which"] == 1:
-        spin = plasma.PermeabilityModel("spin", params["convention"])
-        series = [curve("mu = 1", breakdowns(plasma.PermeabilityModel("unity")), "zero_freq"),
-                  curve("spin permeability", breakdowns(spin), "zero_freq")]
+        models = {"mu = 1": plasma.PermeabilityModel("unity"),
+                  "spin permeability": plasma.PermeabilityModel("spin", params["convention"])}
+        series = [curve(label, lifshitz.distance_coupled_breakdown(
+                      grid, model, zero_freq_only=True).zero_freq)
+                  for label, model in models.items()]
         return svgplot.render_line_chart(series, "L (fm)", "F0 per plate pair (MeV)",
                                          title="Zero-frequency interaction energy")
-    bs = breakdowns(spec.model)
-    series = [curve("zero frequency", bs, "zero_freq"),
-              curve("finite frequency", bs, "finite_freq"), curve("total", bs, "total")]
+    b = lifshitz.distance_coupled_breakdown(grid, spec.model)
+    series = [curve("zero frequency", b.zero_freq), curve("finite frequency", b.finite_freq),
+              curve("total", b.total)]
+    del b  # the unscaled columns are not needed while the chart is written
     return svgplot.render_line_chart(series, "L (fm)", "free energy per plate pair (MeV)",
                                      title="Interaction free energy breakdown")
 

@@ -14,11 +14,14 @@ read these three numbers.  The sum adds its first terms directly and
 replaces the rest by an Euler-Maclaurin tail built from closed forms
 (_matsubara_tail, which also decides where the tail is tried), whose
 remainder is bounded below 1e-12 of the sum.  On top sit the
-distance-coupled closed forms, whose constant factors are folded once, at
-import, each in its display's own operation order so that no bit of a
-result moves, and separation sweeps.  The tests check S against mpmath,
-the sum against the j-sum, mpmath and the Brown-Maclay law, and the closed
-forms against the plasma pipeline.
+distance-coupled closed forms and separation sweeps.  The closed forms are
+evaluated a grid of separations at a time, each quantity in one pass over
+the grid, with their constant factors folded once, at import, each in its
+display's own operation order so that no bit of a result moves; a coupled
+sweep reads its plasma states as columns of the same grid.  The tests check
+S against mpmath, the sum against the j-sum, mpmath and the Brown-Maclay
+law, and the closed forms against the plasma pipeline and, bit for bit,
+against per-point replicas.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 
 from .constants import (
     C,
@@ -41,9 +45,11 @@ from .constants import (
 from .errors import DomainError
 from .plasma import (
     PermeabilityModel,
+    _check_grid,
     _separation_cube,
     plasma_frequency,
     plasma_state_from_distance,
+    plasma_state_grid,
 )
 from .units import J_PER_MEV, M_PER_FM, fm_to_m
 
@@ -293,6 +299,9 @@ def _finite_freq_sum(L: float, T: float, rho: float) -> tuple[float, int, float]
       formula that replaces it, which then is added.  _matsubara_tail.em_tail
       decides where to try it and refuses a state whose nu is too large for
       its quadrature (DomainError).
+
+    A term of 0.0 ends the sum with a bound of 0.0, since every later term
+    is 0.0 too; where nu^2 overflows, the first already is.
     """
     prefactor, b, nu = _finite_freq_scales(L, T, rho)
     nu2 = nu * nu
@@ -303,8 +312,10 @@ def _finite_freq_sum(L: float, T: float, rho: float) -> tuple[float, int, float]
         y = math.sqrt(n * n + nu2)
         f = _mode_series(b * y)
         total += f
+        if f == 0.0:  # y is inf where nu^2 overflows: no 0 x inf in the bound
+            return prefactor * total, n, 0.0
         # the tail bound 2 f y/(b n) <= rtol total, times b n/2
-        if f == 0.0 or f * y <= half_rtol_b * n * total:
+        if f * y <= half_rtol_b * n * total:
             return prefactor * total, n, -prefactor * (2.0 * f * y / (b * n))
         if n == check:  # the tail, which most sums never reach
             from ._matsubara_tail import em_tail
@@ -348,36 +359,56 @@ def screening_wavevector(rho: float, mu_ep: float) -> float:
 
 
 def distance_coupled_breakdown(
-    L: float, model: PermeabilityModel = PermeabilityModel()
+    Ls: Sequence[float], model: PermeabilityModel = PermeabilityModel(),
+    zero_freq_only: bool = False,
 ) -> FreeEnergyBreakdown:
-    """Free-energy breakdown with every state variable eliminated in favor of L.
+    """Free-energy breakdowns with every state variable eliminated in favor of
+    the separation, at each separation in Ls [m]: one FreeEnergyBreakdown of
+    columns in grid order (finite_freq and total None when zero_freq_only).
 
     Evaluates the closed-form displays:
       kappa(L)  = (3^(1/8)/2 pi) sqrt(e^2 mu0 zeta(3)/(2 L^3 m) * P(L)),
-                  P = model.coupled_mu(L): 1 (unity) or the closed-form
+                  P = model.coupled_mu_column: 1 (unity) or the closed-form
                   mu_ep(L) (spin);
       F0/A  = -(hbar c/(4 3^(1/4) pi L)) kappa^2 e^(-2 kappa L)
               [1/(2 kappa L) + 1/(2 kappa L)^2];
       Fn/A  = -(hbar c/(4 sqrt(3) L^3))
               exp(-sqrt(3) zeta(3) e^2 mu0/(8 pi^3 m L) - 2 pi/3^(1/4)).
 
-    These must agree with composing the plasma pipeline into the generic
-    asymptotes to relative 1e-10 (checked in the tests).  Below about
-    1.2e-63 m (spin) or 2.9e-88 m (unity) they are not finite: DomainError.
+    Each column is one pass over the grid.  These must agree with composing
+    the plasma pipeline into the generic asymptotes to relative 1e-10
+    (checked in the tests).  Below about 1.2e-63 m (spin) or 2.9e-88 m
+    (unity) they are not finite: DomainError.  The grid is checked as
+    one-point grids at its ends, or point by point (see _check_grid), so a
+    failing grid raises the error of its first failing point.
     """
-    cube = _separation_cube(L)
-    denominator = 2.0 * cube * M_E
-    if denominator < sys.float_info.min:
-        raise DomainError(f"separation too small: L = {L} m, 2 L^3 m_e underflows")
-    kappa = _KAPPA_SCALE * math.sqrt(_KAPPA_NUM / denominator * model.coupled_mu(L))
-    a = 2.0 * kappa * L
-    zero = _NEG_HBAR_C / (_F0_DEN * L) * kappa**2 * math.exp(-a) * (1.0 / a + 1.0 / a**2)
-    finite = _NEG_HBAR_C / (_FN_DEN * cube) * math.exp(
-        _FN_EXP_NUM / (_FN_EXP_DEN * L) - _FN_EXP_SHIFT)
-    total = zero + finite
-    if not (math.isfinite(kappa) and math.isfinite(total)):
+    _check_grid(Ls, lambda L: _closed_forms([L], model, zero_freq_only))
+    return _closed_forms(Ls, model, zero_freq_only)
+
+
+def _closed_forms(Ls: Sequence[float], model: PermeabilityModel,
+                  zero_freq_only: bool) -> FreeEnergyBreakdown:
+    # distance_coupled_breakdown at Ls with the scalar checks of its first
+    # point, all that a one-point grid needs: the caller checks a longer one
+    if Ls and 2.0 * _separation_cube(Ls[0]) * M_E < sys.float_info.min:
+        raise DomainError(f"separation too small: L = {Ls[0]} m, 2 L^3 m_e underflows")
+    cubes = [L**3 for L in Ls]
+    kappas = [_KAPPA_SCALE * math.sqrt(_KAPPA_NUM / (2.0 * cube * M_E) * mu)
+              for cube, mu in zip(cubes, model.coupled_mu_column(Ls))]
+    zeros = [_NEG_HBAR_C / (_F0_DEN * L) * kappa**2 * math.exp(-a) * (1.0 / a + 1.0 / a**2)
+             for L, kappa in zip(Ls, kappas) for a in [2.0 * kappa * L]]
+    if zero_freq_only:
+        finites = totals = None
+    else:
+        finites = [_NEG_HBAR_C / (_FN_DEN * cube) * math.exp(
+                   _FN_EXP_NUM / (_FN_EXP_DEN * L) - _FN_EXP_SHIFT) for L, cube in zip(Ls, cubes)]
+        totals = [zero + finite for zero, finite in zip(zeros, finites)]
+    # kappa and the total are finite wherever F0 is: a kappa of inf makes F0
+    # nan, and Fn is finite at every L whose L^3 is a normal double
+    if not all(map(math.isfinite, zeros)):
+        L = Ls[[math.isfinite(zero) for zero in zeros].index(False)]
         raise DomainError(f"separation too small: L = {L} m, the closed forms are not finite")
-    return FreeEnergyBreakdown(zero, finite, total, kappa)
+    return FreeEnergyBreakdown(zeros, finites, totals, kappas)
 
 
 class SweepSpec(namedtuple(
@@ -442,33 +473,46 @@ class SweepRow(namedtuple("SweepRow",
 
 
 def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate a separation sweep in grid order."""
+    """Evaluate a separation sweep in grid order.
+
+    A coupled sweep reads its states as columns over the whole grid
+    (plasma_state_grid), and the asymptote method its closed forms too
+    (distance_coupled_breakdown); the other methods evaluate the energies a
+    row at a time.  A failing sweep raises the error of its first failing
+    row: the grid is then evaluated one point at a time.
+    """
     area = spec.plate_area()
-    fixed = spec.mode == "fixed"
-    # coupled asymptote rows use the distance-coupled closed forms, with their own kappa
-    closed = not fixed and spec.method == "asymptote"
+    model = spec.model
+    if spec.mode == "fixed":
+        L_init = (spec.L_init_fm if spec.L_init_fm is not None else spec.L_min_fm) * M_PER_FM
+        pinned = plasma_state_from_distance(L_init, model)
+        pinned_kappa = screening_wavevector(pinned.rho, pinned.mu_ep)
     zero_freq = zero_freq_asymptote if spec.method == "asymptote" else zero_freq_exact
     finite_freq = finite_freq_sum if spec.method == "full" else finite_freq_asymptote
-    if fixed:
-        L_init = (spec.L_init_fm if spec.L_init_fm is not None else spec.L_min_fm) * M_PER_FM
-        state = plasma_state_from_distance(L_init, spec.model)
-        kappa = screening_wavevector(state.rho, state.mu_ep)
 
-    rows: list[SweepRow] = []
-    for L_fm in spec.grid_fm():
-        L = L_fm * M_PER_FM
-        if not fixed:
-            state = plasma_state_from_distance(L, spec.model)
-        if closed:
-            b = distance_coupled_breakdown(L, spec.model)
-            zero, finite, kappa = b.zero_freq, b.finite_freq, b.kappa
+    def columns(Ls: list[float]) -> tuple[list[float], ...]:
+        # (T, rho, omega_ep, mu_ep, kappa, F0/A, Fn/A) over the separations Ls [m]
+        if spec.mode == "fixed":
+            state = [[value] * len(Ls) for value in pinned[1:]]
+            kappas = [pinned_kappa] * len(Ls)
         else:
-            if not fixed:
-                kappa = screening_wavevector(state.rho, state.mu_ep)
-            zero = zero_freq(kappa, L, state.T)
-            finite = finite_freq(L, state.T, state.rho)
-        rows.append(SweepRow(
-            L_fm, state.T, state.rho, state.omega_ep, state.mu_ep, kappa,
-            zero * area / J_PER_MEV, finite * area / J_PER_MEV, (zero + finite) * area / J_PER_MEV,
-        ))
-    return rows
+            state = plasma_state_grid(Ls, model)[1:]
+            if spec.method == "asymptote":  # the closed forms, with their own kappa
+                b = distance_coupled_breakdown(Ls, model)
+                return (*state, b.kappa, b.zero_freq, b.finite_freq)
+            kappas = [screening_wavevector(rho, mu) for rho, mu in zip(state[1], state[3])]
+        Ts, rhos = state[0], state[1]
+        return (*state, kappas, [zero_freq(kappa, L, T) for kappa, L, T in zip(kappas, Ls, Ts)],
+                [finite_freq(L, T, rho) for L, T, rho in zip(Ls, Ts, rhos)])
+
+    grid_fm = spec.grid_fm()
+    Ls = [L_fm * M_PER_FM for L_fm in grid_fm]
+    try:
+        table = columns(Ls)
+    except (DomainError, ArithmeticError):
+        for L in Ls:
+            columns([L])  # raises the error of the first failing row
+        raise
+    return [SweepRow(L_fm, T, rho, omega, mu, kappa, zero * area / J_PER_MEV,
+                     finite * area / J_PER_MEV, (zero + finite) * area / J_PER_MEV)
+            for L_fm, T, rho, omega, mu, kappa, zero, finite in zip(grid_fm, *table)]

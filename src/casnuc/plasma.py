@@ -15,15 +15,20 @@ through its n = 0 term; by the first Matsubara frequency,
 xi_1 = 2 pi k_B T/hbar (about 7e23 rad/s at 1 fm), the spin response has
 died out, so every n > 0 term uses mu = 1.
 
-The constant factors of the closed forms are folded once, at import, each in
-its display's own operation order, so that no bit of a result moves.
+The balance states are evaluated a grid of separations at a time
+(plasma_state_grid): each quantity is one pass over the grid, and the
+one-point state is the grid of one point.  The constant factors of the closed
+forms are folded once, at import, each in its display's own operation order,
+so that no bit of a result moves.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from .constants import (
     C,
@@ -101,25 +106,40 @@ class PermeabilityModel(namedtuple("PermeabilityModel", "kind convention H",
 
     def static_mu(self, rho: float, T: float) -> float:
         """Zero-frequency permeability of the plasma state (rho, T)."""
-        if self.kind == "unity":
-            return 1.0
-        if not T > 0.0:
-            raise DomainError(f"temperature must be positive, got {T}")
-        if rho < 0.0:
-            raise DomainError(f"density must be non-negative, got {rho}")
-        chi = MU_0 * rho * _MU_B2 / (K_B * T) * _CONVENTION_SCALE[self.convention]
-        if self.kind == "field":
-            chi *= _saturation(MU_B * MU_0 * self.H / (K_B * T))
-        return 1.0 + chi
+        if self.kind != "unity":
+            if not T > 0.0:
+                raise DomainError(f"temperature must be positive, got {T}")
+            if rho < 0.0:
+                raise DomainError(f"density must be non-negative, got {rho}")
+        return self.static_mu_column([rho], [T])[0]
 
-    def coupled_mu(self, L: float) -> float:
-        """Closed-form static permeability at the balance state of L, the
-        parenthesis of the distance-coupled kappa (unity and spin kinds)."""
+    def static_mu_column(self, rhos: Sequence[float], Ts: Sequence[float]) -> list[float]:
+        """static_mu over the states (rhos[i], Ts[i]), unchecked: the one
+        evaluator of the susceptibility."""
         if self.kind == "unity":
-            return 1.0
+            return [1.0] * len(rhos)
+        scale = _CONVENTION_SCALE[self.convention]
+        # the spin kind saturates by 1.0, which moves no bit of chi
+        saturations = ([1.0] * len(Ts) if self.kind == "spin" else
+                       [_saturation(MU_B * MU_0 * self.H / (K_B * T)) for T in Ts])
+        return [1.0 + MU_0 * rho * _MU_B2 / (K_B * T) * scale * saturation
+                for rho, T, saturation in zip(rhos, Ts, saturations)]
+
+    def coupled_mu_column(self, Ls: Sequence[float]) -> list[float]:
+        """Closed-form static permeability at the balance state of each
+        separation in Ls, the parenthesis of the distance-coupled kappa (unity
+        and spin kinds).
+
+        The spin susceptibility is written via mu_B^2, not the substituted
+        e^2 hbar/(m^2 c) form: CODATA mu_B differs from e hbar/(2 m) at
+        ~3e-10, which would break the 1e-12 agreement with the composed
+        pipeline."""
+        if self.kind == "unity":
+            return [1.0] * len(Ls)
         if self.kind != "spin":
             raise DomainError("distance-coupled closed forms are defined for unity|spin models")
-        return 1.0 + _CONVENTION_SCALE[self.convention] * _distance_susceptibility(L)
+        scale = _CONVENTION_SCALE[self.convention]
+        return [1.0 + scale * (_CHI_NUM / (_CHI_DEN * L**2)) for L in Ls]
 
 
 def temperature_from_distance(L: float) -> float:
@@ -185,15 +205,69 @@ def _saturation(y: float) -> float:
     return 3.0 / t
 
 
+def _check_grid(Ls: Sequence[float], point: Callable[[float], object]) -> None:
+    """Raise the error that evaluating Ls point by point would raise first;
+    point(L) evaluates or checks one separation.
+
+    The checks of a separation fail on a prefix or on a suffix of an
+    ascending grid (an argument underflows below some L, or overflows above
+    some L), so on an ascending grid every point passes when both ends do;
+    the one check that fails on a window instead, rho e^2 of the pair
+    density, is plasma_state_grid's own.  Where an end fails, or where the
+    grid does not ascend, point runs on every separation in grid order, so
+    the error names the first that fails.
+    """
+    if all(map(operator.le, Ls, Ls[1:])):  # ascending; a nan fails it
+        try:
+            if Ls:
+                point(Ls[0])
+                point(Ls[-1])
+            return
+        except (DomainError, ArithmeticError):
+            pass
+    for L in Ls:
+        point(L)
+
+
+def _check_balance(L: float) -> None:
+    # the checks of one balance state, in the order the state meets them
+    # (static_mu's hold on every balance state)
+    temperature_from_distance(L)
+    plasma_frequency(density_from_distance(L))
+
+
+def plasma_state_grid(
+    Ls: Sequence[float], model: PermeabilityModel = PermeabilityModel()
+) -> PlasmaState:
+    """The balance states at the separations Ls [m] as one PlasmaState of
+    columns in grid order (its L is Ls): the state of temperature_from_distance,
+    density_from_distance, plasma_frequency and model.static_mu at each L.
+
+    Each column is one pass in the operation order of those evaluators, so
+    every entry has their bits.  Their checks run at the ends of an
+    ascending grid, or point by point (see _check_grid): a failing grid
+    raises the error of its first failing point.  The one-point grid is
+    plasma_state_from_distance.
+    """
+    _check_grid(Ls, _check_balance)
+    Ts = [HBAR_C / (_KB_GAMMA * L) for L in Ls]
+    rhos = [_RHO_NUM / (_RHO_DEN * L**3) for L in Ls]
+    if rhos and rhos[-1] == 0.0:
+        # the one check that fails on a window of L: rho e^2 underflows above
+        # about 2.8e89 m, but above about 1.3e102 m rho itself is 0.0, which
+        # passes, so a grid that ends there is checked point by point
+        for L in Ls:
+            _check_balance(L)
+    omegas = [math.sqrt(rho * _E2 / _EPS0_ME) for rho in rhos]
+    return PlasmaState(Ls, Ts, rhos, omegas, model.static_mu_column(rhos, Ts))
+
+
 def plasma_state_from_distance(
     L: float, model: PermeabilityModel = PermeabilityModel()
 ) -> PlasmaState:
-    """Full plasma record at separation L under the chosen permeability model."""
-    T = temperature_from_distance(L)
-    rho = density_from_distance(L)
-    omega = plasma_frequency(rho)
-    mu = model.static_mu(rho, T)
-    return PlasmaState(L, T, rho, omega, mu)
+    """Full plasma record at separation L under the chosen permeability model:
+    the one-point plasma_state_grid."""
+    return PlasmaState(*(column[0] for column in plasma_state_grid([L], model)))
 
 
 def distance_closed_forms(L: float) -> PlasmaState:
@@ -211,16 +285,8 @@ def distance_closed_forms(L: float) -> PlasmaState:
     omega = (3.0**0.125 / (2.0 * math.pi)) * math.sqrt(
         E_CHARGE**2 * ZETA_3 / (2.0 * M_E * EPS_0 * L**3)
     )
-    mu = PermeabilityModel().coupled_mu(L)
+    mu = PermeabilityModel().coupled_mu_column([L])[0]
     return PlasmaState(L, T, rho, omega, mu)
-
-
-def _distance_susceptibility(L: float) -> float:
-    # literal-convention spin susceptibility at the balance state of L, in
-    # closed form; written via mu_B^2, not the substituted e^2 hbar/(m^2 c) form:
-    # CODATA mu_B differs from e hbar/(2 m) at ~3e-10, which would break the
-    # 1e-12 agreement with the composed pipeline
-    return _CHI_NUM / (_CHI_DEN * L**2)
 
 
 def state_assumptions(state: PlasmaState) -> dict[str, object]:

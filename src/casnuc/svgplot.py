@@ -1,9 +1,11 @@
 """Minimal deterministic SVG line charts.
 
 No timestamps, no randomness, fixed palette and float formatting: identical
-input must yield byte-identical output.  Each polyline vertex is written with
-one "%.2f,%.2f" template around the affine pixel maps, inlined in their own
-operation order, so its bytes are those of _fmt(px(x)) and _fmt(py(y)).
+input must yield byte-identical output.  The x pixels of each xs list are
+formatted once, into a template of the polyline that takes the y pixels, and
+every series that shares the list fills it: each vertex formats only its y.
+The affine pixel maps are inlined in their own operation order, so a
+vertex's bytes are those of _fmt(px(x)) and _fmt(py(y)).
 """
 
 from __future__ import annotations
@@ -142,12 +144,17 @@ def render_line_chart(
         f'fill="none" stroke="#333333" stroke-width="1"/>'
     )
 
+    # each xs list, shared by any number of series, becomes one template of
+    # its x pixels that takes the y pixels; px and py are inlined in their own
+    # operation order, so each vertex formats only its y
+    templates: dict[int, str] = {}
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        # px and py inlined, in their own operation order: one template, no call, per vertex
-        pts = " ".join(["%.2f,%.2f" % (_MARGIN_LEFT + (x - xmin) / x_span * plot_w,
-                                       _MARGIN_TOP + (1.0 - (y - ymin) / y_span) * plot_h)
-                        for x, y in zip(xs, ys)])
+        template = templates.get(id(xs))
+        if template is None:
+            template = templates[id(xs)] = " ".join(
+                ["%.2f" % (_MARGIN_LEFT + (x - xmin) / x_span * plot_w) + ",%.2f" for x in xs])
+        pts = template % tuple([_MARGIN_TOP + (1.0 - (y - ymin) / y_span) * plot_h for y in ys])
         out.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -322,8 +322,15 @@ def static_mu_unfolded(model, rho: float, T: float) -> float:
 
 
 def susceptibility_unfolded(L: float) -> float:
-    """plasma._distance_susceptibility, unfolded."""
+    """The literal-convention closed-form susceptibility at the balance state of L."""
     return math.sqrt(3.0) * MU_0 * ZETA_3 * MU_B**2 / (4.0 * math.pi**2 * HBAR_C * L**2)
+
+
+def coupled_mu_unfolded(model, L: float) -> float:
+    """PermeabilityModel.coupled_mu_column at one separation, unfolded."""
+    if model.kind == "unity":
+        return 1.0
+    return 1.0 + _UNFOLDED_SCALE[model.convention] * susceptibility_unfolded(L)
 
 
 def plasma_state_unfolded(L: float, model) -> tuple[float, float, float, float, float]:
@@ -339,10 +346,8 @@ def breakdown_unfolded(L: float, model) -> FreeEnergyBreakdown:
     denominator = 2.0 * cube * M_E
     if denominator < sys.float_info.min:
         raise DomainError(f"separation too small: L = {L} m, 2 L^3 m_e underflows")
-    coupled_mu = (1.0 if model.kind == "unity"
-                  else 1.0 + _UNFOLDED_SCALE[model.convention] * susceptibility_unfolded(L))
     kappa = (3.0**0.125 / (2.0 * math.pi)) * math.sqrt(
-        E_CHARGE**2 * MU_0 * ZETA_3 / denominator * coupled_mu
+        E_CHARGE**2 * MU_0 * ZETA_3 / denominator * coupled_mu_unfolded(model, L)
     )
     a = 2.0 * kappa * L
     zero = (

@@ -199,15 +199,12 @@ def test_criterion_7_matsubara_structure():
 
 
 def test_criterion_8_figure_content():
-    ordering = True
-    sum_identity = True
-    for i in range(41):
-        L = (1.0 + 0.05 * i) * 1e-15
-        b_u = distance_coupled_breakdown(L, UNITY)
-        b_s = distance_coupled_breakdown(L, SPIN)
-        ordering = ordering and abs(b_s.zero_freq) < abs(b_u.zero_freq)
-        sum_identity = sum_identity and b_s.total == b_s.zero_freq + b_s.finite_freq
-        sum_identity = sum_identity and b_u.total == b_u.zero_freq + b_u.finite_freq
+    grid = [(1.0 + 0.05 * i) * 1e-15 for i in range(41)]
+    b_u = distance_coupled_breakdown(grid, UNITY)
+    b_s = distance_coupled_breakdown(grid, SPIN)
+    ordering = all(abs(s) < abs(u) for s, u in zip(b_s.zero_freq, b_u.zero_freq))
+    sum_identity = all(total == zero + finite for b in (b_u, b_s)
+                       for zero, finite, total in zip(b.zero_freq, b.finite_freq, b.total))
 
     L = 1e-15
     s = plasma_state_from_distance(L, SPIN)

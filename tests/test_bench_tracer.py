@@ -54,14 +54,17 @@ def test_series_calls_are_direct_children_of_the_sum():
 
 
 def test_closed_form_plot_layers():
-    # the zero-frequency figure evaluates both models on the grid and renders once
+    # the zero-frequency figure evaluates each model on the whole grid in one
+    # call and renders once
     stats = traced_run(["plot", "--which", "1", "--points", "5"])
-    assert stats["lifshitz.distance_coupled_breakdown"]["calls"] == 10
+    assert stats["lifshitz.distance_coupled_breakdown"]["calls"] == 2
     assert stats["svgplot.render_line_chart"]["calls"] == 1
 
 
 def test_closed_form_sweep_layers():
-    # one plasma state and one closed-form breakdown per coupled asymptote row
+    # a coupled asymptote sweep reads its states and its closed forms as
+    # columns: one call each for the whole grid, none per row
     stats = traced_run(["sweep", "--points", "5"])
-    assert stats["plasma.plasma_state_from_distance"]["calls"] == 5
-    assert stats["lifshitz.distance_coupled_breakdown"]["calls"] == 5
+    assert stats["plasma.plasma_state_grid"]["calls"] == 1
+    assert "plasma.plasma_state_from_distance" not in stats
+    assert stats["lifshitz.distance_coupled_breakdown"]["calls"] == 1

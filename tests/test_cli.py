@@ -109,6 +109,16 @@ HOSTILE_ARGV = [
     # a state pinned at 1 fm leaves the L^2 of each grid point's prefactor to underflow
     (["sweep", "--mode", "fixed", "--Linit", "1", "--Lmin", "1e-200", "--Lmax", "1e-190",
       "--points", "3"], 2, "separation too small: L = 1e-215 m, L^2 underflows"),
+    # a grid evaluated as columns still names its first failing point: here
+    # the middle one, as every point after it fails too
+    (["sweep", "--Lmin", "1", "--Lmax", "1e120", "--points", "3"], 2,
+     "separation too large: L = 5.0000000000000003e+104 m, L^3 overflows"),
+    (["plot", "--which", "1", "--Lmin", "1", "--Lmax", "1e120", "--points", "3"], 2,
+     "separation too large: L = 5.0000000000000003e+104 m, L^3 overflows"),
+    (["plot", "--which", "2", "--Lmin", "1", "--Lmax", "1e120", "--points", "3"], 2,
+     "separation too large: L = 5.0000000000000003e+104 m, L^3 overflows"),
+    (["sweep", "--Lmax", "1e110", "--points", "5"], 2,
+     "density too small: rho = 1.2823175382096401e-285 1/m^3, rho e^2 underflows"),
 ]
 HOSTILE_MESSAGES = {tuple(argv): message for argv, _, message in HOSTILE_ARGV}
 
@@ -499,6 +509,15 @@ class TestPlot:
         for label in ("zero frequency", "finite frequency", "total"):
             assert label in out
 
+    @pytest.mark.parametrize("which", ["1", "2"])
+    def test_closed_forms_outlast_the_density_edge(self, which, capsys):
+        # the plot reads no pair density, so the sweep's rho e^2 edge at
+        # 2.8e104 fm is not its own
+        code, out, _ = run_cli(["plot", "--which", which, "--Lmax", "1e110", "--points", "5"],
+                               capsys)
+        assert code == 0
+        assert out.startswith("<svg") and out.endswith("</svg>\n")
+
     def test_sub_ulp_axis_span(self, capsys):
         argv = ["plot", "--which", "1", "--Lmin", "1", "--Lmax", "1.0000000000000002",
                 "--points", "5"]
@@ -512,10 +531,10 @@ class TestPlot:
         assert code == 2
 
     def test_non_finite_exits_3(self, capsys, monkeypatch):
-        bad = FreeEnergyBreakdown(
-            zero_freq=math.nan, finite_freq=math.nan, total=math.nan, kappa=math.nan,
-        )
-        monkeypatch.setattr(lifshitz, "distance_coupled_breakdown", lambda L, model: bad)
+        def bad(Ls, model):
+            return FreeEnergyBreakdown(*([math.nan] * len(Ls) for _ in range(4)))
+
+        monkeypatch.setattr(lifshitz, "distance_coupled_breakdown", bad)
         code, _, err = run_cli(["plot", "--which", "2", "--points", "3"], capsys)
         assert code == 3
         assert "casnuc: numerical error:" in err

@@ -4,7 +4,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from casnuc import lifshitz, plasma
@@ -15,6 +15,7 @@ from casnuc.lifshitz import (
     DEFAULT_PLATE_AREA,
     MAX_GRID_POINTS,
     XBAR_CROSSOVER_10PCT,
+    FreeEnergyBreakdown,
     SweepSpec,
     _SERIES_SPLIT,
     _mode_series,
@@ -34,12 +35,14 @@ from casnuc.plasma import (
     density_from_distance,
     plasma_frequency,
     plasma_state_from_distance,
+    plasma_state_grid,
     temperature_from_distance,
 )
 from casnuc.units import J_PER_MEV
 
 from _oracles import (
     breakdown_unfolded,
+    coupled_mu_unfolded,
     density_unfolded,
     finite_freq_asymptote_mpmath,
     matsubara_j_sum,
@@ -49,7 +52,6 @@ from _oracles import (
     plasma_frequency_unfolded,
     plasma_state_unfolded,
     static_mu_unfolded,
-    susceptibility_unfolded,
     temperature_unfolded,
     zero_freq_quadrature,
     zero_freq_series,
@@ -62,6 +64,11 @@ SPIN = PermeabilityModel("spin")
 def state_at(L):
     s = plasma_state_from_distance(L, SPIN)
     return s.T, s.rho, s.mu_ep
+
+
+def breakdown_at(L, model):
+    # the breakdown at one separation, from the one-point grid
+    return FreeEnergyBreakdown(*(column[0] for column in distance_coupled_breakdown([L], model)))
 
 
 def per_pair_mev(f_per_area):
@@ -582,6 +589,16 @@ class TestMatsubaraTail:
         assert bound <= 1e-12 * abs(total)
         assert (bound >= sys.float_info.min) == (L_init is not None)
 
+    @pytest.mark.parametrize("T", [1e-100, 1e-200], ids=["nu-6.9e239", "nu-inf"])
+    def test_bound_where_nu_squared_overflows(self, T):
+        # nu = omega_ep/xi_1 is 6.9e239 or inf, so nu^2 and y_1 = sqrt(1 + nu^2)
+        # are inf and the first term S(b y_1) is 0.0, as is every later one:
+        # the sum is -0.0 (the limit finite_freq_asymptote also returns) and
+        # its bound 0.0, not 0 x inf
+        total, n, bound = lifshitz._finite_freq_sum(1e-15, T, 1e300)
+        assert (math.copysign(1.0, total), total, n, bound) == (-1.0, 0.0, 1, 0.0)
+        assert finite_freq_asymptote(1e-15, T, 1e300) == 0.0
+
     @pytest.mark.parametrize("b", [4.8e-24, 1e-12, 1e-6, 1e-2, 1.0])
     def test_mpmath_oracle_against_the_j_sum(self, b):
         # the quadrature in matsubara_sum_mpmath must follow the summand's
@@ -599,7 +616,7 @@ class TestMatsubaraTail:
 
 class TestDistanceCoupled:
     def test_kappa_unity_1fm(self):
-        b = distance_coupled_breakdown(1e-15, UNITY)
+        b = breakdown_at(1e-15, UNITY)
         assert b.kappa == pytest.approx(8.4e14, rel=0.01)
 
     def test_finite_term_exponent_constant(self):
@@ -613,7 +630,7 @@ class TestDistanceCoupled:
     @pytest.mark.parametrize("L_fm", [1.0, 2.0, 3.0])
     def test_composition_cross_check(self, model, L_fm):
         L = L_fm * 1e-15
-        b = distance_coupled_breakdown(L, model)
+        b = breakdown_at(L, model)
         s = plasma_state_from_distance(L, model)
         kappa = screening_wavevector(s.rho, s.mu_ep)
         assert b.kappa == pytest.approx(kappa, rel=1e-10)
@@ -625,20 +642,20 @@ class TestDistanceCoupled:
         )
 
     def test_components_at_1fm_unity(self):
-        b = distance_coupled_breakdown(1e-15, UNITY)
+        b = breakdown_at(1e-15, UNITY)
         assert per_pair_mev(b.zero_freq) == pytest.approx(-3.3, abs=0.1)
         assert per_pair_mev(b.finite_freq) == pytest.approx(-0.40, abs=0.01)
 
     def test_breakdown_invariants(self):
         for L_fm in (1.0, 1.7, 2.6):
-            b = distance_coupled_breakdown(L_fm * 1e-15, SPIN)
+            b = breakdown_at(L_fm * 1e-15, SPIN)
             assert b.zero_freq <= 0.0
             assert b.finite_freq <= 0.0
             assert b.total == b.zero_freq + b.finite_freq
 
     def test_field_model_rejected(self):
         with pytest.raises(DomainError):
-            distance_coupled_breakdown(1e-15, PermeabilityModel("field", H=1.0))
+            breakdown_at(1e-15, PermeabilityModel("field", H=1.0))
 
     @pytest.mark.parametrize(
         "model, L",
@@ -650,7 +667,7 @@ class TestDistanceCoupled:
     )
     def test_separation_edge(self, model, L):
         with pytest.raises(DomainError, match="separation too small") as info:
-            distance_coupled_breakdown(L, model)
+            breakdown_at(L, model)
         assert repr(L) in str(info.value)
 
     @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=str)
@@ -659,7 +676,7 @@ class TestDistanceCoupled:
         # being finite below about 1.2e-48 fm
         for k in range(189 * 20 + 1):
             L = 10.0 ** (-72.0 + k / 20.0) * 1e-15
-            assert bits(distance_coupled_breakdown, L, model) == bits(
+            assert bits(breakdown_at, L, model) == bits(
                 breakdown_unfolded, L, model), L
             assert bits(plasma_state_from_distance, L, model) == bits(
                 plasma_state_unfolded, L, model), L
@@ -668,8 +685,8 @@ class TestDistanceCoupled:
             rho, T = density_unfolded(L), temperature_unfolded(L)
             assert bits(plasma_frequency, rho) == bits(plasma_frequency_unfolded, rho), L
             assert bits(model.static_mu, rho, T) == bits(static_mu_unfolded, model, rho, T), L
-            assert bits(plasma._distance_susceptibility, L) == bits(
-                susceptibility_unfolded, L), L
+            assert bits(lambda L: model.coupled_mu_column([L])[0], L) == bits(
+                coupled_mu_unfolded, model, L), L
 
     @pytest.mark.parametrize("model", CLOSED_FORM_MODELS, ids=str)
     @pytest.mark.parametrize(
@@ -682,30 +699,145 @@ class TestDistanceCoupled:
         ],
     )
     def test_folded_constants_keep_every_edge(self, model, L, words):
-        message = bits(distance_coupled_breakdown, L, model)
+        message = bits(breakdown_at, L, model)
         assert message == bits(breakdown_unfolded, L, model)
         assert isinstance(message, str) and words in message
 
     @pytest.mark.parametrize("model, L", [(UNITY, 3e-88), (SPIN, 1.2e-63)])
     def test_finite_just_above_the_edge(self, model, L):
-        b = distance_coupled_breakdown(L, model)
+        b = breakdown_at(L, model)
         assert all(math.isfinite(v) for v in (b.kappa, b.total))
 
     def test_figure_ordering_magnetic_above_unity(self):
         for i in range(41):
             L = (1.0 + 0.05 * i) * 1e-15
-            zero_spin = distance_coupled_breakdown(L, SPIN).zero_freq
-            zero_unity = distance_coupled_breakdown(L, UNITY).zero_freq
+            zero_spin = breakdown_at(L, SPIN).zero_freq
+            zero_unity = breakdown_at(L, UNITY).zero_freq
             assert abs(zero_spin) < abs(zero_unity)
 
     @pytest.mark.parametrize("model", [UNITY, SPIN])
     def test_total_magnitude_decreasing_coupled(self, model):
         values = [
-            abs(distance_coupled_breakdown((1.0 + 0.05 * i) * 1e-15, model).total)
+            abs(breakdown_at((1.0 + 0.05 * i) * 1e-15, model).total)
             for i in range(41)
         ]
         for a, b in zip(values, values[1:]):
             assert b < a
+
+
+def per_point(Ls, evaluate):
+    # evaluate at each separation in grid order: every result as float.hex,
+    # or the type and message of the first error (a DomainError, or the
+    # ZeroDivisionError of the closed forms where 2 L^3 overflows)
+    try:
+        return [[float(v).hex() for v in evaluate(L)] for L in Ls]
+    except (DomainError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def per_grid(evaluate, Ls):
+    # evaluate on the whole grid, its columns regrouped by point as per_point
+    try:
+        columns = evaluate(Ls)
+    except (DomainError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return [[float(v).hex() for v in point] for point in zip(*columns)]
+
+
+# grids as the CLI builds them, with ends in the physical window and around
+# every separation at which a check starts to fail: L^3 underflows below
+# 2.8e-88 fm, 2 L^3 m_e below 2.3e-78 fm, the closed forms stop being finite
+# below 2.9e-73 fm (unity) or 1.2e-48 fm (spin), rho e^2 underflows above
+# 2.8e104 fm and L^3 overflows above 5.6e117 fm
+GRID_ENDS_FM = st.builds(
+    lambda edge, decades: edge * 10.0**decades,
+    st.sampled_from([2.8e-88, 2.3e-78, 2.9e-73, 1.2e-48, 0.1, 1.0, 100.0, 2.8e104, 5.6e117]),
+    st.floats(-2.0, 2.0),
+)
+GRID_SPECS = st.builds(
+    lambda ends, points, model: SweepSpec(*sorted(ends), points, model),
+    st.tuples(GRID_ENDS_FM, GRID_ENDS_FM).filter(lambda ends: ends[0] != ends[1]),
+    st.integers(2, 2000),
+    st.sampled_from([UNITY, SPIN, PermeabilityModel("spin", "literal")]),
+)
+
+
+# a long grid in the physical window; a grid whose ends pass while points
+# inside fail the rho e^2 check (rho is 0.0 at the top end); one that crosses
+# every edge; and one whose top end divides by zero where 2 L^3 overflows
+GRID_EXAMPLES = [
+    SweepSpec(0.1, 100.0, 2000, SPIN),
+    SweepSpec(2.8e-87, 5.6e117, 6, UNITY),
+    SweepSpec(1e-74, 1e118, 3, PermeabilityModel("spin", "literal")),
+    SweepSpec(2.9e-72, 5e117, 2, UNITY),
+]
+
+
+def grid_examples(test):
+    for spec in GRID_EXAMPLES:
+        test = example(spec=spec)(test)
+    return settings(max_examples=150)(given(spec=GRID_SPECS)(test))
+
+
+class TestGridEvaluators:
+    """Every column of a grid evaluator has the bits of the per-point
+    replicas, and a failing grid raises the first failing point's error."""
+
+    @grid_examples
+    def test_state_columns(self, spec):
+        Ls = [L_fm * 1e-15 for L_fm in spec.grid_fm()]
+        assert per_grid(lambda Ls: plasma_state_grid(Ls, spec.model), Ls) == per_point(
+            Ls, lambda L: plasma_state_unfolded(L, spec.model))
+
+    @grid_examples
+    def test_breakdown_columns(self, spec):
+        Ls = [L_fm * 1e-15 for L_fm in spec.grid_fm()]
+        expected = per_point(Ls, lambda L: breakdown_unfolded(L, spec.model))
+        assert per_grid(lambda Ls: distance_coupled_breakdown(Ls, spec.model), Ls) == expected
+        zero_kappa = (expected if isinstance(expected, str)
+                      else [[zero, kappa] for zero, _, _, kappa in expected])
+        assert per_grid(lambda Ls: distance_coupled_breakdown(
+            Ls, spec.model, zero_freq_only=True)[::3], Ls) == zero_kappa
+
+    @grid_examples
+    def test_sweep_rows(self, spec):
+        area = spec.plate_area()
+
+        def row(L_fm):
+            L = L_fm * 1e-15
+            state = plasma_state_unfolded(L, spec.model)
+            zero, finite, _, kappa = breakdown_unfolded(L, spec.model)
+            return (L_fm, *state[1:], kappa, zero * area / J_PER_MEV,
+                    finite * area / J_PER_MEV, (zero + finite) * area / J_PER_MEV)
+
+        assert per_grid(lambda spec: zip(*sweep_rows(spec)), spec) == per_point(
+            spec.grid_fm(), row)
+
+    @pytest.mark.parametrize("Ls", [
+        [2e-15, 1e-15, 3e-15], [1e-15, math.nan, 2e-15], [1e-15, 1e-89, 2e-15],
+        [1e-15, 1e103, 2e-15], [1e-15, 1e103, 1e-89, 2e-15], [],
+    ], ids=["unordered", "nan", "inner-not-finite", "inner-overflow", "both", "empty"])
+    @pytest.mark.parametrize("model", [UNITY, SPIN], ids=str)
+    def test_grids_that_do_not_ascend(self, Ls, model):
+        # no end check can vouch for the inside of such a grid: it is checked
+        # point by point
+        assert per_grid(lambda Ls: plasma_state_grid(Ls, model), Ls) == per_point(
+            Ls, lambda L: plasma_state_unfolded(L, model))
+        assert per_grid(lambda Ls: distance_coupled_breakdown(Ls, model), Ls) == per_point(
+            Ls, lambda L: breakdown_unfolded(L, model))
+
+    def test_field_model_rejected_after_the_first_points_checks(self):
+        field = PermeabilityModel("field", H=1.0)
+        with pytest.raises(DomainError, match="defined for unity|spin"):
+            distance_coupled_breakdown([1e-15, 1e103], field)
+        with pytest.raises(DomainError, match="L = 1e-101 m, 2 L\\^3 m_e underflows"):
+            distance_coupled_breakdown([1e-101, 1e-15], field)
+
+    def test_one_point_records(self):
+        for model in (UNITY, SPIN):
+            state = plasma_state_from_distance(1e-15, model)
+            assert state == tuple(column[0] for column in plasma_state_grid([1e-15], model))
+            assert isinstance(state.T, float)
 
 
 class TestSweep:

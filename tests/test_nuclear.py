@@ -130,7 +130,7 @@ LENGTH_EDGES = [
     (_separation_cube, (INF,), "separation too large: L = inf m, L^3 overflows"),
     (ideal_casimir, (INF, 1.0), "separation too large: L = inf m, L^3 overflows"),
     (density_from_distance, (INF,), "separation too large: L = inf m, L^3 overflows"),
-    (distance_coupled_breakdown, (INF,), "separation too large: L = inf m, L^3 overflows"),
+    (distance_coupled_breakdown, ([INF],), "separation too large: L = inf m, L^3 overflows"),
 ]
 
 

@@ -18,7 +18,7 @@ def _yukawa():
 
 RECORDS = {
     "_Opt": lambda: cli._SUBCOMMAND_OPTS["state"][0],
-    "FreeEnergyBreakdown": lambda: distance_coupled_breakdown(1e-15, MODEL),
+    "FreeEnergyBreakdown": lambda: distance_coupled_breakdown([1e-15], MODEL),
     "SweepSpec": lambda: SPEC,
     "SweepRow": lambda: sweep_rows(SPEC)[0],
     "PlasmaState": lambda: plasma_state_from_distance(1e-15, MODEL),

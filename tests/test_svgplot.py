@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from casnuc.errors import DomainError, NumericalError
 from casnuc.svgplot import _tick_positions, render_line_chart
@@ -87,12 +89,34 @@ def test_validation_errors():
         [("s", [1.0, 1.0000000000000002], [-3.3, -3.3000000000000003])],
         [("big", BIG_XS, BIG_YS), ("half", BIG_XS, [0.5 * y for y in BIG_YS])],
         [("ties", TIE_XS, TIE_YS)],
+        # equal abscissae in lists of their own, and one list shared by two of three
+        [("big", BIG_XS, BIG_YS), ("copy", list(BIG_XS), [0.5 * y for y in BIG_YS])],
+        [("ties", TIE_XS, TIE_YS), ("own", TIE_XS[::-1], TIE_YS),
+         ("shared", TIE_XS, TIE_YS[::-1])],
     ],
     ids=["1-series", "2-series", "3-series", "constant", "constant-x", "sub-ulp", "40k",
-         "ties"],
+         "ties", "40k-own-lists", "ties-shared-and-own"],
 )
 def test_matches_the_per_vertex_writer(series):
     doc = render_line_chart(series, "x", "y", title="t")
+    assert doc == polylines_per_vertex(doc, series)
+
+
+finite = st.floats(min_value=-1e6, max_value=1e6)
+
+
+@given(data=st.data(), n_series=st.integers(1, 6), points=st.integers(2, 40))
+def test_shared_and_own_abscissae_match_the_per_vertex_writer(data, n_series, points):
+    # each series takes an earlier series' xs list itself, or a list of its own
+    series = []
+    for i in range(n_series):
+        ys = data.draw(st.lists(finite, min_size=points, max_size=points))
+        if series and data.draw(st.booleans()):
+            xs = series[data.draw(st.integers(0, len(series) - 1))][1]
+        else:
+            xs = data.draw(st.lists(finite, min_size=points, max_size=points))
+        series.append((f"s{i}", xs, ys))
+    doc = render_line_chart(series, "x", "y")
     assert doc == polylines_per_vertex(doc, series)
 
 
