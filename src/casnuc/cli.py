@@ -14,10 +14,11 @@ import argparse
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 from . import constants, lifshitz, nuclear, plasma, svgplot
 from ._version import __version__
@@ -35,6 +36,12 @@ _CHECK_L_MIN_FM = 0.1
 _CHECK_L_MAX_FM = 100.0
 # the column names of the PlasmaState fields after L, in both tables
 _STATE_KEYS = ("T_K", "rho_m3", "omega_ep_rad_s", "mu_ep")
+# the sweep's columns: the grid, sweep_rows' state and kappa, and energies per pair
+_SWEEP_HEADER = ("L_fm", "T_K", "rho_m3", "omega_ep", "mu_ep", "kappa_1_m",
+                 "F0_MeV", "Fn_MeV", "Ftot_MeV")
+
+# largest sweep or plot grid (--points); 25x the largest benchmarked grid
+MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_bool(raw: str) -> bool:
@@ -320,24 +327,54 @@ def _cmd_table(params: dict[str, object]) -> str:
                                                for key, dev in deviations.items())
 
 
-def _sweep_spec(params: dict[str, object]) -> lifshitz.SweepSpec:
-    # the separation grid, --points cap and plate area of sweep and plot;
-    # plot has no --mode, --method or --Linit and keeps the SweepSpec defaults
-    extras = {k: params[p] for k, p in (("mode", "mode"), ("method", "method"),
-                                        ("L_init_fm", "Linit")) if p in params}
-    return lifshitz.SweepSpec(
-        L_min_fm=params["Lmin"],
-        L_max_fm=params["Lmax"],
-        points=params["points"],
-        model=_model_from_params(params),
-        R_fm=params["R"],
-        **extras,
-    )
+def _sweep_grid(params: dict[str, object]) -> tuple[list[float], list[float], float, float]:
+    """The evenly spaced grid of sweep and plot from --Lmin to --Lmax in fm
+    and in m, the plate area pi R^2 [m^2] and the separation a fixed-mode
+    state is pinned at [m] (--Linit, which plot lacks, or --Lmin)."""
+    L_min, L_max, points, R = params["Lmin"], params["Lmax"], params["points"], params["R"]
+    L_init = params.get("Linit")
+    if not L_min > 0.0:
+        raise DomainError(f"L_min must be positive, got {L_min}")
+    if not L_max > L_min:
+        raise DomainError("L_max must exceed L_min")
+    if points < 2:
+        raise DomainError(f"sweep needs at least 2 points, got {points}")
+    if points > MAX_GRID_POINTS:
+        raise DomainError(f"--points must be at most {MAX_GRID_POINTS}, got {points}")
+    if not R > 0.0:
+        raise DomainError(f"plate radius must be positive, got {R}")
+    try:
+        area = math.pi * (R * M_PER_FM) ** 2
+    except OverflowError:
+        area = math.inf
+    if area == math.inf:  # above about 7.6e168 fm
+        raise DomainError(f"plate radius too large: R = {R} fm, pi R^2 overflows")
+    if area < sys.float_info.min:
+        raise DomainError(f"plate radius too small: R = {R} fm, pi R^2 underflows")
+    if L_init is not None and not L_init > 0.0:
+        raise DomainError(f"L_init must be positive, got {L_init}")
+    # every grid point is at least L_min, so it cannot underflow either
+    pinned = fm_to_m(L_min, "separation", "L_min")
+    if L_init is not None:
+        pinned = fm_to_m(L_init, "separation", "L_init")
+    step = (L_max - L_min) / (points - 1)
+    grid_fm = [L_min + i * step for i in range(points)]
+    return grid_fm, [L_fm * M_PER_FM for L_fm in grid_fm], area, pinned
+
+
+def _per_pair_mev(column: Iterable[float], area: float) -> list[float]:
+    # energies per unit area [J/m^2] as energies per plate pair [MeV]
+    return [value * area / J_PER_MEV for value in column]
 
 
 def _cmd_sweep(params: dict[str, object]) -> str:
-    rows = lifshitz.sweep_rows(_sweep_spec(params))
-    return _table_document(lifshitz.SweepRow._fields, rows, params["format"])
+    grid_fm, grid, area, pinned = _sweep_grid(params)
+    *state, zeros, finites = lifshitz.sweep_rows(
+        grid, _model_from_params(params), params["mode"], params["method"], pinned)
+    rows = list(zip(grid_fm, *state, _per_pair_mev(zeros, area), _per_pair_mev(finites, area),
+                    _per_pair_mev(map(operator.add, zeros, finites), area)))
+    del grid, state, zeros, finites  # only the rows are read while the table is written
+    return _table_document(_SWEEP_HEADER, rows, params["format"])
 
 
 def _cmd_equilibrium(params: dict[str, object]) -> str:
@@ -401,13 +438,10 @@ def _cmd_linewidth(params: dict[str, object]) -> str:
 
 
 def _cmd_plot(params: dict[str, object]) -> str:
-    spec = _sweep_spec(params)
-    grid_fm, area = spec.grid_fm(), spec.plate_area()
-    grid = [L_fm * M_PER_FM for L_fm in grid_fm]
+    grid_fm, grid, area, _ = _sweep_grid(params)
 
     def curve(label: str, column: list[float]) -> svgplot.Series:
-        # a column of energies per unit area as energies per plate pair [MeV]
-        return label, grid_fm, [value * area / J_PER_MEV for value in column]
+        return label, grid_fm, _per_pair_mev(column, area)
 
     if params["which"] == 1:
         models = {"mu = 1": plasma.PermeabilityModel("unity"),
@@ -417,7 +451,7 @@ def _cmd_plot(params: dict[str, object]) -> str:
                   for label, model in models.items()]
         return svgplot.render_line_chart(series, "L (fm)", "F0 per plate pair (MeV)",
                                          title="Zero-frequency interaction energy")
-    b = lifshitz.distance_coupled_breakdown(grid, spec.model)
+    b = lifshitz.distance_coupled_breakdown(grid, _model_from_params(params))
     series = [curve("zero frequency", b.zero_freq), curve("finite frequency", b.finite_freq),
               curve("total", b.total)]
     del b  # the unscaled columns are not needed while the chart is written

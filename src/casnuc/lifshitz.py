@@ -51,7 +51,6 @@ from .plasma import (
     plasma_state_from_distance,
     plasma_state_grid,
 )
-from .units import J_PER_MEV, M_PER_FM, fm_to_m
 
 DEFAULT_PLATE_AREA = math.pi * R_PROTON_DEFAULT**2  # [m^2]
 
@@ -97,9 +96,6 @@ _EM_HEAD = 12
 
 SWEEP_METHODS = ("asymptote", "exact", "full")
 SWEEP_MODES = ("coupled", "fixed")
-
-# largest sweep or plot grid (--points); 25x the largest benchmarked grid
-MAX_GRID_POINTS = 1_000_000
 
 # Smallest xbar = 2 k_B T L/(hbar c) (0.01 grid) at which the finite-frequency
 # asymptote agrees with the summed n > 0 terms to better than 10%, scanned at
@@ -378,7 +374,8 @@ def distance_coupled_breakdown(
     Each column is one pass over the grid.  These must agree with composing
     the plasma pipeline into the generic asymptotes to relative 1e-10
     (checked in the tests).  Below about 1.2e-63 m (spin) or 2.9e-88 m
-    (unity) they are not finite: DomainError.  The grid is checked as
+    (unity) they are not finite, and above about 4.5e102 m 2 L^3 m_e
+    overflows: DomainError.  The grid is checked as
     one-point grids at its ends, or point by point (see _check_grid), so a
     failing grid raises the error of its first failing point.
     """
@@ -390,8 +387,12 @@ def _closed_forms(Ls: Sequence[float], model: PermeabilityModel,
                   zero_freq_only: bool) -> FreeEnergyBreakdown:
     # distance_coupled_breakdown at Ls with the scalar checks of its first
     # point, all that a one-point grid needs: the caller checks a longer one
-    if Ls and 2.0 * _separation_cube(Ls[0]) * M_E < sys.float_info.min:
-        raise DomainError(f"separation too small: L = {Ls[0]} m, 2 L^3 m_e underflows")
+    if Ls:
+        denominator = 2.0 * _separation_cube(Ls[0]) * M_E
+        if denominator < sys.float_info.min:
+            raise DomainError(f"separation too small: L = {Ls[0]} m, 2 L^3 m_e underflows")
+        if denominator > sys.float_info.max:
+            raise DomainError(f"separation too large: L = {Ls[0]} m, 2 L^3 m_e overflows")
     cubes = [L**3 for L in Ls]
     kappas = [_KAPPA_SCALE * math.sqrt(_KAPPA_NUM / (2.0 * cube * M_E) * mu)
               for cube, mu in zip(cubes, model.coupled_mu_column(Ls))]
@@ -405,99 +406,42 @@ def _closed_forms(Ls: Sequence[float], model: PermeabilityModel,
         totals = [zero + finite for zero, finite in zip(zeros, finites)]
     # kappa and the total are finite wherever F0 is: a kappa of inf makes F0
     # nan, and Fn is finite at every L whose L^3 is a normal double
-    if not all(map(math.isfinite, zeros)):
-        L = Ls[[math.isfinite(zero) for zero in zeros].index(False)]
-        raise DomainError(f"separation too small: L = {L} m, the closed forms are not finite")
+    if Ls and not math.isfinite(zeros[0]):
+        raise DomainError(f"separation too small: L = {Ls[0]} m, the closed forms are not finite")
     return FreeEnergyBreakdown(zeros, finites, totals, kappas)
 
 
-class SweepSpec(namedtuple(
-    "SweepSpec", "L_min_fm L_max_fm points model mode method R_fm L_init_fm",
-    defaults=("coupled", "asymptote", R_PROTON_DEFAULT / M_PER_FM, None),
-)):
-    """Parameters of a separation sweep (distances in fm at this boundary): mode
-    is coupled | fixed, method asymptote | exact | full, and a fixed-mode state
-    is pinned at L_init_fm (None: L_min_fm)."""
+def sweep_rows(
+    Ls: Sequence[float], model: PermeabilityModel, mode: str, method: str, L_init: float,
+) -> tuple[list[float], ...]:
+    """Evaluate a separation sweep at the separations Ls [m]: the columns
+    (T, rho, omega_ep, mu_ep, kappa, F0/A, Fn/A) in SI units and grid order.
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not self.L_min_fm > 0.0:
-            raise DomainError(f"L_min must be positive, got {self.L_min_fm}")
-        if not self.L_max_fm > self.L_min_fm:
-            raise DomainError("L_max must exceed L_min")
-        if self.points < 2:
-            raise DomainError(f"sweep needs at least 2 points, got {self.points}")
-        if self.points > MAX_GRID_POINTS:
-            raise DomainError(
-                f"--points must be at most {MAX_GRID_POINTS}, got {self.points}"
-            )
-        if self.mode not in SWEEP_MODES:
-            raise DomainError(f"unknown sweep mode {self.mode!r}")
-        if self.method not in SWEEP_METHODS:
-            raise DomainError(f"unknown sweep method {self.method!r}")
-        if not self.R_fm > 0.0:
-            raise DomainError(f"plate radius must be positive, got {self.R_fm}")
-        if self.plate_area() < sys.float_info.min:
-            raise DomainError(f"plate radius too small: R = {self.R_fm} fm, pi R^2 underflows")
-        if self.L_init_fm is not None and not self.L_init_fm > 0.0:
-            raise DomainError(f"L_init must be positive, got {self.L_init_fm}")
-        # every grid point is at least L_min, so it cannot underflow either
-        fm_to_m(self.L_min_fm, "separation", "L_min")
-        if self.L_init_fm is not None:
-            fm_to_m(self.L_init_fm, "separation", "L_init")
-        return self
-
-    def grid_fm(self) -> list[float]:
-        """The evenly spaced separations from L_min to L_max [fm]."""
-        step = (self.L_max_fm - self.L_min_fm) / (self.points - 1)
-        return [self.L_min_fm + i * step for i in range(self.points)]
-
-    def plate_area(self) -> float:
-        """Plate area pi R^2 [m^2]; above about 7.6e168 fm it overflows: DomainError."""
-        try:
-            area = math.pi * (self.R_fm * M_PER_FM) ** 2
-        except OverflowError:
-            area = math.inf
-        if area == math.inf:
-            raise DomainError(f"plate radius too large: R = {self.R_fm} fm, pi R^2 overflows")
-        return area
-
-
-class SweepRow(namedtuple("SweepRow",
-                          "L_fm T_K rho_m3 omega_ep mu_ep kappa_1_m F0_MeV Fn_MeV Ftot_MeV")):
-    """One sweep grid point in presentation units (CSV row)."""
-
-    __slots__ = ()
-
-
-def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate a separation sweep in grid order.
-
-    A coupled sweep reads its states as columns over the whole grid
-    (plasma_state_grid), and the asymptote method its closed forms too
-    (distance_coupled_breakdown); the other methods evaluate the energies a
-    row at a time.  A failing sweep raises the error of its first failing
-    row: the grid is then evaluated one point at a time.
+    mode is coupled | fixed, method asymptote | exact | full, and a
+    fixed-mode state is pinned at L_init [m].  A coupled sweep reads its
+    states as columns over the whole grid (plasma_state_grid), and the
+    asymptote method its closed forms too (distance_coupled_breakdown); the
+    other methods evaluate the energies a row at a time.  A failing sweep
+    raises the error of its first failing row: the grid is then evaluated
+    one point at a time.
     """
-    area = spec.plate_area()
-    model = spec.model
-    if spec.mode == "fixed":
-        L_init = (spec.L_init_fm if spec.L_init_fm is not None else spec.L_min_fm) * M_PER_FM
+    if mode not in SWEEP_MODES:
+        raise DomainError(f"unknown sweep mode {mode!r}")
+    if method not in SWEEP_METHODS:
+        raise DomainError(f"unknown sweep method {method!r}")
+    if mode == "fixed":
         pinned = plasma_state_from_distance(L_init, model)
         pinned_kappa = screening_wavevector(pinned.rho, pinned.mu_ep)
-    zero_freq = zero_freq_asymptote if spec.method == "asymptote" else zero_freq_exact
-    finite_freq = finite_freq_sum if spec.method == "full" else finite_freq_asymptote
+    zero_freq = zero_freq_asymptote if method == "asymptote" else zero_freq_exact
+    finite_freq = finite_freq_sum if method == "full" else finite_freq_asymptote
 
-    def columns(Ls: list[float]) -> tuple[list[float], ...]:
-        # (T, rho, omega_ep, mu_ep, kappa, F0/A, Fn/A) over the separations Ls [m]
-        if spec.mode == "fixed":
+    def columns(Ls: Sequence[float]) -> tuple[list[float], ...]:
+        if mode == "fixed":
             state = [[value] * len(Ls) for value in pinned[1:]]
             kappas = [pinned_kappa] * len(Ls)
         else:
             state = plasma_state_grid(Ls, model)[1:]
-            if spec.method == "asymptote":  # the closed forms, with their own kappa
+            if method == "asymptote":  # the closed forms, with their own kappa
                 b = distance_coupled_breakdown(Ls, model)
                 return (*state, b.kappa, b.zero_freq, b.finite_freq)
             kappas = [screening_wavevector(rho, mu) for rho, mu in zip(state[1], state[3])]
@@ -505,14 +449,9 @@ def sweep_rows(spec: SweepSpec) -> list[SweepRow]:
         return (*state, kappas, [zero_freq(kappa, L, T) for kappa, L, T in zip(kappas, Ls, Ts)],
                 [finite_freq(L, T, rho) for L, T, rho in zip(Ls, Ts, rhos)])
 
-    grid_fm = spec.grid_fm()
-    Ls = [L_fm * M_PER_FM for L_fm in grid_fm]
     try:
-        table = columns(Ls)
+        return columns(Ls)
     except (DomainError, ArithmeticError):
         for L in Ls:
             columns([L])  # raises the error of the first failing row
         raise
-    return [SweepRow(L_fm, T, rho, omega, mu, kappa, zero * area / J_PER_MEV,
-                     finite * area / J_PER_MEV, (zero + finite) * area / J_PER_MEV)
-            for L_fm, T, rho, omega, mu, kappa, zero, finite in zip(grid_fm, *table)]

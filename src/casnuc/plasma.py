@@ -171,8 +171,12 @@ def _separation_cube(L: float) -> float:
 
 
 def density_from_distance(L: float) -> float:
-    """Pair density at the balance temperature: rho = 3^(1/4) zeta(3)/(8 pi^2 L^3)."""
-    return _RHO_NUM / (_RHO_DEN * _separation_cube(L))
+    """Pair density at the balance temperature: rho = 3^(1/4) zeta(3)/(8 pi^2 L^3);
+    above about 1.3e102 m, where 8 pi^2 L^3 overflows, DomainError."""
+    denominator = _RHO_DEN * _separation_cube(L)
+    if denominator == math.inf:
+        raise DomainError(f"separation too large: L = {L} m, 8 pi^2 L^3 overflows")
+    return _RHO_NUM / denominator
 
 
 def plasma_frequency(rho: float) -> float:
@@ -211,11 +215,9 @@ def _check_grid(Ls: Sequence[float], point: Callable[[float], object]) -> None:
 
     The checks of a separation fail on a prefix or on a suffix of an
     ascending grid (an argument underflows below some L, or overflows above
-    some L), so on an ascending grid every point passes when both ends do;
-    the one check that fails on a window instead, rho e^2 of the pair
-    density, is plasma_state_grid's own.  Where an end fails, or where the
-    grid does not ascend, point runs on every separation in grid order, so
-    the error names the first that fails.
+    some L), so on an ascending grid every point passes when both ends do.
+    Where an end fails, or where the grid does not ascend, point runs on
+    every separation in grid order, so the error names the first that fails.
     """
     if all(map(operator.le, Ls, Ls[1:])):  # ascending; a nan fails it
         try:
@@ -252,12 +254,6 @@ def plasma_state_grid(
     _check_grid(Ls, _check_balance)
     Ts = [HBAR_C / (_KB_GAMMA * L) for L in Ls]
     rhos = [_RHO_NUM / (_RHO_DEN * L**3) for L in Ls]
-    if rhos and rhos[-1] == 0.0:
-        # the one check that fails on a window of L: rho e^2 underflows above
-        # about 2.8e89 m, but above about 1.3e102 m rho itself is 0.0, which
-        # passes, so a grid that ends there is checked point by point
-        for L in Ls:
-            _check_balance(L)
     omegas = [math.sqrt(rho * _E2 / _EPS0_ME) for rho in rhos]
     return PlasmaState(Ls, Ts, rhos, omegas, model.static_mu_column(rhos, Ts))
 

@@ -297,7 +297,10 @@ def temperature_unfolded(L: float) -> float:
 
 def density_unfolded(L: float) -> float:
     """plasma.density_from_distance, unfolded."""
-    return 3.0**0.25 * ZETA_3 / (8.0 * math.pi**2 * _separation_cube(L))
+    denominator = 8.0 * math.pi**2 * _separation_cube(L)
+    if denominator == math.inf:
+        raise DomainError(f"separation too large: L = {L} m, 8 pi^2 L^3 overflows")
+    return 3.0**0.25 * ZETA_3 / denominator
 
 
 def plasma_frequency_unfolded(rho: float) -> float:
@@ -346,6 +349,8 @@ def breakdown_unfolded(L: float, model) -> FreeEnergyBreakdown:
     denominator = 2.0 * cube * M_E
     if denominator < sys.float_info.min:
         raise DomainError(f"separation too small: L = {L} m, 2 L^3 m_e underflows")
+    if denominator > sys.float_info.max:
+        raise DomainError(f"separation too large: L = {L} m, 2 L^3 m_e overflows")
     kappa = (3.0**0.125 / (2.0 * math.pi)) * math.sqrt(
         E_CHARGE**2 * MU_0 * ZETA_3 / denominator * coupled_mu_unfolded(model, L)
     )

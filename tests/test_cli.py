@@ -119,6 +119,20 @@ HOSTILE_ARGV = [
      "separation too large: L = 5.0000000000000003e+104 m, L^3 overflows"),
     (["sweep", "--Lmax", "1e110", "--points", "5"], 2,
      "density too small: rho = 1.2823175382096401e-285 1/m^3, rho e^2 underflows"),
+    # above 1.3e117 fm the pair density's 8 pi^2 L^3 overflows (rho would
+    # round to 0.0), and between 4.5e117 and 5.6e117 fm the closed forms'
+    # 2 L^3 m_e does (kappa would be 0.0)
+    (["sweep", "--Lmin", "2e117", "--Lmax", "3e117", "--points", "2"], 2,
+     "separation too large: L = 2.0000000000000002e+102 m, 8 pi^2 L^3 overflows"),
+    (["plot", "--which", "2", "--Lmin", "1", "--Lmax", "5e117", "--points", "2"], 2,
+     "separation too large: L = 5e+102 m, 2 L^3 m_e overflows"),
+    # the grid's own checks, in the order they run
+    (["sweep", "--Lmin", "0"], 2, "L_min must be positive, got 0.0"),
+    (["sweep", "--Lmin", "3", "--Lmax", "1"], 2, "L_max must exceed L_min"),
+    (["plot", "--points", "1"], 2, "sweep needs at least 2 points, got 1"),
+    (["sweep", "--mode", "fixed", "--Linit", "0"], 2, "L_init must be positive, got 0.0"),
+    # --Linit is checked in coupled mode too
+    (["sweep", "--Linit", "-1"], 2, "L_init must be positive, got -1.0"),
 ]
 HOSTILE_MESSAGES = {tuple(argv): message for argv, _, message in HOSTILE_ARGV}
 
@@ -358,7 +372,7 @@ class TestSweep:
             ["sweep", "--method", "full", "--mode", "fixed", "--Linit", L_init,
              "--Lmin", L_min, "--Lmax", L_max, "--points", "3"], capsys)
         assert (code, err) == (0, "")
-        assert out == "\n".join([",".join(lifshitz.SweepRow._fields)] + rows) + "\n"
+        assert out == "\n".join([",".join(cli._SWEEP_HEADER)] + rows) + "\n"
 
     def test_fixed_mode_holds_temperature(self, capsys):
         code, out, _ = run_cli(

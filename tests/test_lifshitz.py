@@ -13,10 +13,8 @@ from casnuc.constants import C, HBAR, HBAR_C, K_B, ZETA_3
 from casnuc.errors import DomainError
 from casnuc.lifshitz import (
     DEFAULT_PLATE_AREA,
-    MAX_GRID_POINTS,
     XBAR_CROSSOVER_10PCT,
     FreeEnergyBreakdown,
-    SweepSpec,
     _SERIES_SPLIT,
     _mode_series,
     distance_coupled_breakdown,
@@ -727,56 +725,63 @@ class TestDistanceCoupled:
 
 def per_point(Ls, evaluate):
     # evaluate at each separation in grid order: every result as float.hex,
-    # or the type and message of the first error (a DomainError, or the
-    # ZeroDivisionError of the closed forms where 2 L^3 overflows)
+    # or the message of the first DomainError
     try:
         return [[float(v).hex() for v in evaluate(L)] for L in Ls]
-    except (DomainError, ArithmeticError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+    except DomainError as exc:
+        return str(exc)
 
 
 def per_grid(evaluate, Ls):
     # evaluate on the whole grid, its columns regrouped by point as per_point
     try:
         columns = evaluate(Ls)
-    except (DomainError, ArithmeticError) as exc:
-        return f"{type(exc).__name__}: {exc}"
+    except DomainError as exc:
+        return str(exc)
     return [[float(v).hex() for v in point] for point in zip(*columns)]
 
 
-# grids as the CLI builds them, with ends in the physical window and around
+def grid_m(L_min_fm, L_max_fm, points):
+    # the separations [m] of a sweep or plot grid as the CLI builds it
+    step = (L_max_fm - L_min_fm) / (points - 1)
+    return [(L_min_fm + i * step) * 1e-15 for i in range(points)]
+
+
+# grids as the CLI builds them, (separations [m], model), with ends in the physical window and around
 # every separation at which a check starts to fail: L^3 underflows below
 # 2.8e-88 fm, 2 L^3 m_e below 2.3e-78 fm, the closed forms stop being finite
 # below 2.9e-73 fm (unity) or 1.2e-48 fm (spin), rho e^2 underflows above
-# 2.8e104 fm and L^3 overflows above 5.6e117 fm
+# 2.8e104 fm, 8 pi^2 L^3 overflows above 1.3e117 fm, 2 L^3 m_e above 4.5e117 fm
+# and L^3 above 5.6e117 fm
 GRID_ENDS_FM = st.builds(
     lambda edge, decades: edge * 10.0**decades,
     st.sampled_from([2.8e-88, 2.3e-78, 2.9e-73, 1.2e-48, 0.1, 1.0, 100.0, 2.8e104, 5.6e117]),
     st.floats(-2.0, 2.0),
 )
-GRID_SPECS = st.builds(
-    lambda ends, points, model: SweepSpec(*sorted(ends), points, model),
+GRIDS = st.builds(
+    lambda ends, points, model: (grid_m(*sorted(ends), points), model),
     st.tuples(GRID_ENDS_FM, GRID_ENDS_FM).filter(lambda ends: ends[0] != ends[1]),
     st.integers(2, 2000),
     st.sampled_from([UNITY, SPIN, PermeabilityModel("spin", "literal")]),
 )
 
 
-# a long grid in the physical window; a grid whose ends pass while points
-# inside fail the rho e^2 check (rho is 0.0 at the top end); one that crosses
-# every edge; and one whose top end divides by zero where 2 L^3 overflows
+# a long grid in the physical window; a grid whose top end is above the
+# edge where 8 pi^2 L^3 overflows; one that crosses every edge; one whose top
+# end is where 2 L^3 m_e overflows; and one between those two edges
 GRID_EXAMPLES = [
-    SweepSpec(0.1, 100.0, 2000, SPIN),
-    SweepSpec(2.8e-87, 5.6e117, 6, UNITY),
-    SweepSpec(1e-74, 1e118, 3, PermeabilityModel("spin", "literal")),
-    SweepSpec(2.9e-72, 5e117, 2, UNITY),
+    (grid_m(0.1, 100.0, 2000), SPIN),
+    (grid_m(2.8e-87, 5.6e117, 6), UNITY),
+    (grid_m(1e-74, 1e118, 3), PermeabilityModel("spin", "literal")),
+    (grid_m(2.9e-72, 5e117, 2), UNITY),
+    (grid_m(2e117, 3e117, 2), SPIN),
 ]
 
 
 def grid_examples(test):
-    for spec in GRID_EXAMPLES:
-        test = example(spec=spec)(test)
-    return settings(max_examples=150)(given(spec=GRID_SPECS)(test))
+    for grid in GRID_EXAMPLES:
+        test = example(grid=grid)(test)
+    return settings(max_examples=150)(given(grid=GRIDS)(test))
 
 
 class TestGridEvaluators:
@@ -784,34 +789,32 @@ class TestGridEvaluators:
     replicas, and a failing grid raises the first failing point's error."""
 
     @grid_examples
-    def test_state_columns(self, spec):
-        Ls = [L_fm * 1e-15 for L_fm in spec.grid_fm()]
-        assert per_grid(lambda Ls: plasma_state_grid(Ls, spec.model), Ls) == per_point(
-            Ls, lambda L: plasma_state_unfolded(L, spec.model))
+    def test_state_columns(self, grid):
+        Ls, model = grid
+        assert per_grid(lambda Ls: plasma_state_grid(Ls, model), Ls) == per_point(
+            Ls, lambda L: plasma_state_unfolded(L, model))
 
     @grid_examples
-    def test_breakdown_columns(self, spec):
-        Ls = [L_fm * 1e-15 for L_fm in spec.grid_fm()]
-        expected = per_point(Ls, lambda L: breakdown_unfolded(L, spec.model))
-        assert per_grid(lambda Ls: distance_coupled_breakdown(Ls, spec.model), Ls) == expected
+    def test_breakdown_columns(self, grid):
+        Ls, model = grid
+        expected = per_point(Ls, lambda L: breakdown_unfolded(L, model))
+        assert per_grid(lambda Ls: distance_coupled_breakdown(Ls, model), Ls) == expected
         zero_kappa = (expected if isinstance(expected, str)
                       else [[zero, kappa] for zero, _, _, kappa in expected])
         assert per_grid(lambda Ls: distance_coupled_breakdown(
-            Ls, spec.model, zero_freq_only=True)[::3], Ls) == zero_kappa
+            Ls, model, zero_freq_only=True)[::3], Ls) == zero_kappa
 
     @grid_examples
-    def test_sweep_rows(self, spec):
-        area = spec.plate_area()
+    def test_sweep_rows(self, grid):
+        Ls, model = grid
 
-        def row(L_fm):
-            L = L_fm * 1e-15
-            state = plasma_state_unfolded(L, spec.model)
-            zero, finite, _, kappa = breakdown_unfolded(L, spec.model)
-            return (L_fm, *state[1:], kappa, zero * area / J_PER_MEV,
-                    finite * area / J_PER_MEV, (zero + finite) * area / J_PER_MEV)
+        def row(L):
+            state = plasma_state_unfolded(L, model)
+            zero, finite, _, kappa = breakdown_unfolded(L, model)
+            return (*state[1:], kappa, zero, finite)
 
-        assert per_grid(lambda spec: zip(*sweep_rows(spec)), spec) == per_point(
-            spec.grid_fm(), row)
+        assert per_grid(lambda Ls: sweep_rows(Ls, model, "coupled", "asymptote", Ls[0]),
+                        Ls) == per_point(Ls, row)
 
     @pytest.mark.parametrize("Ls", [
         [2e-15, 1e-15, 3e-15], [1e-15, math.nan, 2e-15], [1e-15, 1e-89, 2e-15],
@@ -840,45 +843,36 @@ class TestGridEvaluators:
             assert isinstance(state.T, float)
 
 
+GRID_1_3_FM = grid_m(1.0, 3.0, 5)
+
+
 class TestSweep:
-    def test_grid_order_and_length(self):
-        rows = sweep_rows(SweepSpec(1.0, 3.0, 5, UNITY))
-        assert [r.L_fm for r in rows] == [1.0, 1.5, 2.0, 2.5, 3.0]
+    def test_seven_columns_in_grid_order(self):
+        columns = sweep_rows(GRID_1_3_FM, UNITY, "coupled", "asymptote", 1e-15)
+        assert len(columns) == 7
+        assert all(len(column) == 5 for column in columns)
+        assert columns[0] == [temperature_from_distance(L) for L in GRID_1_3_FM]
 
     def test_fixed_mode_pins_temperature(self):
-        rows = sweep_rows(SweepSpec(1.0, 3.0, 5, UNITY, mode="fixed"))
-        assert len({r.T_K for r in rows}) == 1
-        assert rows[0].T_K == pytest.approx(temperature_from_distance(1e-15), rel=1e-12)
+        Ts = sweep_rows(GRID_1_3_FM, UNITY, "fixed", "asymptote", 1e-15)[0]
+        assert len(set(Ts)) == 1
+        assert Ts[0] == pytest.approx(temperature_from_distance(1e-15), rel=1e-12)
 
     def test_fixed_mode_honors_initial_separation(self):
-        rows = sweep_rows(SweepSpec(1.0, 3.0, 3, UNITY, mode="fixed", L_init_fm=2.0))
-        assert rows[0].T_K == pytest.approx(temperature_from_distance(2e-15), rel=1e-12)
+        Ts = sweep_rows(grid_m(1.0, 3.0, 3), UNITY, "fixed", "asymptote", 2e-15)[0]
+        assert Ts[0] == pytest.approx(temperature_from_distance(2e-15), rel=1e-12)
 
     def test_full_method_matches_direct_sum(self):
-        rows = sweep_rows(SweepSpec(1.0, 2.0, 2, SPIN, method="full"))
+        *_, zeros, finites = sweep_rows([1e-15, 2e-15], SPIN, "coupled", "full", 1e-15)
         L = 1e-15
         T, rho, _ = state_at(L)
-        expected = per_pair_mev(full_matsubara(L, T, rho, SPIN))
-        assert rows[0].Ftot_MeV == pytest.approx(expected, rel=1e-12)
+        expected = full_matsubara(L, T, rho, SPIN)
+        assert zeros[0] + finites[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_total_column_is_component_sum(self):
-        for row in sweep_rows(SweepSpec(1.0, 3.0, 9, SPIN, method="exact")):
-            assert row.Ftot_MeV == pytest.approx(row.F0_MeV + row.Fn_MeV, rel=1e-13)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(L_min_fm=0.0, L_max_fm=3.0, points=5),
-            dict(L_min_fm=3.0, L_max_fm=1.0, points=5),
-            dict(L_min_fm=1.0, L_max_fm=3.0, points=1),
-            dict(L_min_fm=1.0, L_max_fm=3.0, points=5, mode="periodic"),
-            dict(L_min_fm=1.0, L_max_fm=3.0, points=5, method="magic"),
-            dict(L_min_fm=1.0, L_max_fm=3.0, points=5, R_fm=0.0),
-            dict(L_min_fm=1.0, L_max_fm=3.0, points=MAX_GRID_POINTS + 1),
-            dict(L_min_fm=1.0, L_max_fm=3.0, points=5, mode="fixed", L_init_fm=0.0),
-            dict(L_min_fm=1.0, L_max_fm=3.0, points=5, mode="fixed", L_init_fm=float("nan")),
-        ],
-    )
-    def test_spec_validation(self, kwargs):
-        with pytest.raises(DomainError):
-            SweepSpec(model=UNITY, **kwargs)
+    @pytest.mark.parametrize("mode, method, message", [
+        ("periodic", "asymptote", "unknown sweep mode 'periodic'"),
+        ("fixed", "magic", "unknown sweep method 'magic'"),
+    ])
+    def test_unknown_mode_or_method(self, mode, method, message):
+        with pytest.raises(DomainError, match=message):
+            sweep_rows(GRID_1_3_FM, UNITY, mode, method, 1e-15)

@@ -105,10 +105,13 @@ class TestDensityFromDistance:
         assert density_from_distance(L) == pytest.approx(composed, rel=1e-12)
 
     def test_separation_too_large(self):
-        # L^3 overflows above about 5.6e102 m
-        with pytest.raises(DomainError, match="separation too large"):
+        # L^3 overflows above about 5.6e102 m, 8 pi^2 L^3 above about 1.3e102 m,
+        # where rho would be 0.0
+        with pytest.raises(DomainError, match="L = 1e\\+103 m, L\\^3 overflows"):
             density_from_distance(1e103)
-        assert math.isfinite(density_from_distance(5e102))
+        with pytest.raises(DomainError, match="L = 5e\\+102 m, 8 pi\\^2 L\\^3 overflows"):
+            density_from_distance(5e102)
+        assert density_from_distance(1.3e102) > 0.0
 
 
 class TestPlasmaFrequency:

@@ -3,12 +3,11 @@
 import pytest
 
 from casnuc import cli
-from casnuc.lifshitz import SweepSpec, distance_coupled_breakdown, sweep_rows
+from casnuc.lifshitz import distance_coupled_breakdown
 from casnuc.nuclear import equilibrium_distance, plasmon_linewidth, yukawa_quantities
 from casnuc.plasma import PermeabilityModel, plasma_state_from_distance
 
 MODEL = PermeabilityModel()
-SPEC = SweepSpec(1.0, 2.0, 2, MODEL)
 
 
 def _yukawa():
@@ -19,8 +18,6 @@ def _yukawa():
 RECORDS = {
     "_Opt": lambda: cli._SUBCOMMAND_OPTS["state"][0],
     "FreeEnergyBreakdown": lambda: distance_coupled_breakdown([1e-15], MODEL),
-    "SweepSpec": lambda: SPEC,
-    "SweepRow": lambda: sweep_rows(SPEC)[0],
     "PlasmaState": lambda: plasma_state_from_distance(1e-15, MODEL),
     "PermeabilityModel": lambda: MODEL,
     "EquilibriumResult": lambda: equilibrium_distance(0.84e-15),
