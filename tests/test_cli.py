@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from _oracles import matsubara_sum_mpmath, table_document_per_value
 from casnuc import cli, lifshitz, plasma, units
 from casnuc.constants import C, HBAR, K_B
-from casnuc.errors import NumericalError
+from casnuc.errors import DomainError, NumericalError
 from casnuc.lifshitz import FreeEnergyBreakdown
 
 
@@ -317,6 +317,38 @@ class TestSweep:
         assert code == 0
         _, rows = csv_rows(out)
         assert len(rows) == 5
+
+    def test_grid_order_and_length(self):
+        grid_fm, grid, area, pinned = cli._sweep_grid(dict(Lmin=1.0, Lmax=3.0, points=5, R=1.0))
+        assert grid_fm == [1.0, 1.5, 2.0, 2.5, 3.0]
+        assert grid == [L_fm * units.M_PER_FM for L_fm in grid_fm]
+        assert area == math.pi * units.M_PER_FM ** 2
+        assert pinned == units.M_PER_FM
+
+    def test_grid_pins_the_initial_separation(self):
+        params = dict(Lmin=1.0, Lmax=3.0, points=3, R=1.0, Linit=2.0)
+        assert cli._sweep_grid(params)[3] == 2.0 * units.M_PER_FM
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(Lmin=0.0), "L_min must be positive"),
+            (dict(Lmin=3.0, Lmax=1.0), "L_max must exceed L_min"),
+            (dict(points=1), "sweep needs at least 2 points"),
+            (dict(points=cli.MAX_GRID_POINTS + 1), "--points must be at most"),
+            (dict(R=0.0), "plate radius must be positive"),
+            (dict(R=1e200), "plate radius too large"),
+            (dict(R=1e-170), "plate radius too small"),
+            (dict(Linit=0.0), "L_init must be positive"),
+            (dict(Linit=float("nan")), "L_init must be positive"),
+            (dict(Lmin=1e-310), "separation too small: L_min"),
+            (dict(Linit=1e-310), "separation too small: L_init"),
+        ],
+    )
+    def test_grid_validation(self, overrides, message):
+        params = {**dict(Lmin=1.0, Lmax=3.0, points=5, R=1.0), **overrides}
+        with pytest.raises(DomainError, match=re.escape(message)):
+            cli._sweep_grid(params)
 
     def test_full_sweep_at_small_xbar(self, capsys):
         # xbar of 7.6e-6 .. 1.5e-5 at the 100 fm state: the n > 0 sum once
