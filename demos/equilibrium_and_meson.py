@@ -15,11 +15,7 @@ from casnuc.nuclear import (
     plasmon_linewidth,
     yukawa_quantities,
 )
-from casnuc.plasma import (
-    PermeabilityModel,
-    density_from_distance,
-    plasma_state_from_distance,
-)
+from casnuc.plasma import PermeabilityModel, plasma_state_from_distance
 from casnuc.units import J_PER_MEV, M_PER_FM
 
 
@@ -48,7 +44,7 @@ def main() -> None:
               f"range {yq.screening_length / M_PER_FM:.4f} fm")
     print()
 
-    n = 0.5 * density_from_distance(M_PER_FM)  # one species carries half the pairs
+    n = 0.5 * plasma_state_from_distance(M_PER_FM).rho  # one species carries half the pairs
     lw = plasmon_linewidth(n, 0.1)
     print(f"plasmon damping at 1 fm (q = 0.1 q_F): "
           f"{lw.width / J_PER_MEV:.4f} MeV "

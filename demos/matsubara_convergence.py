@@ -16,11 +16,7 @@ from casnuc.lifshitz import (
     full_matsubara,
     matsubara_term,
 )
-from casnuc.plasma import (
-    PermeabilityModel,
-    density_from_distance,
-    plasma_state_from_distance,
-)
+from casnuc.plasma import PermeabilityModel, plasma_state_from_distance
 from casnuc.units import M_PER_FM
 
 L = M_PER_FM
@@ -49,13 +45,12 @@ def main() -> None:
           f"full/classical = {full / classical:.12f}")
     print()
 
-    rho = density_from_distance(L)
     print("asymptote vs summed n > 0 terms (density pinned at the 1 fm value):")
     print(f"{'xbar':>6} {'rel deviation':>14}")
     for xbar in (0.5, 0.76, 1.0, 1.65, 2.0, 3.0, 5.0):
         T = xbar * HBAR_C / (2.0 * K_B * L)
-        summed = finite_freq_sum(L, T, rho)
-        asym = finite_freq_asymptote(L, T, rho)
+        summed = finite_freq_sum(L, T, s.rho)
+        asym = finite_freq_asymptote(L, T, s.rho)
         print(f"{xbar:>6.2f} {abs(asym - summed) / abs(summed):>14.4f}")
     print(f"10% agreement first reached at xbar = {XBAR_CROSSOVER_10PCT}")
 

@@ -414,7 +414,7 @@ def _cmd_meson(params: dict[str, object]) -> str:
 
 def _cmd_linewidth(params: dict[str, object]) -> str:
     L = fm_to_m(params["L"], "separation", "L")
-    rho = plasma.density_from_distance(L)
+    rho = plasma.plasma_state_from_distance(L).rho
     use_total = params["total_density"]
     n = rho if use_total else 0.5 * rho
     # the negative-bracket caveat is reported as a JSON field, not a warning

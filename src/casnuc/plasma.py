@@ -142,17 +142,6 @@ class PermeabilityModel(namedtuple("PermeabilityModel", "kind convention H",
         return [1.0 + scale * (_CHI_NUM / (_CHI_DEN * L**2)) for L in Ls]
 
 
-def temperature_from_distance(L: float) -> float:
-    """Black-body balance temperature, T = hbar*c/(k_B * 48^(1/4) * L)."""
-    if not L > 0.0:
-        raise DomainError(f"separation must be positive, got {L}")
-    # below about 6.1e-286 m the denominator is no longer a normal double
-    scale = _KB_GAMMA * L
-    if scale < sys.float_info.min:
-        raise DomainError(f"separation too small: L = {L} m, k_B gamma L underflows")
-    return HBAR_C / scale
-
-
 def _separation_cube(L: float) -> float:
     # L^3 of a plate separation; below about 2.8e-103 m it is no longer a
     # normal double, and the densities that scale as 1/L^3 overflow; above
@@ -168,15 +157,6 @@ def _separation_cube(L: float) -> float:
     if cube < sys.float_info.min:
         raise DomainError(f"separation too small: L = {L} m, L^3 underflows")
     return cube
-
-
-def density_from_distance(L: float) -> float:
-    """Pair density at the balance temperature: rho = 3^(1/4) zeta(3)/(8 pi^2 L^3);
-    above about 1.3e102 m, where 8 pi^2 L^3 overflows, DomainError."""
-    denominator = _RHO_DEN * _separation_cube(L)
-    if denominator == math.inf:
-        raise DomainError(f"separation too large: L = {L} m, 8 pi^2 L^3 overflows")
-    return _RHO_NUM / denominator
 
 
 def plasma_frequency(rho: float) -> float:
@@ -223,6 +203,7 @@ def _check_grid(Ls: Sequence[float], point: Callable[[float], object]) -> None:
         try:
             if Ls:
                 point(Ls[0])
+            if len(Ls) > 1:
                 point(Ls[-1])
             return
         except (DomainError, ArithmeticError):
@@ -232,22 +213,32 @@ def _check_grid(Ls: Sequence[float], point: Callable[[float], object]) -> None:
 
 
 def _check_balance(L: float) -> None:
-    # the checks of one balance state, in the order the state meets them
-    # (static_mu's hold on every balance state)
-    temperature_from_distance(L)
-    plasma_frequency(density_from_distance(L))
+    # every check of one balance state, in the order the state meets them
+    # (static_mu's hold on every balance state); k_B gamma L is no longer a
+    # normal double below about 6.1e-286 m, 8 pi^2 L^3 overflows above
+    # about 1.3e102 m
+    if not L > 0.0:
+        raise DomainError(f"separation must be positive, got {L}")
+    if _KB_GAMMA * L < sys.float_info.min:
+        raise DomainError(f"separation too small: L = {L} m, k_B gamma L underflows")
+    denominator = _RHO_DEN * _separation_cube(L)
+    if denominator == math.inf:
+        raise DomainError(f"separation too large: L = {L} m, 8 pi^2 L^3 overflows")
+    plasma_frequency(_RHO_NUM / denominator)
 
 
 def plasma_state_grid(
     Ls: Sequence[float], model: PermeabilityModel = PermeabilityModel()
 ) -> PlasmaState:
     """The balance states at the separations Ls [m] as one PlasmaState of
-    columns in grid order (its L is Ls): the state of temperature_from_distance,
-    density_from_distance, plasma_frequency and model.static_mu at each L.
+    columns in grid order (its L is Ls), the only route from a separation to
+    a state: at each L, T = hbar c/(k_B 48^(1/4) L), the pair density
+    rho = 3^(1/4) zeta(3)/(8 pi^2 L^3), plasma_frequency(rho) and
+    model.static_mu(rho, T).
 
-    Each column is one pass in the operation order of those evaluators, so
-    every entry has their bits.  Their checks run at the ends of an
-    ascending grid, or point by point (see _check_grid): a failing grid
+    Each column is one pass in one operation order, so an entry's bits do
+    not depend on the grid.  The checks (_check_balance) run at the ends of
+    an ascending grid, or point by point (see _check_grid): a failing grid
     raises the error of its first failing point.  The one-point grid is
     plasma_state_from_distance.
     """

@@ -38,9 +38,9 @@ def _escape(body: str) -> str:
     return body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _tick_positions(lo: float, hi: float, target: int = 5) -> list[float]:
+def _tick_positions(lo: float, hi: float) -> list[float]:
     span = hi - lo
-    raw = span / max(target, 1)
+    raw = span / 5  # about five ticks an axis
     mag = 10.0 ** math.floor(math.log10(raw))
     norm = raw / mag
     if norm <= 1.0:

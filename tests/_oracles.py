@@ -140,8 +140,8 @@ def mode_series_tails_loop(a: float) -> tuple[tuple[float, float], int]:
 def pair_density(T: float) -> float:
     """Total e- + e+ number density of the thermal pair gas at temperature T.
 
-    Independent oracle for plasma.density_from_distance, which is this
-    density at the balance temperature written in L alone:
+    Independent oracle for the rho of plasma.plasma_state_from_distance,
+    which is this density at the balance temperature written in L alone:
     rho = (3 zeta(3)/pi^2) (k_B T)^3 / (hbar c)^3, the relativistic form,
     valid for k_B T >> m_e c^2.
     """
@@ -157,8 +157,8 @@ def pair_density(T: float) -> float:
 def blackbody_energy(T: float, volume: float) -> float:
     """Black-body photon energy pi^2 (k_B T)^4 V / (15 (hbar c)^3).
 
-    Independent oracle for the balance temperature
-    plasma.temperature_from_distance: at it, this energy in the gap volume
+    Independent oracle for the balance temperature, the T of
+    plasma.plasma_state_from_distance: at it, this energy in the gap volume
     equals the magnitude of the ideal Casimir energy of the plates.
     """
     return math.pi**2 / 15.0 * (K_B * T) ** 4 / HBAR_C**3 * volume
@@ -286,7 +286,7 @@ _UNFOLDED_SCALE = {"table": 2.0, "literal": 1.0}
 
 
 def temperature_unfolded(L: float) -> float:
-    """plasma.temperature_from_distance, unfolded."""
+    """The T of plasma.plasma_state_from_distance, unfolded."""
     if not L > 0.0:
         raise DomainError(f"separation must be positive, got {L}")
     scale = K_B * GAMMA_BALANCE * L
@@ -296,7 +296,7 @@ def temperature_unfolded(L: float) -> float:
 
 
 def density_unfolded(L: float) -> float:
-    """plasma.density_from_distance, unfolded."""
+    """The rho of plasma.plasma_state_from_distance, unfolded."""
     denominator = 8.0 * math.pi**2 * _separation_cube(L)
     if denominator == math.inf:
         raise DomainError(f"separation too large: L = {L} m, 8 pi^2 L^3 overflows")

@@ -25,12 +25,7 @@ from casnuc.lifshitz import (
     zero_freq_exact,
 )
 from casnuc.nuclear import equilibrium_distance
-from casnuc.plasma import (
-    PermeabilityModel,
-    density_from_distance,
-    plasma_state_from_distance,
-    temperature_from_distance,
-)
+from casnuc.plasma import PermeabilityModel, plasma_state_from_distance
 from casnuc.units import J_PER_MEV, M_PER_FM
 
 from _oracles import (
@@ -83,7 +78,7 @@ def test_criterion_1_state_table_golden():
 
 
 def test_criterion_2_density_distance_invariant():
-    coefficient = density_from_distance(1e-15) * (1e-15) ** 3
+    coefficient = plasma_state_from_distance(1e-15).rho * (1e-15) ** 3
     ok = abs(coefficient - 0.0200) / 0.0200 < 0.01
     _line(2, ok, f"rho L^3 = {coefficient:.6f}, within 1% of 0.0200")
 
@@ -104,8 +99,8 @@ def test_criterion_3_equilibrium_separation():
 
 
 def test_criterion_4_meson_masses_1fm():
-    rho = density_from_distance(1e-15)
-    T = temperature_from_distance(1e-15)
+    state = plasma_state_from_distance(1e-15)
+    rho, T = state.rho, state.T
     mu = SPIN.static_mu(rho, T)
     unity_mev = 2.0 * HBAR_C * screening_wavevector(rho, 1.0) / J_PER_MEV
     spin_mev = 2.0 * HBAR_C * screening_wavevector(rho, mu) / J_PER_MEV
@@ -125,13 +120,13 @@ def test_criterion_5_series_vs_quadrature():
     for kappa_L in (0.0, 0.1, 1.0, 5.0, 20.0):
         for L_fm in (1.0, 2.0, 3.0):
             L = L_fm * 1e-15
-            T = temperature_from_distance(L)
+            T = plasma_state_from_distance(L).T
             kappa = kappa_L / L
             worst = max(worst, _rel(zero_freq_exact(kappa, L, T),
                                     zero_freq_quadrature(kappa, L, T)))
     elapsed = time.perf_counter() - start
 
-    L, T = 1e-15, temperature_from_distance(1e-15)
+    L, T = 1e-15, plasma_state_from_distance(1e-15).T
     unscreened = -ZETA_3 * K_B * T / (8.0 * math.pi * L**2)
     limit_dev = _rel(zero_freq_exact(0.0, L, T), unscreened)
 
@@ -175,7 +170,7 @@ def test_criterion_7_matsubara_structure():
         -ZETA_3 * K_B * T_cl / (8.0 * math.pi * L**2),
     )
 
-    rho = density_from_distance(L)
+    rho = plasma_state_from_distance(L).rho
 
     def asymptote_dev(xbar: float) -> float:
         T = xbar * HBAR_C / (2.0 * K_B * L)

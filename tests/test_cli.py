@@ -69,6 +69,8 @@ HOSTILE_ARGV = [
     # the balance temperature's k_B gamma L underflows before L^3 can
     (["state", "--L", "1e-300"], 2, "separation too small: L = 1e-315 m, k_B gamma L underflows"),
     (["meson", "--L", "1e-300"], 2, "separation too small: L = 1e-315 m, k_B gamma L underflows"),
+    (["linewidth", "--L", "1e-280"], 2,
+     "separation too small: L = 1e-295 m, k_B gamma L underflows"),
     (["sweep", "--Lmin", "1e-300", "--Lmax", "2e-300", "--points", "2"], 2,
      "separation too small: L = 1e-315 m, k_B gamma L underflows"),
     (["sweep", "--mode", "fixed", "--Linit", "1e-300", "--points", "2"], 2,
@@ -119,6 +121,9 @@ HOSTILE_ARGV = [
      "separation too large: L = 5.0000000000000003e+104 m, L^3 overflows"),
     (["sweep", "--Lmax", "1e110", "--points", "5"], 2,
      "density too small: rho = 1.2823175382096401e-285 1/m^3, rho e^2 underflows"),
+    # linewidth reads the state's total density, so it meets the state's edge
+    (["linewidth", "--L", "1e105"], 2,
+     "density too small: rho = 2.0036211534525638e-272 1/m^3, rho e^2 underflows"),
     # above 1.3e117 fm the pair density's 8 pi^2 L^3 overflows (rho would
     # round to 0.0), and between 4.5e117 and 5.6e117 fm the closed forms'
     # 2 L^3 m_e does (kappa would be 0.0)
@@ -372,7 +377,8 @@ class TestSweep:
         header, rows = csv_rows(out)
         for row in rows:
             L = float(row[0]) * units.M_PER_FM
-            T, rho = plasma.temperature_from_distance(L), plasma.density_from_distance(L)
+            state = plasma.plasma_state_from_distance(L)
+            T, rho = state.T, state.rho
             xi_1 = 2.0 * math.pi * K_B * T / HBAR
             exact = (-K_B * T / (4.0 * math.pi * L * L)
                      * matsubara_sum_mpmath(2.0 * L * xi_1 / C, plasma.plasma_frequency(rho) / xi_1)
@@ -420,7 +426,7 @@ class TestSweep:
         )
         assert code == 0
         _, rows = csv_rows(out)
-        expected = plasma.temperature_from_distance(2e-15)
+        expected = plasma.plasma_state_from_distance(2e-15).T
         assert float(rows[0][1]) == pytest.approx(expected, rel=1e-8)
 
     def test_fixed_mode_pins_the_state(self, capsys):
@@ -521,7 +527,7 @@ class TestLinewidth:
         doc = json.loads(out)
         assert doc["density_convention"] == "per_species"
         assert doc["n_m3"] == pytest.approx(
-            0.5 * plasma.density_from_distance(1e-15), rel=1e-12
+            0.5 * plasma.plasma_state_from_distance(1e-15).rho, rel=1e-12
         )
         assert doc["bracket_negative"] is False
         assert doc["linewidth_MeV"] > 0.0
@@ -532,7 +538,7 @@ class TestLinewidth:
         doc = json.loads(out)
         assert doc["density_convention"] == "total"
         assert doc["n_m3"] == pytest.approx(
-            plasma.density_from_distance(1e-15), rel=1e-12
+            plasma.plasma_state_from_distance(1e-15).rho, rel=1e-12
         )
 
     def test_negative_q_ratio(self, capsys):

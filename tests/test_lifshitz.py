@@ -30,11 +30,9 @@ from casnuc.lifshitz import (
 from casnuc.nuclear import ideal_casimir
 from casnuc.plasma import (
     PermeabilityModel,
-    density_from_distance,
     plasma_frequency,
     plasma_state_from_distance,
     plasma_state_grid,
-    temperature_from_distance,
 )
 from casnuc.units import J_PER_MEV
 
@@ -151,8 +149,8 @@ class TestZeroFreqExact:
 
     def test_frozen_nonmagnetic_1fm(self):
         L = 1e-15
-        T = temperature_from_distance(L)
-        kappa = screening_wavevector(density_from_distance(L), 1.0)
+        state = plasma_state_from_distance(L)
+        T, kappa = state.T, screening_wavevector(state.rho, 1.0)
         value = zero_freq_exact(kappa, L, T)
         # pinned against the quadrature of the defining integral
         assert value == pytest.approx(-2.4775757123404278e17, rel=1e-10)
@@ -189,7 +187,7 @@ class TestZeroFreqQuadrature:
     @pytest.mark.parametrize("L_fm", [1.0, 2.0, 3.0])
     def test_cross_validates_series(self, kappa_L, L_fm):
         L = L_fm * 1e-15
-        T = temperature_from_distance(L)
+        T = plasma_state_from_distance(L).T
         kappa = kappa_L / L
         series = zero_freq_exact(kappa, L, T)
         quad = zero_freq_quadrature(kappa, L, T)
@@ -252,8 +250,8 @@ class TestZeroFreqAsymptote:
 class TestFiniteFreqAsymptote:
     def test_frozen_coupled_1fm(self):
         L = 1e-15
-        T = temperature_from_distance(L)
-        rho = density_from_distance(L)
+        state = plasma_state_from_distance(L)
+        T, rho = state.T, state.rho
         value = per_pair_mev(finite_freq_asymptote(L, T, rho))
         assert value == pytest.approx(-0.39608348071692007, rel=1e-12)
         assert value == pytest.approx(-0.40, abs=0.01)
@@ -332,7 +330,7 @@ class TestFullMatsubara:
         # the density pinned to the 1 fm value; 10% agreement first occurs
         # at the pinned xbar on a 0.01 grid
         L = 1e-15
-        rho = density_from_distance(L)
+        rho = plasma_state_from_distance(L).rho
 
         def deviation(xbar):
             T = xbar * HBAR_C / (2.0 * K_B * L)
@@ -678,8 +676,6 @@ class TestDistanceCoupled:
                 breakdown_unfolded, L, model), L
             assert bits(plasma_state_from_distance, L, model) == bits(
                 plasma_state_unfolded, L, model), L
-            assert bits(temperature_from_distance, L) == bits(temperature_unfolded, L), L
-            assert bits(density_from_distance, L) == bits(density_unfolded, L), L
             rho, T = density_unfolded(L), temperature_unfolded(L)
             assert bits(plasma_frequency, rho) == bits(plasma_frequency_unfolded, rho), L
             assert bits(model.static_mu, rho, T) == bits(static_mu_unfolded, model, rho, T), L
@@ -804,16 +800,22 @@ class TestGridEvaluators:
         assert per_grid(lambda Ls: distance_coupled_breakdown(
             Ls, model, zero_freq_only=True)[::3], Ls) == zero_kappa
 
+    @pytest.mark.parametrize("method", ["asymptote", "exact"])
     @grid_examples
-    def test_sweep_rows(self, grid):
+    def test_sweep_rows(self, method, grid):
         Ls, model = grid
 
         def row(L):
             state = plasma_state_unfolded(L, model)
-            zero, finite, _, kappa = breakdown_unfolded(L, model)
+            if method == "asymptote":  # the closed forms, with their own kappa
+                zero, finite, _, kappa = breakdown_unfolded(L, model)
+            else:
+                _, T, rho, _, mu = state
+                kappa = screening_wavevector(rho, mu)
+                zero, finite = zero_freq_exact(kappa, L, T), finite_freq_asymptote(L, T, rho)
             return (*state[1:], kappa, zero, finite)
 
-        assert per_grid(lambda Ls: sweep_rows(Ls, model, "coupled", "asymptote", Ls[0]),
+        assert per_grid(lambda Ls: sweep_rows(Ls, model, "coupled", method, Ls[0]),
                         Ls) == per_point(Ls, row)
 
     @pytest.mark.parametrize("Ls", [
@@ -836,6 +838,21 @@ class TestGridEvaluators:
         with pytest.raises(DomainError, match="L = 1e-101 m, 2 L\\^3 m_e underflows"):
             distance_coupled_breakdown([1e-101, 1e-15], field)
 
+    def test_each_end_is_checked_once(self, monkeypatch):
+        # a one-point grid's two ends are one point: it is checked once
+        checked, evaluated = [], []
+        check_balance, closed_forms = plasma._check_balance, lifshitz._closed_forms
+        monkeypatch.setattr(plasma, "_check_balance",
+                            lambda L: checked.append(L) or check_balance(L))
+        monkeypatch.setattr(lifshitz, "_closed_forms",
+                            lambda Ls, *args: evaluated.append(Ls) or closed_forms(Ls, *args))
+        plasma_state_from_distance(1e-15, SPIN)
+        assert checked == [1e-15]
+        plasma_state_grid([1e-15, 2e-15, 3e-15], SPIN)
+        assert checked == [1e-15, 1e-15, 3e-15]
+        distance_coupled_breakdown([1e-15], SPIN)
+        assert evaluated == [[1e-15], [1e-15]]  # the check, then the grid
+
     def test_one_point_records(self):
         for model in (UNITY, SPIN):
             state = plasma_state_from_distance(1e-15, model)
@@ -851,16 +868,16 @@ class TestSweep:
         columns = sweep_rows(GRID_1_3_FM, UNITY, "coupled", "asymptote", 1e-15)
         assert len(columns) == 7
         assert all(len(column) == 5 for column in columns)
-        assert columns[0] == [temperature_from_distance(L) for L in GRID_1_3_FM]
+        assert columns[0] == [plasma_state_from_distance(L).T for L in GRID_1_3_FM]
 
     def test_fixed_mode_pins_temperature(self):
         Ts = sweep_rows(GRID_1_3_FM, UNITY, "fixed", "asymptote", 1e-15)[0]
         assert len(set(Ts)) == 1
-        assert Ts[0] == pytest.approx(temperature_from_distance(1e-15), rel=1e-12)
+        assert Ts[0] == pytest.approx(plasma_state_from_distance(1e-15).T, rel=1e-12)
 
     def test_fixed_mode_honors_initial_separation(self):
         Ts = sweep_rows(grid_m(1.0, 3.0, 3), UNITY, "fixed", "asymptote", 2e-15)[0]
-        assert Ts[0] == pytest.approx(temperature_from_distance(2e-15), rel=1e-12)
+        assert Ts[0] == pytest.approx(plasma_state_from_distance(2e-15).T, rel=1e-12)
 
     def test_full_method_matches_direct_sum(self):
         *_, zeros, finites = sweep_rows([1e-15, 2e-15], SPIN, "coupled", "full", 1e-15)

@@ -20,8 +20,7 @@ from casnuc.nuclear import (
 from casnuc.plasma import (
     PermeabilityModel,
     _separation_cube,
-    density_from_distance,
-    temperature_from_distance,
+    plasma_state_from_distance,
 )
 from casnuc.units import J_PER_MEV
 
@@ -92,7 +91,7 @@ class TestBlackbody:
     def test_balance_against_plate_attraction(self, L):
         # the defining property of the balance temperature: photon-gas energy
         # in the gap volume equals the plate binding energy in magnitude
-        T = temperature_from_distance(L)
+        T = plasma_state_from_distance(L).T
         gap = blackbody_energy(T, AREA * L)
         plates = abs(ideal_casimir(L, AREA)[0])
         assert gap == pytest.approx(plates, rel=1e-12)
@@ -129,7 +128,7 @@ LENGTH_EDGES = [
     (coulomb_energy, (INF, 0.0), "radius must be positive and finite, got inf"),
     (_separation_cube, (INF,), "separation too large: L = inf m, L^3 overflows"),
     (ideal_casimir, (INF, 1.0), "separation too large: L = inf m, L^3 overflows"),
-    (density_from_distance, (INF,), "separation too large: L = inf m, L^3 overflows"),
+    (plasma_state_from_distance, (INF,), "separation too large: L = inf m, L^3 overflows"),
     (distance_coupled_breakdown, ([INF],), "separation too large: L = inf m, L^3 overflows"),
 ]
 
@@ -196,8 +195,8 @@ class TestEquilibrium:
 
 class TestYukawaQuantities:
     def test_frozen_meson_mass_1fm(self):
-        rho = density_from_distance(1e-15)
-        T = temperature_from_distance(1e-15)
+        state = plasma_state_from_distance(1e-15)
+        rho, T = state.rho, state.T
 
         unity = yukawa_quantities(rho, 1.0).meson_mass_energy / J_PER_MEV
         assert unity == pytest.approx(332.4260872027714, rel=1e-12)
@@ -221,8 +220,8 @@ class TestYukawaQuantities:
         assert q.screening_length * q.meson_mass_energy == pytest.approx(HBAR_C, rel=1e-14)
 
     def test_consistency(self):
-        rho = density_from_distance(1e-15)
-        T = temperature_from_distance(1e-15)
+        state = plasma_state_from_distance(1e-15)
+        rho, T = state.rho, state.T
         mu = PermeabilityModel().static_mu(rho, T)
         q = yukawa_quantities(rho, mu)
         assert q.kappa_source == pytest.approx(screening_wavevector(rho, mu), rel=1e-15)

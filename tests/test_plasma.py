@@ -10,12 +10,10 @@ from casnuc.plasma import (
     _SATURATION_DEPTH,
     PermeabilityModel,
     _saturation,
-    density_from_distance,
     distance_closed_forms,
     plasma_frequency,
     plasma_state_from_distance,
     state_assumptions,
-    temperature_from_distance,
 )
 from casnuc.nuclear import ideal_casimir
 
@@ -36,24 +34,24 @@ REFERENCE_STATES = {
 
 class TestTemperature:
     def test_frozen_1fm(self):
-        assert temperature_from_distance(1e-15) == pytest.approx(
+        assert plasma_state_from_distance(1e-15).T == pytest.approx(
             869967986857.5667, rel=1e-12
         )
 
     def test_reference_values(self):
-        assert temperature_from_distance(1e-15) == pytest.approx(8.70e11, rel=0.005)
-        assert temperature_from_distance(2e-15) == pytest.approx(4.35e11, rel=0.005)
+        assert plasma_state_from_distance(1e-15).T == pytest.approx(8.70e11, rel=0.005)
+        assert plasma_state_from_distance(2e-15).T == pytest.approx(4.35e11, rel=0.005)
 
     @given(L=separations)
     def test_halving(self, L):
-        assert temperature_from_distance(2 * L) == pytest.approx(
-            temperature_from_distance(L) / 2.0, rel=1e-12
+        assert plasma_state_from_distance(2 * L).T == pytest.approx(
+            plasma_state_from_distance(L).T / 2.0, rel=1e-12
         )
 
     @pytest.mark.parametrize("L", [0.0, -1e-15])
     def test_domain(self, L):
         with pytest.raises(DomainError):
-            temperature_from_distance(L)
+            plasma_state_from_distance(L)
 
 
 class TestTemperatureFromForce:
@@ -64,7 +62,7 @@ class TestTemperatureFromForce:
         L = 1e-15
         _, force = ideal_casimir(L, 1.0)
         T_force = (5.0 * HBAR**3 * C**3 * abs(force) / (math.pi**2 * K_B**4)) ** 0.25
-        assert T_force == pytest.approx(temperature_from_distance(L), rel=1e-12)
+        assert T_force == pytest.approx(plasma_state_from_distance(L).T, rel=1e-12)
 
 
 class TestPairDensity:
@@ -91,27 +89,28 @@ class TestPairDensity:
 class TestDensityFromDistance:
     def test_coefficient(self):
         L = 1e-15
-        coeff = density_from_distance(L) * L**3
+        coeff = plasma_state_from_distance(L).rho * L**3
         assert coeff == pytest.approx(0.0200, abs=0.0002)
         assert coeff == pytest.approx(0.020036211534525637, rel=1e-12)
 
     def test_reference_values(self):
-        assert density_from_distance(1e-15) == pytest.approx(2.0e43, rel=0.05)
-        assert density_from_distance(1.5e-15) == pytest.approx(5.9e42, rel=0.05)
+        assert plasma_state_from_distance(1e-15).rho == pytest.approx(2.0e43, rel=0.05)
+        assert plasma_state_from_distance(1.5e-15).rho == pytest.approx(5.9e42, rel=0.05)
 
     @given(L=separations)
     def test_composition_identity(self, L):
-        composed = pair_density(temperature_from_distance(L))
-        assert density_from_distance(L) == pytest.approx(composed, rel=1e-12)
+        state = plasma_state_from_distance(L)
+        assert state.rho == pytest.approx(pair_density(state.T), rel=1e-12)
 
     def test_separation_too_large(self):
         # L^3 overflows above about 5.6e102 m, 8 pi^2 L^3 above about 1.3e102 m,
-        # where rho would be 0.0
+        # where rho would be 0.0; just below, the state's rho e^2 underflows
         with pytest.raises(DomainError, match="L = 1e\\+103 m, L\\^3 overflows"):
-            density_from_distance(1e103)
+            plasma_state_from_distance(1e103)
         with pytest.raises(DomainError, match="L = 5e\\+102 m, 8 pi\\^2 L\\^3 overflows"):
-            density_from_distance(5e102)
-        assert density_from_distance(1.3e102) > 0.0
+            plasma_state_from_distance(5e102)
+        with pytest.raises(DomainError, match="density too small"):
+            plasma_state_from_distance(1.3e102)
 
 
 class TestPlasmaFrequency:
