@@ -1,11 +1,14 @@
 """Command-line front end.
 
 Subcommands: constants, state, table, sweep, equilibrium, meson, linewidth,
-plot.  Parameter precedence is CLI flag > environment variable (CASNUC_
-prefix) > --config key=value file > built-in default.  Output is written
-atomically when --out is given, to stdout otherwise.  Every printed float is
-finite or exits 3, and -0.0 prints as 0.0; JSON keeps the json.dumps(indent=2)
-layout.  Exit codes: 0 success, 2 usage/domain error, 3 numerical error.
+plot, each listed once in _SUBCOMMANDS with its function and options.
+Parameter precedence is CLI flag > environment variable (CASNUC_ prefix) >
+--config key=value file > built-in default.  A subcommand returns its JSON
+object as a dict, which run writes, or its CSV or SVG as finished text.
+Output is written atomically when --out is given, to stdout otherwise.  Every
+printed float is finite or exits 3, and -0.0 prints as 0.0; JSON keeps the
+json.dumps(indent=2) layout.  Exit codes: 0 success, 2 usage/domain error,
+3 numerical error.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ class _Opt(namedtuple("_Opt", "dest kind default choices help", defaults=(None, 
 
 # every subcommand takes --out; only the two that write tables take --format
 _OUT = _Opt("out", str, None, help="output path (atomic write); stdout if omitted")
-_TABLE_OUTPUT = [_OUT, _Opt("format", str, "csv", ("csv", "json"), help="csv|json")]
+_TABLE_OUTPUT = [_OUT, _Opt("format", str, "csv", ("csv", "json"))]
 
 _L = _Opt("L", float, 1.0, help="plate separation [fm]")
 _R = _Opt("R", float, R_PROTON_DEFAULT / M_PER_FM, help="plate radius [fm]")
@@ -75,52 +78,11 @@ _CONVENTION = _Opt("convention", str, "table", plasma.CONVENTIONS)
 _GRID = [
     _Opt("Lmin", float, 1.0, help="smallest separation [fm]"),
     _Opt("Lmax", float, 3.0, help="largest separation [fm]"),
-    _Opt("points", int, 41),
+    _Opt("points", int, 41, help=f"grid points, 2 to {MAX_GRID_POINTS}"),
 ]
 # the model kinds of the subcommands without --H: the field kind needs it
 _NO_FIELD_KINDS = ("unity", "spin")
 _MU_MODEL = _Opt("mu_model", str, "spin", _NO_FIELD_KINDS)
-
-_SUBCOMMAND_OPTS: dict[str, list[_Opt]] = {
-    "constants": [_OUT],
-    "state": [
-        _L,
-        _Opt("mu_model", str, "spin", plasma.MODEL_KINDS),
-        _Opt("H", float, 0.0, help="applied field [A/m], field model only"),
-        _CONVENTION,
-        _OUT,
-    ],
-    "table": [
-        _Opt("which", int, 2, (1, 2), help="1: closed-form check, 2: state table"),
-    ] + _TABLE_OUTPUT,
-    "sweep": _GRID + [
-        _MU_MODEL,
-        _Opt("mode", str, "coupled", lifshitz.SWEEP_MODES),
-        _R,
-        _Opt("method", str, "asymptote", lifshitz.SWEEP_METHODS),
-        _Opt("Linit", float, None,
-             help="fixed mode: separation the state is pinned at [fm]; default Lmin"),
-        _CONVENTION,
-    ] + _TABLE_OUTPUT,
-    "equilibrium": [_R, _OUT],
-    "meson": [_L, _MU_MODEL, _CONVENTION, _OUT],
-    "linewidth": [
-        _L,
-        _Opt("q_ratio", float, 0.1, help="wavevector over q_F"),
-        _Opt("total_density", _parse_bool, False,
-             help="use the full pair density instead of the per-species half"),
-        _OUT,
-    ],
-    "plot": [
-        _Opt("which", int, 1, (1, 2), help="1: zero-freq comparison, 2: breakdown"),
-    ] + _GRID + [
-        _R,
-        _Opt("mu_model", str, "unity", _NO_FIELD_KINDS,
-             help="permeability model for the breakdown plot"),
-        _CONVENTION,
-        _OUT,
-    ],
-}
 
 
 @functools.cache  # one parser per process: run() only reads it
@@ -133,14 +95,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"casnuc {__version__} ({CONSTANTS_VINTAGE})"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, opts in _SUBCOMMAND_OPTS.items():
+    for name, (_, opts) in _SUBCOMMANDS.items():
         p = sub.add_parser(name)
         for o in opts:
-            if o.kind is _parse_bool:
-                p.add_argument(o.flag, dest=o.dest, action="store_const", const=True,
-                               default=None, help=o.help)
-            else:
-                p.add_argument(o.flag, dest=o.dest, default=None, help=o.help)
+            # an option with choices and no help text of its own lists them
+            text = o.help or "|".join(map(str, o.choices))
+            extra = {"action": "store_const", "const": True} if o.kind is _parse_bool else {}
+            p.add_argument(o.flag, dest=o.dest, default=None, help=text, **extra)
         p.add_argument("--config", dest="config", default=None,
                        help="key=value file supplying defaults")
         p.set_defaults(subparser=p)  # run() reports leftover arguments under its usage
@@ -186,7 +147,7 @@ def _load_config(path: str) -> dict[str, str]:
 def _resolve_params(command: str, ns: argparse.Namespace) -> dict[str, object]:
     config = _load_config(ns.config) if ns.config else {}
     params: dict[str, object] = {}
-    for o in _SUBCOMMAND_OPTS[command]:
+    for o in _SUBCOMMANDS[command][1]:
         raw = getattr(ns, o.dest)
         if raw is None:
             raw = os.environ.get(ENV_PREFIX + o.dest.upper())
@@ -203,6 +164,14 @@ def _model_from_params(params: dict[str, object]) -> plasma.PermeabilityModel:
     if params["mu_model"] == "field" and not H > 0.0:
         raise DomainError(f"--H must be > 0 for --mu-model field, got {H}")
     return plasma.PermeabilityModel(params["mu_model"], params["convention"], H)
+
+
+def _state_at_L(params: dict[str, object]) -> plasma.PlasmaState:
+    # the balance state at --L; linewidth, which has no --mu-model, reads the
+    # default model's
+    L = fm_to_m(params["L"], "separation", "L")
+    model = _model_from_params(params) if "mu_model" in params else plasma.PermeabilityModel()
+    return plasma.plasma_state_from_distance(L, model)
 
 
 def _finite(value: float) -> float:
@@ -258,7 +227,7 @@ def _table_document(header: Sequence[str], rows: Sequence[tuple[float, ...]], fm
     return "".join((head, body, tail))
 
 
-def _cmd_constants(params: dict[str, object]) -> str:
+def _cmd_constants(params: dict[str, object]) -> dict[str, object]:
     # output key -> (value, unit), in output order
     table = {
         "hbar": (constants.HBAR, "J*s"),
@@ -274,30 +243,26 @@ def _cmd_constants(params: dict[str, object]) -> str:
     document: dict[str, object] = {key: value for key, (value, _) in table.items()}
     document["units"] = {key: unit for key, (_, unit) in table.items()}
     document["vintage"] = CONSTANTS_VINTAGE
-    return _json_document(document)
+    return document
 
 
-def _cmd_state(params: dict[str, object]) -> str:
-    L = fm_to_m(params["L"], "separation", "L")
-    model = _model_from_params(params)
-    state = plasma.plasma_state_from_distance(L, model)
-    kappa = lifshitz.screening_wavevector(state.rho, state.mu_ep)
-    payload = {
+def _cmd_state(params: dict[str, object]) -> dict[str, object]:
+    state = _state_at_L(params)
+    return {
         "L_fm": params["L"],
         "T_K": state.T,
         "rho_m3": state.rho,
         "omega_ep_rad_s": state.omega_ep,
         "mu_ep": state.mu_ep,
-        "kappa_1_m": kappa,
+        "kappa_1_m": lifshitz.screening_wavevector(state.rho, state.mu_ep),
         "kT_MeV": K_B * state.T / J_PER_MEV,
         "mu_model": params["mu_model"],
         "convention": params["convention"],
         "assumptions": plasma.state_assumptions(state),
     }
-    return _json_document(payload)
 
 
-def _cmd_table(params: dict[str, object]) -> str:
+def _cmd_table(params: dict[str, object]) -> dict[str, object] | str:
     # --which 2 is the five-row state table, --which 1 the closed-form vs
     # composed-pipeline consistency report
     if params["which"] == 2:
@@ -315,14 +280,12 @@ def _cmd_table(params: dict[str, object]) -> str:
     deviations = dict(zip(_STATE_KEYS, worst))
     if params["format"] == "json":
         # the report as one object with its grid, not as a list of rows
-        return _json_document(
-            {
-                "grid_points": _CHECK_GRID_POINTS,
-                "L_min_fm": _CHECK_L_MIN_FM,
-                "L_max_fm": _CHECK_L_MAX_FM,
-                "max_rel_dev": deviations,
-            }
-        )
+        return {
+            "grid_points": _CHECK_GRID_POINTS,
+            "L_min_fm": _CHECK_L_MIN_FM,
+            "L_max_fm": _CHECK_L_MAX_FM,
+            "max_rel_dev": deviations,
+        }
     return "quantity,max_rel_dev\n" + "".join(f"{key},{_finite(dev):.8e}\n"
                                                for key, dev in deviations.items())
 
@@ -377,64 +340,54 @@ def _cmd_sweep(params: dict[str, object]) -> str:
     return _table_document(_SWEEP_HEADER, rows, params["format"])
 
 
-def _cmd_equilibrium(params: dict[str, object]) -> str:
-    R = fm_to_m(params["R"], "plate radius", "R")
-    res = nuclear.equilibrium_distance(R)
-    return _json_document(
-        {
-            "R_fm": params["R"],
-            "D": res.D,
-            "x_tilde": res.x_tilde,
-            "L_eq_m": res.L_eq,
-            "L_eq_fm": res.L_eq / M_PER_FM,
-            "residual": res.residual,
-        }
-    )
+def _cmd_equilibrium(params: dict[str, object]) -> dict[str, object]:
+    res = nuclear.equilibrium_distance(fm_to_m(params["R"], "plate radius", "R"))
+    return {
+        "R_fm": params["R"],
+        "D": res.D,
+        "x_tilde": res.x_tilde,
+        "L_eq_m": res.L_eq,
+        "L_eq_fm": res.L_eq / M_PER_FM,
+        "residual": res.residual,
+    }
 
 
-def _cmd_meson(params: dict[str, object]) -> str:
-    L = fm_to_m(params["L"], "separation", "L")
-    model = _model_from_params(params)
-    state = plasma.plasma_state_from_distance(L, model)
+def _cmd_meson(params: dict[str, object]) -> dict[str, object]:
+    state = _state_at_L(params)
     yq = nuclear.yukawa_quantities(state.rho, state.mu_ep)
-    return _json_document(
-        {
-            "L_fm": params["L"],
-            "mu_model": params["mu_model"],
-            "rho_m3": state.rho,
-            "mu_ep": state.mu_ep,
-            "kappa_1_m": yq.kappa_source,
-            "meson_mass_J": yq.meson_mass_energy,
-            "meson_mass_MeV": yq.meson_mass_energy / J_PER_MEV,
-            "screening_length_m": yq.screening_length,
-            "screening_length_fm": yq.screening_length / M_PER_FM,
-        }
-    )
+    return {
+        "L_fm": params["L"],
+        "mu_model": params["mu_model"],
+        "rho_m3": state.rho,
+        "mu_ep": state.mu_ep,
+        "kappa_1_m": yq.kappa_source,
+        "meson_mass_J": yq.meson_mass_energy,
+        "meson_mass_MeV": yq.meson_mass_energy / J_PER_MEV,
+        "screening_length_m": yq.screening_length,
+        "screening_length_fm": yq.screening_length / M_PER_FM,
+    }
 
 
-def _cmd_linewidth(params: dict[str, object]) -> str:
-    L = fm_to_m(params["L"], "separation", "L")
-    rho = plasma.plasma_state_from_distance(L).rho
+def _cmd_linewidth(params: dict[str, object]) -> dict[str, object]:
+    rho = _state_at_L(params).rho
     use_total = params["total_density"]
     n = rho if use_total else 0.5 * rho
     # the negative-bracket caveat is reported as a JSON field, not a warning
     eps_f, q_f, r, bracket, width = nuclear.plasmon_linewidth(n, params["q_ratio"])
-    return _json_document(
-        {
-            "L_fm": params["L"],
-            "q_ratio": params["q_ratio"],
-            "n_m3": n,
-            "density_convention": "total" if use_total else "per_species",
-            "eps_F_J": eps_f,
-            "eps_F_MeV": eps_f / J_PER_MEV,
-            "q_F_1_m": q_f,
-            "hbar_omega_p_over_2eps_F": r,
-            "bracket": bracket,
-            "bracket_negative": bracket < 0.0,
-            "linewidth_J": width,
-            "linewidth_MeV": width / J_PER_MEV,
-        }
-    )
+    return {
+        "L_fm": params["L"],
+        "q_ratio": params["q_ratio"],
+        "n_m3": n,
+        "density_convention": "total" if use_total else "per_species",
+        "eps_F_J": eps_f,
+        "eps_F_MeV": eps_f / J_PER_MEV,
+        "q_F_1_m": q_f,
+        "hbar_omega_p_over_2eps_F": r,
+        "bracket": bracket,
+        "bracket_negative": bracket < 0.0,
+        "linewidth_J": width,
+        "linewidth_MeV": width / J_PER_MEV,
+    }
 
 
 def _cmd_plot(params: dict[str, object]) -> str:
@@ -459,15 +412,46 @@ def _cmd_plot(params: dict[str, object]) -> str:
                                      title="Interaction free energy breakdown")
 
 
-_DISPATCH = {
-    "constants": _cmd_constants,
-    "state": _cmd_state,
-    "table": _cmd_table,
-    "sweep": _cmd_sweep,
-    "equilibrium": _cmd_equilibrium,
-    "meson": _cmd_meson,
-    "linewidth": _cmd_linewidth,
-    "plot": _cmd_plot,
+# name -> (function, options), in --help order; each subcommand takes --config too
+_SUBCOMMANDS = {
+    "constants": (_cmd_constants, [_OUT]),
+    "state": (_cmd_state, [
+        _L,
+        _Opt("mu_model", str, "spin", plasma.MODEL_KINDS),
+        _Opt("H", float, 0.0, help="applied field [A/m], field model only"),
+        _CONVENTION,
+        _OUT,
+    ]),
+    "table": (_cmd_table, [
+        _Opt("which", int, 2, (1, 2), help="1: closed-form check, 2: state table"),
+    ] + _TABLE_OUTPUT),
+    "sweep": (_cmd_sweep, _GRID + [
+        _MU_MODEL,
+        _Opt("mode", str, "coupled", lifshitz.SWEEP_MODES),
+        _R,
+        _Opt("method", str, "asymptote", lifshitz.SWEEP_METHODS),
+        _Opt("Linit", float, None,
+             help="fixed mode: separation the state is pinned at [fm]; default Lmin"),
+        _CONVENTION,
+    ] + _TABLE_OUTPUT),
+    "equilibrium": (_cmd_equilibrium, [_R, _OUT]),
+    "meson": (_cmd_meson, [_L, _MU_MODEL, _CONVENTION, _OUT]),
+    "linewidth": (_cmd_linewidth, [
+        _L,
+        _Opt("q_ratio", float, 0.1, help="wavevector over q_F"),
+        _Opt("total_density", _parse_bool, False,
+             help="use the full pair density instead of the per-species half"),
+        _OUT,
+    ]),
+    "plot": (_cmd_plot, [
+        _Opt("which", int, 1, (1, 2), help="1: zero-freq comparison, 2: breakdown"),
+    ] + _GRID + [
+        _R,
+        _Opt("mu_model", str, "unity", _NO_FIELD_KINDS,
+             help="permeability model for the breakdown plot"),
+        _CONVENTION,
+        _OUT,
+    ]),
 }
 
 
@@ -509,7 +493,9 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     try:
         params = _resolve_params(ns.command, ns)
-        document = _DISPATCH[ns.command](params)
+        document = _SUBCOMMANDS[ns.command][0](params)
+        if isinstance(document, dict):  # CSV and SVG come back as finished text
+            document = _json_document(document)
         _write_output(document, params.get("out"))
         return 0
     except (NumericalError, ArithmeticError) as exc:

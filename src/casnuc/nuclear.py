@@ -145,11 +145,13 @@ def plasmon_linewidth(n: float, q_ratio: float) -> PlasmonLinewidth:
     """
     if not n > 0.0:
         raise DomainError(f"density must be positive, got {n}")
+    if n * E_CHARGE**2 < sys.float_info.min:  # plasma_frequency(n) would call n rho
+        raise DomainError(f"density too small: n = {n} 1/m^3, n e^2 underflows")
     q_f = (3.0 * math.pi**2 * n) ** (1.0 / 3.0)
     eps_f = HBAR**2 * q_f**2 / (2.0 * M_E)
     r = HBAR * plasma_frequency(n) / (2.0 * eps_f)
     bracket = 10.0 * math.log(2.0) + 2.0 - 4.5 * r
-    # both density checks come first, as the linewidth subcommand reports them
+    # the density checks come first, as the linewidth subcommand reports them
     if q_ratio < 0.0:
         raise DomainError(f"q_ratio must be non-negative, got {q_ratio}")
     try:

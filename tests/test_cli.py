@@ -124,6 +124,9 @@ HOSTILE_ARGV = [
     # linewidth reads the state's total density, so it meets the state's edge
     (["linewidth", "--L", "1e105"], 2,
      "density too small: rho = 2.0036211534525638e-272 1/m^3, rho e^2 underflows"),
+    # below that edge the per-species half n = rho/2 meets its own, named n
+    (["linewidth", "--L", "2.7e104"], 2,
+     "density too small: n = 5.089725025282131e-271 1/m^3, n e^2 underflows"),
     # above 1.3e117 fm the pair density's 8 pi^2 L^3 overflows (rho would
     # round to 0.0), and between 4.5e117 and 5.6e117 fm the closed forms'
     # 2 L^3 m_e does (kappa would be 0.0)
@@ -673,7 +676,7 @@ class TestPrecedence:
         assert code == 2
         assert "unrecognized arguments: --format" in err
 
-    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMAND_OPTS))
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
     @pytest.mark.parametrize("source, fmt", [("config", "csv"), ("env", "csv"), ("env", "json")])
     def test_shared_format_serves_every_subcommand(self, command, source, fmt, capsys,
                                                    tmp_path, monkeypatch):
@@ -892,10 +895,10 @@ class TestHostileArgv:
     """Every argv yields a valid, finite document (exit 0) or a message on
     stderr with exit 2 (usage/domain) or 3 (numerical)."""
 
-    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMAND_OPTS))
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
     @given(data=st.data())
     def test_exit_code_and_output_contract(self, command, data):
-        opts = {o.dest: o for o in cli._SUBCOMMAND_OPTS[command] if o.dest != "out"}
+        opts = {o.dest: o for o in cli._SUBCOMMANDS[command][1] if o.dest != "out"}
         chosen = {dest: data.draw(_hostile_value(o))
                   for dest, o in opts.items() if data.draw(st.booleans())}
         argv = [command] + [opts[d].flag if v is None else f"{opts[d].flag}={v}"
@@ -915,12 +918,15 @@ class TestHostileArgv:
 
 
 class TestHelp:
-    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMAND_OPTS))
+    @pytest.mark.parametrize("command", sorted(cli._SUBCOMMANDS))
     def test_help_lists_the_option_table(self, command, capsys):
         code, out, _ = run_cli([command, "--help"], capsys)
         assert code == 0
         listed = re.findall(r"^ +(--[\w-]+)", out, re.MULTILINE)
-        assert listed == [o.flag for o in cli._SUBCOMMAND_OPTS[command]] + ["--config"]
+        assert listed == [o.flag for o in cli._SUBCOMMANDS[command][1]] + ["--config"]
+        # each option line is followed by its help, on that line or the next
+        helped = re.findall(r"^ +(--[\w-]+)(?: \S+)?(?: {2,}|\n {3,})\S", out, re.MULTILINE)
+        assert helped == listed
 
 
 class TestGoldenOutput:

@@ -291,6 +291,9 @@ class TestPlasmonLinewidth:
     def test_domain(self):
         with pytest.raises(DomainError, match="density must be positive"):
             plasmon_linewidth(0.0, 0.1)
+        # n e^2 leaves the normal doubles below about 8.7e-271 1/m^3
+        with pytest.raises(DomainError, match=r"n = 5e-271 1/m\^3, n e\^2 underflows"):
+            plasmon_linewidth(5e-271, 0.1)
         with pytest.raises(DomainError, match="q_ratio must be non-negative"):
             plasmon_linewidth(1e43, -0.1)
 

@@ -16,7 +16,7 @@ def _yukawa():
 
 
 RECORDS = {
-    "_Opt": lambda: cli._SUBCOMMAND_OPTS["state"][0],
+    "_Opt": lambda: cli._SUBCOMMANDS["state"][1][0],
     "FreeEnergyBreakdown": lambda: distance_coupled_breakdown([1e-15], MODEL),
     "PlasmaState": lambda: plasma_state_from_distance(1e-15, MODEL),
     "PermeabilityModel": lambda: MODEL,
