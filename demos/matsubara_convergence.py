@@ -49,7 +49,7 @@ def main() -> None:
     print(f"{'xbar':>6} {'rel deviation':>14}")
     for xbar in (0.5, 0.76, 1.0, 1.65, 2.0, 3.0, 5.0):
         T = xbar * HBAR_C / (2.0 * K_B * L)
-        summed = finite_freq_sum(L, T, s.rho)
+        summed = finite_freq_sum([L], [T], [s.rho])[0]
         asym = finite_freq_asymptote(L, T, s.rho)
         print(f"{xbar:>6.2f} {abs(asym - summed) / abs(summed):>14.4f}")
     print(f"10% agreement first reached at xbar = {XBAR_CROSSOVER_10PCT}")

@@ -1,8 +1,11 @@
 """The Euler-Maclaurin tail of the n > 0 Matsubara sum.
 
 lifshitz._finite_freq_sum adds the terms f(n) = S(a_n), a_n = b sqrt(n^2 + nu^2),
-directly and hands the rest to em_tail once its remainder bound is small
-enough; em_tail also says at which n to try it next.  Everything here is
+directly and, where b < 1, hands the rest to em_tail once its remainder
+bound is small enough; em_tail also says at which n to try it next.  From
+b = 1 on the direct stop rule ends every sum within 37 terms (nu <= 10), and
+a try there fails or costs more than the terms it would save, so the sum
+makes none.  Everything here is
 closed form or elementary, apart from one fixed Gauss-Legendre rule, and
 _mode_series runs nowhere here, so the series calls of a sum are its direct
 terms.  The module is imported on first use: most sums, and every cold
@@ -156,7 +159,9 @@ def em_tail(N: int, s: float, b: float, nu: float,
     bound on its error over b), or (None, the next N to try) while N < nu/2
     or while that bound exceeds limit.  The bound comes over b because it
     carries b^2, which underflows for b below about 1.5e-154 where the
-    bound times the sum's prefactor can still be a normal double.
+    bound times the sum's prefactor can still be a normal double.  The sum
+    calls it only where b < 1 (see lifshitz._finite_freq_sum); nothing here
+    depends on that.
 
     Below N = nu/2 the quadrature of R4 loses accuracy at large nu b (7e-10
     at nu = 1000, nu b = 100, N = 12), so the first try is at N >= nu/2; a

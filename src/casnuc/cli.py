@@ -196,29 +196,44 @@ def _json_document(obj: object) -> str:
     return json.dumps(_finite_floats(obj), indent=2) + "\n"
 
 
-def _table_document(header: Sequence[str], rows: Sequence[tuple[float, ...]], fmt: str) -> str:
-    """rows of floats under header as CSV, or as a JSON list with one object per row.
+def _table_document(header: Sequence[str], columns: Sequence[Sequence[float]], fmt: str) -> str:
+    """columns of floats, each under its header key, as CSV rows, or as a
+    JSON list with one object per row.
 
-    Each row is formatted by one % template, and _finite's two rules then run
-    on the formatted body, where each case has one spelling.
+    Each row is formatted by one % template, into which a column whose
+    values all equal its first is formatted once: equal floats have one
+    spelling, apart from 0.0 and -0.0, which the zero rule prints alike.
+    _finite's two rules then run on the formatted body, where each case has
+    one spelling, and a constant column's text is in every row of it.
     """
     if fmt == "json":
         # json.dumps([dict(zip(header, row)) for row in rows], indent=2) with
         # each key escaped once per document; no key holds a %
-        fields = ",\n    ".join(json.dumps(key) + ": %r" for key in header)
-        head, template, sep, tail = "[\n  ", "{\n    " + fields + "\n  }", ",\n  ", "\n]\n"
+        fields = [json.dumps(key) + ": %r" for key in header]
+        head, sep, tail = "[\n  ", ",\n  ", "\n]\n"
+        row_open, joint, row_close = "{\n    ", ",\n    ", "\n  }"
         non_finite = (": inf", ": -inf", ": nan")
         negative_zeros = ((": -0.0,", ": 0.0,"), (": -0.0\n", ": 0.0\n"))
     else:
         # floats to 9 significant digits, scientific: lossless enough for
         # regression CSVs; no cell holds a comma, quote or newline to quote
+        fields = ["%.8e"] * len(header)
         head, sep, tail = ",".join(header) + "\n", "\n", "\n"
-        template = ",".join(["%.8e"] * len(header))
+        row_open, joint, row_close = "", ",", ""
         non_finite = ("n",)  # of inf and nan: %.8e spells a finite float with no n
         negative_zeros = (("-0.00000000e+00", "0.00000000e+00"),)
-    body = sep.join(map(template.__mod__, rows))
+    length = len(columns[0])
+    varying = []
+    for i, column in enumerate(columns):
+        first = column[0]
+        if column[-1] == first and column.count(first) == length:
+            fields[i] %= first  # no formatted float holds a %
+        else:
+            varying.append(column)
+    template = row_open + joint.join(fields) + row_close
+    body = sep.join(map(template.__mod__, zip(*varying) if varying else [()] * length))
     if any(marker in body for marker in non_finite):
-        for row in rows:  # name the first non-finite value, in row order
+        for row in zip(*columns):  # name the first non-finite value, in row order
             for value in row:
                 _finite(value)
     for negative, zero in negative_zeros:
@@ -266,9 +281,9 @@ def _cmd_table(params: dict[str, object]) -> dict[str, object] | str:
     # --which 2 is the five-row state table, --which 1 the closed-form vs
     # composed-pipeline consistency report
     if params["which"] == 2:
-        rows = [(L_fm, *plasma.plasma_state_from_distance(L_fm * M_PER_FM)[1:])
-                for L_fm in TABLE2_GRID_FM]
-        return _table_document(["L_fm", *_STATE_KEYS], rows, params["format"])
+        states = plasma.plasma_state_grid([L_fm * M_PER_FM for L_fm in TABLE2_GRID_FM])
+        return _table_document(["L_fm", *_STATE_KEYS], [TABLE2_GRID_FM, *states[1:]],
+                               params["format"])
     ratio = (_CHECK_L_MAX_FM / _CHECK_L_MIN_FM) ** (1.0 / (_CHECK_GRID_POINTS - 1))
     worst = [0.0] * len(_STATE_KEYS)
     for i in range(_CHECK_GRID_POINTS):
@@ -334,10 +349,10 @@ def _cmd_sweep(params: dict[str, object]) -> str:
     grid_fm, grid, area, pinned = _sweep_grid(params)
     *state, zeros, finites = lifshitz.sweep_rows(
         grid, _model_from_params(params), params["mode"], params["method"], pinned)
-    rows = list(zip(grid_fm, *state, _per_pair_mev(zeros, area), _per_pair_mev(finites, area),
-                    _per_pair_mev(map(operator.add, zeros, finites), area)))
-    del grid, state, zeros, finites  # only the rows are read while the table is written
-    return _table_document(_SWEEP_HEADER, rows, params["format"])
+    columns = [grid_fm, *state, _per_pair_mev(zeros, area), _per_pair_mev(finites, area),
+               _per_pair_mev(map(operator.add, zeros, finites), area)]
+    del grid, state, zeros, finites  # only the columns are read while the table is written
+    return _table_document(_SWEEP_HEADER, columns, params["format"])
 
 
 def _cmd_equilibrium(params: dict[str, object]) -> dict[str, object]:

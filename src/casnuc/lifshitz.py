@@ -4,24 +4,26 @@ pair plasma.
 Both plates are ideal mirrors, so every Matsubara term reduces to the mode
 series S(a) = sum_j e^(-j a) (a/j^2 + 1/j^3) = a Li2(e^-a) + Li3(e^-a) of a
 single screening argument a = 2 kappa L, evaluated to double precision in a
-bounded number of operations (_mode_series).  zero_freq_exact is the one
-evaluator of the n = 0 term, the only one the permeability model enters.
-Every n > 0 term (mu = 1) depends on the state only through the scales
-(prefactor, b, nu) of _finite_freq_scales: it is prefactor S(b sqrt(n^2 +
-nu^2)), with prefactor = -k_B T/(4 pi L^2), b = 2 L xi_1/c and nu =
-omega_ep/xi_1.  matsubara_term, the n > 0 sum and its large-x asymptote all
-read these three numbers.  The sum adds its first terms directly and
-replaces the rest by an Euler-Maclaurin tail built from closed forms
-(_matsubara_tail, which also decides where the tail is tried), whose
-remainder is bounded below 1e-12 of the sum.  On top sit the
-distance-coupled closed forms and separation sweeps.  The closed forms are
-evaluated a grid of separations at a time, each quantity in one pass over
-the grid, with their constant factors folded once, at import, each in its
-display's own operation order so that no bit of a result moves; a coupled
-sweep reads its plasma states as columns of the same grid.  The tests check
-S against mpmath, the sum against the j-sum, mpmath and the Brown-Maclay
-law, and the closed forms against the plasma pipeline and, bit for bit,
-against per-point replicas.
+bounded number of operations (_mode_series).  _zero_freq_column is the one
+evaluator of the n = 0 term, the only one the permeability model enters;
+zero_freq_exact is its one-point case.  Every n > 0 term (mu = 1) depends on
+the state only through the scales (prefactor, b, nu) of _finite_freq_scales:
+it is prefactor S(b sqrt(n^2 + nu^2)), with prefactor = -k_B T/(4 pi L^2),
+b = 2 L xi_1/c and nu = omega_ep/xi_1.  matsubara_term, the n > 0 sum and
+its large-x asymptote all read these three numbers.  The sum adds its first
+terms directly and, where b < 1, replaces the rest by an Euler-Maclaurin
+tail built from closed forms (_matsubara_tail, which also decides where
+next to try it), whose remainder is bounded below 1e-12 of the sum.  On top
+sit the distance-coupled closed forms and separation sweeps.  Both the
+closed forms and the Matsubara energies are evaluated a grid at a time, as
+columns: the closed forms each in one pass over the grid, with their
+constant factors folded once, at import, each in its display's own
+operation order so that no bit of a result moves; the Matsubara columns
+row by row, rows that share a state (T, rho) sharing its n > 0 scales.  A
+coupled sweep reads its plasma states as columns of the same grid.  The
+tests check S against mpmath, the sum against the j-sum, mpmath, math.fsum
+and the Brown-Maclay law, and the closed forms against the plasma pipeline
+and, bit for bit, every grid against per-point replicas.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from .constants import (
     C,
@@ -172,12 +174,23 @@ def _mode_series(a: float) -> float:
     return total * half * half
 
 
-def _zero_freq_prefactor(kappa: float, L: float, T: float) -> float:
-    # -k_B T/(8 pi L^2), the factor in front of S(a) in the n = 0 term
-    if kappa < 0.0:
-        raise DomainError(f"kappa must be non-negative, got {kappa}")
-    _check_state(L, T)
-    return -K_B * T / (8.0 * math.pi * L * L)
+def _zero_freq_prefactors(kappas: Sequence[float], Ls: Sequence[float],
+                          Ts: Sequence[float]) -> Iterator[float]:
+    # -k_B T/(8 pi L^2), the factor in front of S(a) in the n = 0 term, at
+    # each row (kappas[i], Ls[i], Ts[i]), each checked before it is yielded
+    for kappa, L, T in zip(kappas, Ls, Ts):
+        if kappa < 0.0:
+            raise DomainError(f"kappa must be non-negative, got {kappa}")
+        _check_state(L, T)
+        yield -K_B * T / (8.0 * math.pi * L * L)
+
+
+def _zero_freq_column(kappas: Sequence[float], Ls: Sequence[float],
+                      Ts: Sequence[float]) -> list[float]:
+    # zero_freq_exact at each row, in row order: a row is checked, then
+    # evaluated, before the next is checked, so the first failing row raises
+    return [prefactor * _mode_series(2.0 * kappa * L)
+            for prefactor, kappa, L in zip(_zero_freq_prefactors(kappas, Ls, Ts), kappas, Ls)]
 
 
 def zero_freq_exact(kappa: float, L: float, T: float) -> float:
@@ -186,8 +199,9 @@ def zero_freq_exact(kappa: float, L: float, T: float) -> float:
     F0/A = (k_B T / 2 pi) int_0^inf dk k ln(1 - e^(-2 kappa_2 L)) with
     kappa_2 = sqrt(k^2 + kappa^2), evaluated exactly as
     -(k_B T / 8 pi L^2) sum_j e^(-j a) (a/j^2 + 1/j^3), a = 2 kappa L.
-    The only evaluator of the n = 0 term: matsubara_term(0, ...),
-    full_matsubara and the exact and full sweeps all call it.
+    The one-point case of the only evaluator of the n = 0 term, which
+    matsubara_term(0, ...), full_matsubara and the exact and full sweeps
+    (a grid at a time) all call.
 
     Parameters
     ----------
@@ -203,7 +217,7 @@ def zero_freq_exact(kappa: float, L: float, T: float) -> float:
     float
         Free energy per unit area [J/m^2], always <= 0.
     """
-    return _zero_freq_prefactor(kappa, L, T) * _mode_series(2.0 * kappa * L)
+    return _zero_freq_column([kappa], [L], [T])[0]
 
 
 def zero_freq_asymptote(kappa: float, L: float, T: float) -> float:
@@ -214,7 +228,7 @@ def zero_freq_asymptote(kappa: float, L: float, T: float) -> float:
     """
     if not kappa > 0.0:
         raise DomainError("asymptote undefined at kappa = 0; use zero_freq_exact")
-    prefactor = _zero_freq_prefactor(kappa, L, T)
+    prefactor = next(_zero_freq_prefactors([kappa], [L], [T]))
     a = 2.0 * kappa * L
     # the j = 1 term of S is 0.0 beyond a = 746; the cut keeps a = inf from 0 x inf
     return prefactor * (math.exp(-a) * (1.0 + a) if a < 760.0 else 0.0)
@@ -228,22 +242,42 @@ def _check_state(L: float, T: float) -> None:
         raise DomainError(f"separation too small: L = {L} m, L^2 underflows")
 
 
-def _finite_freq_scales(L: float, T: float, rho: float) -> tuple[float, float, float]:
-    """(prefactor, b, nu) of the n > 0 terms prefactor S(b sqrt(n^2 + nu^2)):
+def _finite_freq_scales(Ls: Sequence[float], Ts: Sequence[float], rhos: Sequence[float]
+                        ) -> Iterator[tuple[float, float, float, list[float]]]:
+    """Yield (prefactor, b, nu, ys) for each row (Ls[i], Ts[i], rhos[i]), in
+    row order: the scales of the n > 0 terms prefactor S(b sqrt(n^2 + nu^2)),
     prefactor = -k_B T/(4 pi L^2), b = 2 L xi_1/c and nu = omega_ep/xi_1, with
-    xi_1 = 2 pi k_B T/hbar the first Matsubara frequency.  The only n > 0 code
-    that computes xi_1 or omega_ep; b = 2 pi xbar and nu^2 = rhobar.  A b
-    that is not a normal double (L T below about 4e-312 m K, or above about
-    3e304 m K) raises DomainError: the sum's tail divides by b."""
-    _check_state(L, T)
-    if K_B * T < sys.float_info.min:
-        raise DomainError(f"temperature too small: T = {T} K, k_B T underflows")
-    xi_1 = 2.0 * math.pi * K_B * T / HBAR
-    nu = plasma_frequency(rho) / xi_1
-    b = 2.0 * L * xi_1 / C
-    if not sys.float_info.min <= b <= sys.float_info.max:
-        raise DomainError(f"L and T out of range: L = {L} m, T = {T} K, b = 2 L xi_1/c = {b}")
-    return -K_B * T / (4.0 * math.pi * L * L), b, nu
+    xi_1 = 2 pi k_B T/hbar the first Matsubara frequency, and the list ys of
+    y_n = sqrt(n^2 + nu^2) (ys[0] = nu) that the sums extend as they reach n.
+    The only n > 0 code that computes xi_1 or omega_ep; b = 2 pi xbar and
+    nu^2 = rhobar.  A row whose state (T, rho) is that of the row before
+    shares its xi_1, nu and ys, so a pinned sweep computes them once.
+
+    Each row is checked before it is yielded, in the order of the one-point
+    case: L and T, then k_B T, rho (plasma_frequency) and b.  A b that is not
+    a normal double (L T below about 4e-312 m K, or above about 3e304 m K)
+    raises DomainError: the sum's tail divides by b."""
+    T_state = rho_state = math.nan  # matches no row: the first computes its state
+    for L, T, rho in zip(Ls, Ts, rhos, strict=True):
+        _check_state(L, T)
+        if T != T_state or rho != rho_state:
+            if K_B * T < sys.float_info.min:
+                raise DomainError(f"temperature too small: T = {T} K, k_B T underflows")
+            xi_1 = 2.0 * math.pi * K_B * T / HBAR
+            nu = plasma_frequency(rho) / xi_1
+            ys = [nu]
+            T_state, rho_state = T, rho
+        b = 2.0 * L * xi_1 / C
+        if not sys.float_info.min <= b <= sys.float_info.max:
+            raise DomainError(f"L and T out of range: L = {L} m, T = {T} K, b = 2 L xi_1/c = {b}")
+        yield -K_B * T / (4.0 * math.pi * L * L), b, nu, ys
+
+
+def _finite_freq_asymptotes(Ls: Sequence[float], Ts: Sequence[float],
+                            rhos: Sequence[float]) -> list[float]:
+    # finite_freq_asymptote at each row, in row order
+    return [prefactor * b * math.exp(-b * (1.0 + 0.5 * nu * nu))
+            for prefactor, b, nu, _ in _finite_freq_scales(Ls, Ts, rhos)]
 
 
 def finite_freq_asymptote(L: float, T: float, rho: float) -> float:
@@ -253,10 +287,10 @@ def finite_freq_asymptote(L: float, T: float, rho: float) -> float:
     xbar = 2 k_B T L/(hbar c) and rhobar = rho e^2 hbar^2/(4 pi^2 m eps0 (k_B T)^2),
     evaluated as prefactor b e^(-b (1 + nu^2/2)) in the scales of
     _finite_freq_scales (b = 2 pi xbar, nu^2 = rhobar).  The untracked
-    remainder of the source expansion is dropped.
+    remainder of the source expansion is dropped.  The one-point case of the
+    column the exact sweeps evaluate a grid at a time.
     """
-    prefactor, b, nu = _finite_freq_scales(L, T, rho)
-    return prefactor * b * math.exp(-b * (1.0 + 0.5 * nu * nu))
+    return _finite_freq_asymptotes([L], [T], [rho])[0]
 
 
 def matsubara_term(
@@ -272,40 +306,48 @@ def matsubara_term(
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"Matsubara index n must be a non-negative integer, got {n!r}")
     if n > 0:
-        prefactor, b, nu = _finite_freq_scales(L, T, rho)
+        prefactor, b, nu, _ = next(_finite_freq_scales([L], [T], [rho]))
         return prefactor * _mode_series(b * math.sqrt(n * n + nu * nu))
     _check_state(L, T)
     mu = model.static_mu(rho, T)
     return zero_freq_exact(screening_wavevector(rho, mu), L, T)
 
 
-def _finite_freq_sum(L: float, T: float, rho: float) -> tuple[float, int, float]:
-    """(sum of the n > 0 terms, direct terms added, bound on the rest) [J/m^2].
+def _finite_freq_sum(prefactor: float, b: float, nu: float,
+                     ys: list[float]) -> tuple[float, int, float]:
+    """(sum of the n > 0 terms, direct terms added, bound on the rest) [J/m^2]
+    at one row of _finite_freq_scales.
 
-    In the scales (prefactor, b, nu) of _finite_freq_scales the terms are
-    prefactor f(n), f(n) = S(a_n) with a_n = b y_n, y_n = sqrt(n^2 + nu^2):
-    a_n rises and is convex in n, with a'(n) = b n/y_n.  The sum adds f(n)
-    directly and multiplies by the prefactor once, at the end, so nothing
-    in it underflows with the prefactor.  It stops at the first n at which
-    one of two bounds on the rest is below 1e-12 of the partial sum:
+    In the scales (prefactor, b, nu) the terms are prefactor f(n), f(n) =
+    S(a_n) with a_n = b y_n, y_n = sqrt(n^2 + nu^2): a_n rises and is convex
+    in n, with a'(n) = b n/y_n.  The sum adds f(n) directly and multiplies by
+    the prefactor once, at the end, so nothing in it underflows with the
+    prefactor.  It stops at the first n at which one of two bounds on the
+    rest is below 1e-12 of the partial sum:
 
     * the rest itself: int_a^inf S = sum_j e^(-j a) (a/j^3 + 2/j^4) <= 2 S(a)
       bounds it by 2 f(n)/a'(n) = 2 f(n) y_n/(b n);
-    * from the _EM_HEAD-th term on, the remainder of the Euler-Maclaurin
-      formula that replaces it, which then is added.  _matsubara_tail.em_tail
-      decides where to try it and refuses a state whose nu is too large for
-      its quadrature (DomainError).
+    * where b < 1, from the _EM_HEAD-th term on, the remainder of the
+      Euler-Maclaurin formula that replaces it, which then is added.
+      _matsubara_tail.em_tail decides where to try it next and refuses a
+      state whose nu is too large for its quadrature (DomainError; from
+      b = 1 on, such a nu makes the first term 0.0).  From b = 1 on the
+      direct rule stops the sum within 37 terms for nu <= 10, and a try of
+      the tail there fails or costs more than the terms it would replace.
 
     A term of 0.0 ends the sum with a bound of 0.0, since every later term
     is 0.0 too; where nu^2 overflows, the first already is.
     """
-    prefactor, b, nu = _finite_freq_scales(L, T, rho)
     nu2 = nu * nu
     half_rtol_b = 0.5 * _MATSUBARA_RTOL * b
-    n, check, total = 0, _EM_HEAD, 0.0
+    check = _EM_HEAD if b < 1.0 else 0  # n never reaches 0: no tail from b = 1 on
+    n, total, filled = 0, 0.0, len(ys)
     while True:
         n += 1
-        y = math.sqrt(n * n + nu2)
+        if n == filled:  # the first row of the state to reach n
+            ys.append(math.sqrt(n * n + nu2))
+            filled += 1
+        y = ys[n]
         f = _mode_series(b * y)
         total += f
         if f == 0.0:  # y is inf where nu^2 overflows: no 0 x inf in the bound
@@ -321,18 +363,24 @@ def _finite_freq_sum(L: float, T: float, rho: float) -> tuple[float, int, float]
             check = rest
 
 
-def finite_freq_sum(L: float, T: float, rho: float) -> float:
-    """Sum of all n > 0 Matsubara terms, prefactor sum_n S(b sqrt(n^2 + nu^2))
-    in the scales of _finite_freq_scales; the neglected remainder is bounded
-    below 1e-12 of the sum.
+def finite_freq_sum(Ls: Sequence[float], Ts: Sequence[float],
+                    rhos: Sequence[float]) -> list[float]:
+    """Sum of all n > 0 Matsubara terms at each row (Ls[i], Ts[i], rhos[i])
+    of a grid [m, K, 1/m^3], in grid order: prefactor sum_n S(b sqrt(n^2 +
+    nu^2)) in the scales of _finite_freq_scales, with the neglected remainder
+    bounded below 1e-12 of the sum.  The one-point grid is the sum at one
+    state; rows that share a state (a pinned sweep) share its nu and y_n.
+    The rows are checked and summed in grid order, so a failing grid raises
+    the error of its first failing row; columns of different lengths raise
+    ValueError.
 
     Model-free: every n > 0 term has mu = 1 (see matsubara_term).  The first
-    terms are added directly, the rest by an Euler-Maclaurin tail from closed
-    forms whose remainder is bounded (see _finite_freq_sum and
-    _matsubara_tail), so the work does not grow as b = 2 pi xbar falls: at
-    most 34 terms for nu <= 10 at any b, about nu/2 above that.
+    terms are added directly, the rest, where b < 1, by an Euler-Maclaurin
+    tail from closed forms whose remainder is bounded (see _finite_freq_sum
+    and _matsubara_tail), so the work does not grow as b = 2 pi xbar falls:
+    at most 37 terms for nu <= 10 at any b, about nu/2 above that.
     """
-    return _finite_freq_sum(L, T, rho)[0]
+    return [_finite_freq_sum(*scales)[0] for scales in _finite_freq_scales(Ls, Ts, rhos)]
 
 
 def full_matsubara(
@@ -344,7 +392,7 @@ def full_matsubara(
     the n = 0 term at half weight.  Both polarizations contribute equally in
     the perfect-conductor limit.
     """
-    return matsubara_term(0, L, T, rho, model) + finite_freq_sum(L, T, rho)
+    return matsubara_term(0, L, T, rho, model) + finite_freq_sum([L], [T], [rho])[0]
 
 
 def screening_wavevector(rho: float, mu_ep: float) -> float:
@@ -420,8 +468,10 @@ def sweep_rows(
     mode is coupled | fixed, method asymptote | exact | full, and a
     fixed-mode state is pinned at L_init [m].  A coupled sweep reads its
     states as columns over the whole grid (plasma_state_grid), and the
-    asymptote method its closed forms too (distance_coupled_breakdown); the
-    other methods evaluate the energies a row at a time.  A failing sweep
+    asymptote method its closed forms too (distance_coupled_breakdown).  The
+    exact and full methods evaluate their energies as columns of the grid
+    (_zero_freq_column, _finite_freq_asymptotes, finite_freq_sum), in which
+    the rows of a pinned state share its n > 0 scales.  A failing sweep
     raises the error of its first failing row: the grid is then evaluated
     one point at a time.
     """
@@ -432,8 +482,6 @@ def sweep_rows(
     if mode == "fixed":
         pinned = plasma_state_from_distance(L_init, model)
         pinned_kappa = screening_wavevector(pinned.rho, pinned.mu_ep)
-    zero_freq = zero_freq_asymptote if method == "asymptote" else zero_freq_exact
-    finite_freq = finite_freq_sum if method == "full" else finite_freq_asymptote
 
     def columns(Ls: Sequence[float]) -> tuple[list[float], ...]:
         if mode == "fixed":
@@ -446,8 +494,10 @@ def sweep_rows(
                 return (*state, b.kappa, b.zero_freq, b.finite_freq)
             kappas = [screening_wavevector(rho, mu) for rho, mu in zip(state[1], state[3])]
         Ts, rhos = state[0], state[1]
-        return (*state, kappas, [zero_freq(kappa, L, T) for kappa, L, T in zip(kappas, Ls, Ts)],
-                [finite_freq(L, T, rho) for L, T, rho in zip(Ls, Ts, rhos)])
+        zeros = (list(map(zero_freq_asymptote, kappas, Ls, Ts)) if method == "asymptote"
+                 else _zero_freq_column(kappas, Ls, Ts))
+        finites = (finite_freq_sum if method == "full" else _finite_freq_asymptotes)(Ls, Ts, rhos)
+        return (*state, kappas, zeros, finites)
 
     try:
         return columns(Ls)

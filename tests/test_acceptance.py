@@ -174,7 +174,7 @@ def test_criterion_7_matsubara_structure():
 
     def asymptote_dev(xbar: float) -> float:
         T = xbar * HBAR_C / (2.0 * K_B * L)
-        full = finite_freq_sum(L, T, rho)
+        full = finite_freq_sum([L], [T], [rho])[0]
         return abs(finite_freq_asymptote(L, T, rho) - full) / abs(full)
 
     pinned = XBAR_CROSSOVER_10PCT

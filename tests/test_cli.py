@@ -490,6 +490,28 @@ class TestSweep:
         assert f0["exact"] == f0["full"]
 
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("extra", [
+        ["--mu-model", "unity"], ["--mode", "fixed", "--Linit", "100", "--Lmin", "0.1",
+                                  "--Lmax", "100", "--points", "50"],
+    ], ids=["unity-coupled", "pinned"])
+    def test_constant_columns_keep_the_per_value_bytes(self, fmt, extra, capsys):
+        # the unity model's mu_ep, and five columns of a pinned state, are
+        # written once into the row template
+        argv = ["sweep", "--method", "full", "--format", fmt, *extra]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        params = cli._resolve_params("sweep", cli._build_parser().parse_args(argv))
+        grid_fm, grid, area, pinned = cli._sweep_grid(params)
+        *state, zeros, finites = lifshitz.sweep_rows(
+            grid, cli._model_from_params(params), params["mode"], "full", pinned)
+        totals = [zero + finite for zero, finite in zip(zeros, finites)]
+        rows = list(zip(grid_fm, *state, *(cli._per_pair_mev(column, area)
+                                           for column in (zeros, finites, totals))))
+        assert len({row[4] for row in rows}) == 1
+        assert out == table_document_per_value(cli._SWEEP_HEADER, rows, fmt)
+
+
 class TestEquilibrium:
     def test_default_radius(self, capsys):
         code, out, _ = run_cli(["equilibrium", "--R", "0.84"], capsys)
@@ -835,20 +857,32 @@ def _writer_tables():
     # row: the first in row order is named
     yield [(1.0, 2.0, 3.0, math.nan), (math.inf, -math.inf, 3.0, 4.0)]
     yield [_WRITER_ROW, (1.0, math.nan, -math.inf, 4.0), (math.inf, 2.0, 3.0, 4.0)]
+    # a column whose values all equal its first is formatted once: 0.0 and
+    # -0.0 in either order, inf (named), the one nan object of a repeated
+    # row, every column constant, and tables of one row
+    yield [(1.0, 0.0, 3.0, 4.0), (2.0, -0.0, 3.0, 4.0), (3.0, 0.0, 3.0, 4.0)]
+    yield [(1.0, -0.0, 3.0, -0.0), (2.0, 0.0, 3.0, -0.0)]
+    yield [(1.0, 2.0, math.inf, 4.0), (2.0, 2.0, math.inf, 4.0)]
+    yield [(1.0, 2.0, 3.0, math.nan)] * 2
+    yield [_WRITER_ROW] * 3
+    yield [_WRITER_ROW]
+    yield [(-0.0, 0.0, -5e-324, -0.001)]
+    yield [(1.0, 2.0, -math.inf, 4.0)]
 
 
 class TestTableWriter:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_matches_the_per_value_writer(self, fmt):
         for rows in _writer_tables():
+            columns = list(zip(*rows))
             try:
                 expected = table_document_per_value(_WRITER_HEADER, rows, fmt)
             except NumericalError as exc:
                 with pytest.raises(NumericalError) as info:
-                    cli._table_document(_WRITER_HEADER, rows, fmt)
+                    cli._table_document(_WRITER_HEADER, columns, fmt)
                 assert str(info.value) == str(exc), rows
             else:
-                assert cli._table_document(_WRITER_HEADER, rows, fmt) == expected, rows
+                assert cli._table_document(_WRITER_HEADER, columns, fmt) == expected, rows
 
 
 # three in four floats are positive, so that many argv get past validation

@@ -67,6 +67,26 @@ def breakdown_at(L, model):
     return FreeEnergyBreakdown(*(column[0] for column in distance_coupled_breakdown([L], model)))
 
 
+def sum_at(L, T, rho):
+    # the n > 0 sum at one state: the one-point grid
+    return finite_freq_sum([L], [T], [rho])[0]
+
+
+def scales_at(L, T, rho):
+    # (prefactor, b, nu) of one state
+    return next(lifshitz._finite_freq_scales([L], [T], [rho]))[:3]
+
+
+def sum_parts(L, T, rho):
+    # (sum, direct terms, bound) of the one-point grid
+    return lifshitz._finite_freq_sum(*next(lifshitz._finite_freq_scales([L], [T], [rho])))
+
+
+def sum_parts_at_scales(b, nu):
+    # (sum, direct terms, bound) of the sum with prefactor -1 at (b, nu)
+    return lifshitz._finite_freq_sum(-1.0, b, nu, [nu])
+
+
 def per_pair_mev(f_per_area):
     return f_per_area * DEFAULT_PLATE_AREA / J_PER_MEV
 
@@ -292,7 +312,7 @@ class TestFiniteFreqAsymptote:
 
     def test_density_too_small_for_the_plasma_frequency(self):
         # rho e^2 underflows: the same DomainError as finite_freq_sum
-        for finite_freq in (finite_freq_asymptote, finite_freq_sum):
+        for finite_freq in (finite_freq_asymptote, sum_at):
             with pytest.raises(DomainError, match="density too small"):
                 finite_freq(1e-15, 8.7e11, 1e-300)
 
@@ -334,7 +354,7 @@ class TestFullMatsubara:
 
         def deviation(xbar):
             T = xbar * HBAR_C / (2.0 * K_B * L)
-            full = finite_freq_sum(L, T, rho)
+            full = sum_at(L, T, rho)
             return abs(finite_freq_asymptote(L, T, rho) - full) / abs(full)
 
         assert XBAR_CROSSOVER_10PCT == 1.65
@@ -358,7 +378,7 @@ class TestFullMatsubara:
             terms.append(prefactor * _mode_series(a))
             n += 1
         exact = math.fsum(terms)
-        assert abs(finite_freq_sum(L, T, rho) / exact - 1.0) <= 1e-12
+        assert abs(sum_at(L, T, rho) / exact - 1.0) <= 1e-12
 
     def test_finite_terms_are_model_free(self):
         # the permeability enters at n = 0 only: every n > 0 term has mu = 1
@@ -371,7 +391,7 @@ class TestFullMatsubara:
         assert len({matsubara_term(0, L, T, rho, m) for m in models}) == len(models)
         for m in models:
             finite = full_matsubara(L, T, rho, m) - matsubara_term(0, L, T, rho, m)
-            assert finite == pytest.approx(finite_freq_sum(L, T, rho), rel=1e-12)
+            assert finite == pytest.approx(sum_at(L, T, rho), rel=1e-12)
 
     def test_terms_and_sum_share_one_rule(self):
         # single terms, summed until they stop adding, give the truncated sum
@@ -384,7 +404,7 @@ class TestFullMatsubara:
                 break
             total += term
             n += 1
-        assert finite_freq_sum(L, T, rho) == pytest.approx(total, rel=1e-12)
+        assert sum_at(L, T, rho) == pytest.approx(total, rel=1e-12)
 
     @pytest.mark.parametrize("L_fm, L_init_fm", [(1.0, 1.0), (0.3, 10.0), (0.1, 100.0),
                                                  (2.0, 2.0)])
@@ -400,7 +420,7 @@ class TestFullMatsubara:
             return _mode_series(a)
 
         monkeypatch.setattr(lifshitz, "_mode_series", recording)
-        finite_freq_sum(L, s.T, s.rho)
+        sum_at(L, s.T, s.rho)
         from_sum = list(seen)
         seen.clear()
         for n in range(1, len(from_sum) + 1):
@@ -429,7 +449,7 @@ def counted_sum(L, T, rho, monkeypatch):
         return _mode_series(a)
 
     monkeypatch.setattr(lifshitz, "_mode_series", counting)
-    value = finite_freq_sum(L, T, rho)
+    value = sum_at(L, T, rho)
     monkeypatch.undo()
     return value, len(calls)
 
@@ -484,7 +504,7 @@ class TestMatsubaraTail:
         s = plasma_state_from_distance(1e-13, UNITY)
         L = at_xbar(xbar, s.T)
         value, calls = counted_sum(L, s.T, s.rho, monkeypatch)
-        total, n_direct, bound = lifshitz._finite_freq_sum(L, s.T, s.rho)
+        total, n_direct, bound = sum_parts(L, s.T, s.rho)
         assert total == value
         assert n_direct == calls
         assert 0.0 <= bound <= 1e-12 * abs(total)
@@ -496,7 +516,7 @@ class TestMatsubaraTail:
         # added until the rest's bound 2 f(n) y_n/(b n) <= 1e-12 sum f
         L = L_fm * 1e-15
         s = plasma_state_from_distance(L, SPIN)
-        prefactor, b, nu = lifshitz._finite_freq_scales(L, s.T, s.rho)
+        prefactor, b, nu = scales_at(L, s.T, s.rho)
         total = 0.0
         for n in range(1, 1000):
             y = math.sqrt(n * n + nu * nu)
@@ -505,7 +525,37 @@ class TestMatsubaraTail:
             if f * y <= 0.5 * 1e-12 * b * n * total:
                 break
         assert n < lifshitz._EM_HEAD
-        assert finite_freq_sum(L, s.T, s.rho) == prefactor * total
+        assert sum_at(L, s.T, s.rho) == prefactor * total
+
+    @pytest.mark.parametrize("L_init_fm", PINNED_FM, ids=["nu0.035", "nu10"])
+    def test_pinned_sums_across_b_1_against_fsum(self, L_init_fm):
+        # the tail is tried only below b = 1: above it the direct rule ends
+        # the sum.  Oracle: math.fsum of the terms out to a_n > 80, past which
+        # the rest is below 1e-30 of the sum
+        s = plasma_state_from_distance(L_init_fm * 1e-15, UNITY)
+        xi_1 = 2.0 * math.pi * K_B * s.T / HBAR
+        nu = plasma_frequency(s.rho) / xi_1
+        for k in range(26):
+            b = 0.5 + 0.1 * k
+            L = b * C / (2.0 * xi_1)
+            prefactor, b, _ = scales_at(L, s.T, s.rho)
+            terms, n, a = [], 1, 0.0
+            while a <= 80.0:
+                a = b * math.sqrt(n * n + nu * nu)
+                terms.append(_mode_series(a))
+                n += 1
+            exact = prefactor * math.fsum(terms)
+            assert abs(sum_at(L, s.T, s.rho) / exact - 1.0) <= 1e-12, b
+
+    def test_direct_terms_for_nu_up_to_10(self):
+        # finite_freq_sum's claim: at most 37 direct terms for nu <= 10 at
+        # any b.  The most are at b = 1, the smallest b with no tail
+        most = max((sum_parts_at_scales(b, nu)[1], b, nu)
+                   for b in [10.0 ** (k / 20.0) for k in range(-100, 11)]
+                   for nu in [0.5 * j for j in range(21)])
+        assert most == (37, 1.0, 10.0)
+        below = max(sum_parts_at_scales(10.0 ** (k / 20.0), 10.0)[1] for k in range(-100, 0))
+        assert below == 34
 
     @pytest.mark.parametrize("L_fm, L_init_fm", [
         (1e92, None), (1e100, None), (1e100, 1e104), (3e101, 1e104),
@@ -516,7 +566,7 @@ class TestMatsubaraTail:
         pytest.importorskip("mpmath")
         L = L_fm * 1e-15
         s = plasma_state_from_distance((L_init_fm or L_fm) * 1e-15, UNITY)
-        total, _, bound = lifshitz._finite_freq_sum(L, s.T, s.rho)
+        total, _, bound = sum_parts(L, s.T, s.rho)
         xi_1 = 2.0 * math.pi * K_B * s.T / HBAR
         nu = plasma_frequency(s.rho) / xi_1
         exact = (-K_B * s.T / (4.0 * math.pi * L * L)
@@ -531,7 +581,7 @@ class TestMatsubaraTail:
         pytest.importorskip("mpmath")
         L = L_fm * 1e-15
         s = plasma_state_from_distance(1e104 * 1e-15, UNITY)
-        total, _, bound = lifshitz._finite_freq_sum(L, s.T, s.rho)
+        total, _, bound = sum_parts(L, s.T, s.rho)
         xi_1 = 2.0 * math.pi * K_B * s.T / HBAR
         assert plasma_frequency(s.rho) / xi_1 < 1e-50
         exact = -K_B * s.T / (4.0 * math.pi * L * L) * matsubara_j_sum(2.0 * L * xi_1 / C)
@@ -542,7 +592,7 @@ class TestMatsubaraTail:
     def test_scales_reject_an_underflowing_temperature(self, T):
         # k_B T is subnormal or 0: the n > 0 scales would lose their digits
         # or divide by xi_1 = 0
-        for evaluator in (finite_freq_sum, finite_freq_asymptote,
+        for evaluator in (sum_at, finite_freq_asymptote,
                           lambda L, T, rho: matsubara_term(1, L, T, rho)):
             with pytest.raises(DomainError, match="temperature too small"):
                 evaluator(1e-15, T, 0.0)
@@ -551,7 +601,7 @@ class TestMatsubaraTail:
                              ids=["underflow", "overflow"])
     def test_scales_reject_a_b_that_is_not_normal(self, L, T):
         # b = 2 L xi_1/c is 0.0 or inf, and the sum's tail divides by b
-        for evaluator in (finite_freq_sum, finite_freq_asymptote,
+        for evaluator in (sum_at, finite_freq_asymptote,
                           lambda L, T, rho: matsubara_term(1, L, T, rho)):
             with pytest.raises(DomainError, match="L and T out of range"):
                 evaluator(L, T, 0.0)
@@ -570,8 +620,8 @@ class TestMatsubaraTail:
         else:
             s = plasma_state_from_distance(L_init, UNITY)
             T, rho = s.T, s.rho
-        total, n, bound = lifshitz._finite_freq_sum(L, T, rho)
-        prefactor, b, nu = lifshitz._finite_freq_scales(L, T, rho)
+        total, n, bound = sum_parts(L, T, rho)
+        prefactor, b, nu = scales_at(L, T, rho)
         assert nu < 1e-30 and b < 1e-154
         assert abs(total / (prefactor * matsubara_j_sum(b)) - 1.0) <= 1e-12
         with mp.workdps(400):
@@ -591,7 +641,7 @@ class TestMatsubaraTail:
         # are inf and the first term S(b y_1) is 0.0, as is every later one:
         # the sum is -0.0 (the limit finite_freq_asymptote also returns) and
         # its bound 0.0, not 0 x inf
-        total, n, bound = lifshitz._finite_freq_sum(1e-15, T, 1e300)
+        total, n, bound = sum_parts(1e-15, T, 1e300)
         assert (math.copysign(1.0, total), total, n, bound) == (-1.0, 0.0, 1, 0.0)
         assert finite_freq_asymptote(1e-15, T, 1e300) == 0.0
 
@@ -607,7 +657,7 @@ class TestMatsubaraTail:
         # about 1.8e19 direct terms
         s = plasma_state_from_distance(1e-55, UNITY)
         with pytest.raises(DomainError, match="plasma frequency too high"):
-            finite_freq_sum(5e-74, s.T, s.rho)
+            sum_at(5e-74, s.T, s.rho)
 
 
 class TestDistanceCoupled:
@@ -719,6 +769,11 @@ class TestDistanceCoupled:
             assert b < a
 
 
+# the n > 0 column of each sweep method, at one state
+FINITE_FREQ = {"asymptote": finite_freq_asymptote, "exact": finite_freq_asymptote,
+               "full": sum_at}
+
+
 def per_point(Ls, evaluate):
     # evaluate at each separation in grid order: every result as float.hex,
     # or the message of the first DomainError
@@ -800,7 +855,7 @@ class TestGridEvaluators:
         assert per_grid(lambda Ls: distance_coupled_breakdown(
             Ls, model, zero_freq_only=True)[::3], Ls) == zero_kappa
 
-    @pytest.mark.parametrize("method", ["asymptote", "exact"])
+    @pytest.mark.parametrize("method", ["asymptote", "exact", "full"])
     @grid_examples
     def test_sweep_rows(self, method, grid):
         Ls, model = grid
@@ -812,10 +867,31 @@ class TestGridEvaluators:
             else:
                 _, T, rho, _, mu = state
                 kappa = screening_wavevector(rho, mu)
-                zero, finite = zero_freq_exact(kappa, L, T), finite_freq_asymptote(L, T, rho)
+                zero, finite = zero_freq_exact(kappa, L, T), FINITE_FREQ[method](L, T, rho)
             return (*state[1:], kappa, zero, finite)
 
         assert per_grid(lambda Ls: sweep_rows(Ls, model, "coupled", method, Ls[0]),
+                        Ls) == per_point(Ls, row)
+
+    @pytest.mark.parametrize("method", ["asymptote", "exact", "full"])
+    @pytest.mark.parametrize("L_init_fm", [1e-3, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("Ls", [
+        grid_m(0.1, 100.0, 400), grid_m(1.0, 3.0, 5), grid_m(1e-200, 1e-190, 3),
+        [1e-15, 1e-215, 2e-15], [3e-15, 1e-15],
+    ], ids=["0.1-100fm", "1-3fm", "L2-underflows", "inner-underflow", "descending"])
+    def test_pinned_sweep_rows(self, method, L_init_fm, Ls):
+        # the rows of a pinned state share its n > 0 scales and y_n; each has
+        # the bits of the sum at its own one-point grid.  Pinned at 1, 10 and
+        # 100 fm, the 0.1-100 fm grid crosses b = 1, where the tail stops
+        # being tried
+        s = plasma_state_from_distance(L_init_fm * 1e-15, SPIN)
+        kappa = screening_wavevector(s.rho, s.mu_ep)
+        zero_freq = zero_freq_asymptote if method == "asymptote" else zero_freq_exact
+
+        def row(L):
+            return (*s[1:], kappa, zero_freq(kappa, L, s.T), FINITE_FREQ[method](L, s.T, s.rho))
+
+        assert per_grid(lambda Ls: sweep_rows(Ls, SPIN, "fixed", method, L_init_fm * 1e-15),
                         Ls) == per_point(Ls, row)
 
     @pytest.mark.parametrize("Ls", [
@@ -852,6 +928,11 @@ class TestGridEvaluators:
         assert checked == [1e-15, 1e-15, 3e-15]
         distance_coupled_breakdown([1e-15], SPIN)
         assert evaluated == [[1e-15], [1e-15]]  # the check, then the grid
+
+    def test_sum_columns_must_have_one_length(self):
+        s = plasma_state_from_distance(1e-15, SPIN)
+        with pytest.raises(ValueError):
+            finite_freq_sum([1e-15, 2e-15], [s.T], [s.rho])
 
     def test_one_point_records(self):
         for model in (UNITY, SPIN):
