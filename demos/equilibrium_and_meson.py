@@ -45,7 +45,7 @@ def main() -> None:
     print()
 
     n = 0.5 * plasma_state_from_distance(M_PER_FM).rho  # one species carries half the pairs
-    lw = plasmon_linewidth(n, 0.1)
+    lw = plasmon_linewidth(n)
     print(f"plasmon damping at 1 fm (q = 0.1 q_F): "
           f"{lw.width / J_PER_MEV:.4f} MeV "
           f"(r = {lw.r:.3f}, bracket = {lw.bracket:.3f})")

@@ -47,19 +47,9 @@ _SWEEP_HEADER = ("L_fm", "T_K", "rho_m3", "omega_ep", "mu_ep", "kappa_1_m",
 MAX_GRID_POINTS = 1_000_000
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
-
-
 class _Opt(namedtuple("_Opt", "dest kind default choices help", defaults=(None, None, ""))):
-    """One option of a subcommand: kind converts its text (float, int, str or
-    _parse_bool, the one kind that is a flag), and the flag is --dest with
-    each _ as -."""
+    """One option of a subcommand: kind converts its text (float, int or
+    str), and the flag is --dest with each _ as -."""
 
     __slots__ = ()
 
@@ -100,18 +90,16 @@ def _build_parser() -> argparse.ArgumentParser:
         for o in opts:
             # an option with choices and no help text of its own lists them
             text = o.help or "|".join(map(str, o.choices))
-            extra = {"action": "store_const", "const": True} if o.kind is _parse_bool else {}
-            p.add_argument(o.flag, dest=o.dest, default=None, help=text, **extra)
+            p.add_argument(o.flag, dest=o.dest, default=None, help=text)
         p.add_argument("--config", dest="config", default=None,
                        help="key=value file supplying defaults")
         p.set_defaults(subparser=p)  # run() reports leftover arguments under its usage
     return parser
 
 
-def _coerce(opt: _Opt, raw: object) -> object:
-    if raw is None or isinstance(raw, bool):
-        return raw
-    text = str(raw)
+def _coerce(opt: _Opt, text: str | None) -> object:
+    if text is None:
+        return None
     try:
         value = opt.kind(text)
         if opt.kind is float and not math.isfinite(value):
@@ -384,16 +372,14 @@ def _cmd_meson(params: dict[str, object]) -> dict[str, object]:
 
 
 def _cmd_linewidth(params: dict[str, object]) -> dict[str, object]:
-    rho = _state_at_L(params).rho
-    use_total = params["total_density"]
-    n = rho if use_total else 0.5 * rho
+    n = 0.5 * _state_at_L(params).rho  # one species carries half the pairs
     # the negative-bracket caveat is reported as a JSON field, not a warning
-    eps_f, q_f, r, bracket, width = nuclear.plasmon_linewidth(n, params["q_ratio"])
+    eps_f, q_f, r, bracket, width = nuclear.plasmon_linewidth(n)
     return {
         "L_fm": params["L"],
-        "q_ratio": params["q_ratio"],
+        "q_ratio": nuclear.Q_RATIO,
         "n_m3": n,
-        "density_convention": "total" if use_total else "per_species",
+        "density_convention": "per_species",
         "eps_F_J": eps_f,
         "eps_F_MeV": eps_f / J_PER_MEV,
         "q_F_1_m": q_f,
@@ -451,13 +437,7 @@ _SUBCOMMANDS = {
     ] + _TABLE_OUTPUT),
     "equilibrium": (_cmd_equilibrium, [_R, _OUT]),
     "meson": (_cmd_meson, [_L, _MU_MODEL, _CONVENTION, _OUT]),
-    "linewidth": (_cmd_linewidth, [
-        _L,
-        _Opt("q_ratio", float, 0.1, help="wavevector over q_F"),
-        _Opt("total_density", _parse_bool, False,
-             help="use the full pair density instead of the per-species half"),
-        _OUT,
-    ]),
+    "linewidth": (_cmd_linewidth, [_L, _OUT]),
     "plot": (_cmd_plot, [
         _Opt("which", int, 1, (1, 2), help="1: zero-freq comparison, 2: breakdown"),
     ] + _GRID + [

@@ -4,7 +4,8 @@ quantities carried by the screened zero-frequency interaction.
 
 Each observable has one evaluator returning one record:
 equilibrium_distance (EquilibriumResult), yukawa_quantities
-(YukawaQuantities) and plasmon_linewidth (PlasmonLinewidth)."""
+(YukawaQuantities) and plasmon_linewidth (PlasmonLinewidth, at the one
+wavevector ratio q/q_F = Q_RATIO)."""
 
 from __future__ import annotations
 
@@ -44,8 +45,8 @@ class PlasmonLinewidth(namedtuple("PlasmonLinewidth", "eps_F q_F r bracket width
     q_F = (3 pi^2 n)^(1/3) [1/m] (nonrelativistic electron-mass dispersion),
     r = hbar omega_p/(2 eps_F) with omega_p at the same n, the bracket
     10 ln 2 + 2 - 4.5 r, and the width (6 pi/5) eps_F (q/q_F)^2 r^3 bracket
-    [J].  The bracket is negative for r > ~1.985, outside the regime the
-    damping expression was built for."""
+    [J] at q/q_F = Q_RATIO.  The bracket is negative for r > ~1.985, outside
+    the regime the damping expression was built for."""
 
     __slots__ = ()
 
@@ -136,12 +137,18 @@ def yukawa_quantities(rho: float, mu_ep: float) -> YukawaQuantities:
     return YukawaQuantities(mass, HBAR_C / mass, screening_wavevector(rho, mu_ep))
 
 
-def plasmon_linewidth(n: float, q_ratio: float) -> PlasmonLinewidth:
-    """Plasmon energy width from electron-electron collisions at density n
-    and wavevector ratio q_ratio = q/q_F (see PlasmonLinewidth).
+# the one wavevector ratio q/q_F at which plasmon_linewidth is evaluated
+Q_RATIO = 0.1
 
-    A negative bracket is returned as it is; the linewidth subcommand
-    reports it as bracket_negative.
+
+def plasmon_linewidth(n: float) -> PlasmonLinewidth:
+    """Plasmon energy width from electron-electron collisions at density n
+    and wavevector ratio q/q_F = Q_RATIO (see PlasmonLinewidth).
+
+    The width is finite wherever plasma_frequency(n) is: eps_F r^3 grows
+    only as n^(1/6), to about 1.6e27 J at the largest n.  A negative bracket
+    is returned as it is; the linewidth subcommand reports it as
+    bracket_negative.
     """
     if not n > 0.0:
         raise DomainError(f"density must be positive, got {n}")
@@ -151,15 +158,5 @@ def plasmon_linewidth(n: float, q_ratio: float) -> PlasmonLinewidth:
     eps_f = HBAR**2 * q_f**2 / (2.0 * M_E)
     r = HBAR * plasma_frequency(n) / (2.0 * eps_f)
     bracket = 10.0 * math.log(2.0) + 2.0 - 4.5 * r
-    # the density checks come first, as the linewidth subcommand reports them
-    if q_ratio < 0.0:
-        raise DomainError(f"q_ratio must be non-negative, got {q_ratio}")
-    try:
-        q2 = q_ratio**2
-    except OverflowError:
-        raise DomainError(f"q_ratio too large: q_ratio = {q_ratio}, q_ratio^2 overflows") from None
-    width = 6.0 * math.pi / 5.0 * eps_f * q2 * r**3 * bracket
-    if not math.isfinite(width):  # eps_F r^3 grows as n^(1/6): dense, it overflows first
-        raise DomainError(f"q_ratio too large: q_ratio = {q_ratio}, the linewidth at n = {n} "
-                          "m^-3 overflows")
+    width = 6.0 * math.pi / 5.0 * eps_f * Q_RATIO**2 * r**3 * bracket
     return PlasmonLinewidth(eps_f, q_f, r, bracket, width)

@@ -160,14 +160,18 @@ def _separation_cube(L: float) -> float:
 
 
 def plasma_frequency(rho: float) -> float:
-    """omega_ep = sqrt(rho e^2 / (eps0 m_e)); rho = 0 maps to 0, and
-    0 < rho < 8.7e-271 1/m^3, where rho e^2 underflows, raises DomainError."""
+    """omega_ep = sqrt(rho e^2 / (eps0 m_e)); rho = 0 maps to 0.  Where
+    0 < rho < 8.7e-271 1/m^3 rho e^2 underflows, and above about
+    5.6e304 1/m^3 omega_ep^2 overflows: DomainError."""
     if rho < 0.0:
         raise DomainError(f"density must be non-negative, got {rho}")
     charge = rho * _E2
     if rho > 0.0 and charge < sys.float_info.min:
         raise DomainError(f"density too small: rho = {rho} 1/m^3, rho e^2 underflows")
-    return math.sqrt(charge / _EPS0_ME)
+    squared = charge / _EPS0_ME
+    if not squared < math.inf:  # a nan fails it too
+        raise DomainError(f"density too large: rho = {rho} 1/m^3, rho e^2/(eps0 m_e) overflows")
+    return math.sqrt(squared)
 
 
 def _saturation(y: float) -> float:

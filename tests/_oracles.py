@@ -310,7 +310,10 @@ def plasma_frequency_unfolded(rho: float) -> float:
     charge = rho * E_CHARGE**2
     if rho > 0.0 and charge < sys.float_info.min:
         raise DomainError(f"density too small: rho = {rho} 1/m^3, rho e^2 underflows")
-    return math.sqrt(charge / (EPS_0 * M_E))
+    squared = charge / (EPS_0 * M_E)
+    if not math.isfinite(squared):
+        raise DomainError(f"density too large: rho = {rho} 1/m^3, rho e^2/(eps0 m_e) overflows")
+    return math.sqrt(squared)
 
 
 def static_mu_unfolded(model, rho: float, T: float) -> float:

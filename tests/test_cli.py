@@ -102,12 +102,11 @@ HOSTILE_ARGV = [
     # a subnormal radius in metres has too few bits for L_eq = x R
     (["equilibrium", "--R", "3e-309"], 2, "radius too small: R = 5e-324 m is subnormal"),
     (["equilibrium", "--R", "2.2e-293"], 2, "radius too small: R = 2.2e-308 m is subnormal"),
-    # (q/q_F)^2 of the linewidth overflows above about 1.3e154
-    (["linewidth", "--q-ratio", "1e200"], 2,
-     "q_ratio too large: q_ratio = 1e+200, q_ratio^2 overflows"),
-    # eps_F r^3 grows as n^(1/6): at 1e-60 fm the width overflows below that edge
-    (["linewidth", "--L", "1e-60", "--q-ratio", "1e150"], 2,
-     "q_ratio too large: q_ratio = 1e+150, the linewidth at n = 1.0018105767262817e+223 m^-3"),
+    # linewidth is evaluated at the one wavevector ratio, over the per-species density
+    (["linewidth", "--q-ratio", "0.2"], 2,
+     "casnuc linewidth: error: unrecognized arguments: --q-ratio 0.2"),
+    (["linewidth", "--total-density"], 2,
+     "casnuc linewidth: error: unrecognized arguments: --total-density"),
     # a state pinned at 1 fm leaves the L^2 of each grid point's prefactor to underflow
     (["sweep", "--mode", "fixed", "--Linit", "1", "--Lmin", "1e-200", "--Lmax", "1e-190",
       "--points", "3"], 2, "separation too small: L = 1e-215 m, L^2 underflows"),
@@ -121,6 +120,20 @@ HOSTILE_ARGV = [
      "separation too large: L = 5.0000000000000003e+104 m, L^3 overflows"),
     (["sweep", "--Lmax", "1e110", "--points", "5"], 2,
      "density too small: rho = 1.2823175382096401e-285 1/m^3, rho e^2 underflows"),
+    # from about 2.81e-88 to 7.08e-88 fm L^3 is a normal double but
+    # omega_ep^2 = rho e^2/(eps0 m_e) overflows; at 7e-88 fm linewidth's
+    # n = rho/2 alone would not
+    (["state", "--L", "5e-88"], 2,
+     "density too large: rho = 1.6028969227620506e+305 1/m^3, rho e^2/(eps0 m_e) overflows"),
+    (["meson", "--L", "5e-88"], 2,
+     "density too large: rho = 1.6028969227620506e+305 1/m^3, rho e^2/(eps0 m_e) overflows"),
+    (["linewidth", "--L", "7e-88"], 2, "rho e^2/(eps0 m_e) overflows"),
+    (["sweep", "--method", "full", "--Lmin", "3e-88", "--Lmax", "6e-88", "--points", "3"], 2,
+     "density too large: rho = 7.420819086861346e+305 1/m^3, rho e^2/(eps0 m_e) overflows"),
+    (["sweep", "--Lmin", "3e-88", "--Lmax", "6e-88", "--points", "3"], 2,
+     "rho e^2/(eps0 m_e) overflows"),
+    (["sweep", "--mode", "fixed", "--Linit", "5e-88", "--points", "3"], 2,
+     "rho e^2/(eps0 m_e) overflows"),
     # linewidth reads the state's total density, so it meets the state's edge
     (["linewidth", "--L", "1e105"], 2,
      "density too small: rho = 2.0036211534525638e-272 1/m^3, rho e^2 underflows"),
@@ -556,19 +569,7 @@ class TestLinewidth:
         )
         assert doc["bracket_negative"] is False
         assert doc["linewidth_MeV"] > 0.0
-
-    def test_total_density_switch(self, capsys):
-        code, out, _ = run_cli(["linewidth", "--total-density"], capsys)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["density_convention"] == "total"
-        assert doc["n_m3"] == pytest.approx(
-            plasma.plasma_state_from_distance(1e-15).rho, rel=1e-12
-        )
-
-    def test_negative_q_ratio(self, capsys):
-        code, _, _ = run_cli(["linewidth", "--q-ratio", "-0.5"], capsys)
-        assert code == 2
+        assert doc["q_ratio"] == 0.1
 
 
 class TestPlot:
@@ -671,27 +672,13 @@ class TestPrecedence:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("raw, convention", [
-        ("yes", "total"), (" TRUE ", "total"), ("off", "per_species"),
-    ])
-    def test_env_bool(self, raw, convention, capsys, monkeypatch):
-        monkeypatch.setenv("CASNUC_TOTAL_DENSITY", raw)
-        code, out, _ = run_cli(["linewidth"], capsys)
-        assert code == 0
-        assert json.loads(out)["density_convention"] == convention
-
-    def test_env_bool_rejects_other_words(self, capsys, monkeypatch):
-        monkeypatch.setenv("CASNUC_TOTAL_DENSITY", "maybe")
-        code, out, err = run_cli(["linewidth"], capsys)
-        assert (code, out) == (2, "")
-        assert "casnuc: error: bad value for --total-density: 'maybe'" in err
-
-    def test_config_bool(self, capsys, tmp_path):
-        cfg = tmp_path / "bool.cfg"
-        cfg.write_text("total_density = on\n")
-        code, out, _ = run_cli(["linewidth", "--config", str(cfg)], capsys)
-        assert code == 0
-        assert json.loads(out)["density_convention"] == "total"
+    def test_keys_linewidth_does_not_take_are_ignored(self, capsys, tmp_path, monkeypatch):
+        _, default, _ = run_cli(["linewidth"], capsys)
+        cfg = tmp_path / "linewidth.cfg"
+        cfg.write_text("q_ratio = 0.5\ntotal_density = on\n")
+        monkeypatch.setenv("CASNUC_Q_RATIO", "0.2")
+        monkeypatch.setenv("CASNUC_TOTAL_DENSITY", "yes")
+        assert run_cli(["linewidth", "--config", str(cfg)], capsys) == (0, default, "")
 
     def test_invalid_format_for_subcommand(self, capsys):
         code, _, err = run_cli(["equilibrium", "--format", "csv"], capsys)
@@ -766,6 +753,31 @@ class TestOutput:
         assert ".casnuc-tmp-" not in err
         assert sorted(tmp_path.rglob("*")) == [work, work / "existing"]
 
+    @pytest.mark.parametrize("unlink_fails", [False, True], ids=["removed", "unlink-fails"])
+    def test_interrupted_write_leaves_the_target_alone(self, unlink_fails, tmp_path,
+                                                       monkeypatch):
+        # an error that is not an OSError propagates as it is, after the
+        # temporary file is removed; when the removal fails too, the
+        # original error is still the one raised
+        target = tmp_path / "t.json"
+        target.write_text("old")
+
+        def failing(error):
+            def call(*args):
+                raise error
+            return call
+
+        monkeypatch.setattr(os, "replace", failing(KeyboardInterrupt))
+        if unlink_fails:
+            monkeypatch.setattr(os, "unlink", failing(PermissionError("unlink refused")))
+        with pytest.raises(KeyboardInterrupt) as info:
+            cli._write_output("new", str(target))
+        assert info.value.__context__ is None
+        assert target.read_text() == "old"
+        left = [path.name for path in tmp_path.iterdir() if path != target]
+        assert len(left) == unlink_fails
+        assert all(name.startswith(".casnuc-tmp-") for name in left)
+
     def test_run_leaves_process_state_alone(self, capsys, tmp_path, monkeypatch):
         # cli.run also runs in-process: it neither sets the umask nor swaps
         # the warning filters, and a negative bracket does not warn
@@ -825,7 +837,6 @@ class TestSignedZero:
              "--points", "3"],
             ["sweep", "--mode", "fixed", "--Linit", "1", "--Lmin", "1", "--Lmax", "2000",
              "--points", "3", "--format", "json"],
-            ["linewidth", "--L", "1e9", "--q-ratio", "1e-200"],
         ],
     )
     def test_no_negative_zero(self, argv, capsys):
@@ -836,6 +847,14 @@ class TestSignedZero:
         assert "-0.00000000e+00" not in cells
         assert "-0.0" not in cells
         assert "0.00000000e+00" in cells or "0.0" in cells
+
+    def test_json_object_writer(self):
+        # no argv is known to send a -0.0 through it, at the top level or nested
+        document = {"L_fm": 1e9, "linewidth_J": -0.0, "units": {"zero": -0.0, "J": "J"}}
+        expected = {"L_fm": 1e9, "linewidth_J": 0.0, "units": {"zero": 0.0, "J": "J"}}
+        text = cli._json_document(document)
+        assert text == json.dumps(expected, indent=2) + "\n"
+        assert "-0.0" not in text
 
 
 # Fn_MeV puts an n in the header, which spells no value
@@ -899,8 +918,6 @@ def _hostile_value(opt):
     if opt.kind is int:
         # at most 3 grid points keeps every example cheap; 1 reaches --which 1
         return st.sampled_from(["1", "2", "3", "2", "3", "0", str(10**20)])
-    if opt.kind is cli._parse_bool:
-        return st.just(None)
     return st.sampled_from(list(opt.choices) * 3 + ["bogus"])
 
 
@@ -935,8 +952,7 @@ class TestHostileArgv:
         opts = {o.dest: o for o in cli._SUBCOMMANDS[command][1] if o.dest != "out"}
         chosen = {dest: data.draw(_hostile_value(o))
                   for dest, o in opts.items() if data.draw(st.booleans())}
-        argv = [command] + [opts[d].flag if v is None else f"{opts[d].flag}={v}"
-                            for d, v in chosen.items()]
+        argv = [command] + [f"{opts[d].flag}={v}" for d, v in chosen.items()]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.run(argv)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from casnuc.constants import HBAR_C
+from casnuc.constants import E_CHARGE, EPS_0, HBAR_C, M_E
 from casnuc.errors import DomainError
 from casnuc.lifshitz import distance_coupled_breakdown, screening_wavevector
 from casnuc.nuclear import (
@@ -247,33 +247,28 @@ class TestYukawaQuantities:
 
 class TestPlasmonLinewidth:
     def test_frozen_fermi_quantities(self):
-        lw = plasmon_linewidth(1e43, 0.1)
+        lw = plasmon_linewidth(1e43)
         assert lw.q_F == pytest.approx(666510506892997.5, rel=1e-12)
         assert lw.eps_F == pytest.approx(2.7117355236930515e-9, rel=1e-12)
 
     def test_wavevector_scaling(self):
-        q1 = plasmon_linewidth(1e43, 0.1).q_F
-        q8 = plasmon_linewidth(8e43, 0.1).q_F
+        q1 = plasmon_linewidth(1e43).q_F
+        q8 = plasmon_linewidth(8e43).q_F
         assert q8 == pytest.approx(2.0 * q1, rel=1e-12)
 
     def test_frozen_value(self):
-        assert plasmon_linewidth(1e43, 0.1).width == pytest.approx(
+        assert plasmon_linewidth(1e43).width == pytest.approx(
             3.804633913045759e-17, rel=1e-12
         )
-
-    def test_quadratic_in_wavevector_ratio(self):
-        w1 = plasmon_linewidth(1e43, 0.05).width
-        w2 = plasmon_linewidth(1e43, 0.10).width
-        assert w2 == pytest.approx(4.0 * w1, rel=1e-12)
 
     def test_bracket_zero_constant(self):
         # r scales as n^(-1/6), so the density n0 = n (r/r0)^6 has r = r0:
         # the bracket vanishes there
-        r = plasmon_linewidth(1e26, 0.0).r
-        at_zero = plasmon_linewidth(1e26 * (r / LINEWIDTH_BRACKET_ZERO) ** 6, 0.0)
+        r = plasmon_linewidth(1e26).r
+        at_zero = plasmon_linewidth(1e26 * (r / LINEWIDTH_BRACKET_ZERO) ** 6)
         assert at_zero.r == pytest.approx(LINEWIDTH_BRACKET_ZERO, rel=1e-14)
         assert abs(at_zero.bracket) < 1e-13
-        dense = plasmon_linewidth(1e43, 0.0)
+        dense = plasmon_linewidth(1e43)
         assert dense.r < LINEWIDTH_BRACKET_ZERO
         assert dense.bracket > 0.0
 
@@ -283,25 +278,33 @@ class TestPlasmonLinewidth:
         # bracket says so
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lw = plasmon_linewidth(1e26, 0.1)
+            lw = plasmon_linewidth(1e26)
         assert lw.r > LINEWIDTH_BRACKET_ZERO
         assert lw.bracket < 0.0
         assert lw.width < 0.0
 
     def test_domain(self):
         with pytest.raises(DomainError, match="density must be positive"):
-            plasmon_linewidth(0.0, 0.1)
+            plasmon_linewidth(0.0)
         # n e^2 leaves the normal doubles below about 8.7e-271 1/m^3
         with pytest.raises(DomainError, match=r"n = 5e-271 1/m\^3, n e\^2 underflows"):
-            plasmon_linewidth(5e-271, 0.1)
-        with pytest.raises(DomainError, match="q_ratio must be non-negative"):
-            plasmon_linewidth(1e43, -0.1)
+            plasmon_linewidth(5e-271)
 
-    def test_q_ratio_whose_square_overflows(self):
-        with pytest.raises(DomainError, match=r"q_ratio too large: q_ratio = 1e\+200"):
-            plasmon_linewidth(1e43, 1e200)
+    def test_width_is_finite_up_to_the_plasma_frequency_edge(self):
+        # eps_F r^3 grows as n^(1/6), so at q/q_F = 0.1 the width stays
+        # finite up to the largest n whose omega_p^2 = n e^2/(eps0 m_e) is,
+        # about 5.6e304 1/m^3
+        def finite(n):
+            return n * E_CHARGE**2 / (EPS_0 * M_E) < math.inf
 
-    def test_width_that_overflows(self):
-        # eps_F r^3 grows as n^(1/6), so the width overflows while q^2 is finite
-        with pytest.raises(DomainError, match=r"q_ratio = 1e\+150, the linewidth at n = 1e\+223"):
-            plasmon_linewidth(1e223, 1e150)
+        n = sys.float_info.max * (EPS_0 * M_E) / E_CHARGE**2  # a few ulps from it
+        while not finite(n):
+            n = math.nextafter(n, 0.0)
+        while finite(math.nextafter(n, math.inf)):
+            n = math.nextafter(n, math.inf)
+        assert 5.6e304 < n < 5.7e304
+        lw = plasmon_linewidth(n)
+        assert math.isfinite(lw.width)
+        assert lw.width == pytest.approx(1.6e27, rel=0.01)
+        with pytest.raises(DomainError, match=r"density too large: rho = 5\.6\d*e\+304"):
+            plasmon_linewidth(math.nextafter(n, math.inf))

@@ -102,6 +102,17 @@ class TestDensityFromDistance:
         state = plasma_state_from_distance(L)
         assert state.rho == pytest.approx(pair_density(state.T), rel=1e-12)
 
+    def test_plasma_frequency_window(self):
+        # from about 2.81e-103 to 7.08e-103 m L^3 is a normal double, but
+        # the density is too large for omega_ep^2; either side, the state is
+        # built or L^3 underflows
+        for L in (2.82e-103, 5e-103, 7.07e-103):
+            with pytest.raises(DomainError, match=r"density too large: rho = .* 1/m\^3, rho e\^2/"):
+                plasma_state_from_distance(L)
+        with pytest.raises(DomainError, match="L\\^3 underflows"):
+            plasma_state_from_distance(2.8e-103)
+        assert math.isfinite(plasma_state_from_distance(7.08e-103).omega_ep)
+
     def test_separation_too_large(self):
         # L^3 overflows above about 5.6e102 m, 8 pi^2 L^3 above about 1.3e102 m,
         # where rho would be 0.0; just below, the state's rho e^2 underflows
@@ -132,6 +143,14 @@ class TestPlasmaFrequency:
         with pytest.raises(DomainError, match="density too small"):
             plasma_frequency(1e-271)
         assert plasma_frequency(1e-270) > 0.0
+
+    def test_overflow_edge(self):
+        # omega_ep^2 = rho e^2/(eps0 m_e) overflows above about 5.6e304 1/m^3;
+        # a nan density fails the same test
+        assert plasma_frequency(5.6e304) == pytest.approx(1.335e154, rel=1e-3)
+        for rho in (5.7e304, math.inf, math.nan):
+            with pytest.raises(DomainError, match=r"rho e\^2/\(eps0 m_e\) overflows"):
+                plasma_frequency(rho)
 
     def test_domain(self):
         with pytest.raises(DomainError):

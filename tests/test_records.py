@@ -22,7 +22,7 @@ RECORDS = {
     "PermeabilityModel": lambda: MODEL,
     "EquilibriumResult": lambda: equilibrium_distance(0.84e-15),
     "YukawaQuantities": _yukawa,
-    "PlasmonLinewidth": lambda: plasmon_linewidth(1e43, 0.1),
+    "PlasmonLinewidth": lambda: plasmon_linewidth(1e43),
 }
 
 

@@ -145,3 +145,12 @@ def test_sub_ulp_span_terminates():
     doc = render_line_chart([("s", [1.0, 1.0000000000000002], [-3.3, -3.3000000000000003])],
                             "x", "y")
     assert doc.endswith("</svg>\n")
+
+
+def test_exact_decade_span():
+    # span/5 is a power of ten, so the step is that power itself
+    assert _tick_positions(0.0, 5.0) == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+    ticks = _tick_positions(-0.005, 0.0)
+    assert len(ticks) == 6
+    assert ticks[0] == -0.005 and ticks[-1] == 0.0
+    assert ticks == pytest.approx([-0.005, -0.004, -0.003, -0.002, -0.001, 0.0], abs=1e-15)
