@@ -39,7 +39,7 @@ def main() -> None:
     for label, model in (("mu = 1", PermeabilityModel("unity")),
                          ("spin mu", PermeabilityModel("spin"))):
         s = plasma_state_from_distance(M_PER_FM, model)
-        yq = yukawa_quantities(s.rho, s.mu_ep)
+        yq = yukawa_quantities(s.omega_ep, s.mu_ep)
         print(f"{label:>8}: boson mass {yq.meson_mass_energy / J_PER_MEV:>8.1f} MeV, "
               f"range {yq.screening_length / M_PER_FM:.4f} fm")
     print()

@@ -29,10 +29,10 @@ def main() -> None:
     print("term-by-term decay at the 1 fm state (mu = 1):")
     total = 0.0
     for n in range(0, 9):
-        term = matsubara_term(n, L, s.T, s.rho, UNITY)
+        term = matsubara_term(n, L, s.T, s.omega_ep, s.mu_ep)
         total += term
         print(f"  n = {n}: {term:>12.4e} J/m^2   running sum {total:>12.4e}")
-    print(f"  full sum: {full_matsubara(L, s.T, s.rho, UNITY):>12.4e} J/m^2")
+    print(f"  full sum: {full_matsubara(L, s.T, s.omega_ep, s.mu_ep):>12.4e} J/m^2")
     print()
 
     # high-temperature limit: the n = 0 term dominates and the sum collapses
@@ -40,7 +40,7 @@ def main() -> None:
     xbar = 5.0
     T_hot = xbar * HBAR_C / (2.0 * K_B * L)
     classical = -ZETA_3 * K_B * T_hot / (8.0 * math.pi * L**2)
-    full = full_matsubara(L, T_hot, 0.0, UNITY)
+    full = full_matsubara(L, T_hot, 0.0, 1.0)
     print(f"classical limit at xbar = {xbar}: "
           f"full/classical = {full / classical:.12f}")
     print()
@@ -49,8 +49,8 @@ def main() -> None:
     print(f"{'xbar':>6} {'rel deviation':>14}")
     for xbar in (0.5, 0.76, 1.0, 1.65, 2.0, 3.0, 5.0):
         T = xbar * HBAR_C / (2.0 * K_B * L)
-        summed = finite_freq_sum([L], [T], [s.rho])[0]
-        asym = finite_freq_asymptote(L, T, s.rho)
+        summed = finite_freq_sum([L], [T], [s.omega_ep])[0]
+        asym = finite_freq_asymptote(L, T, s.omega_ep)
         print(f"{xbar:>6.2f} {abs(asym - summed) / abs(summed):>14.4f}")
     print(f"10% agreement first reached at xbar = {XBAR_CROSSOVER_10PCT}")
 

@@ -60,7 +60,7 @@ def main() -> None:
     for label, model in (("mu = 1", PermeabilityModel("unity")),
                          ("spin mu", PermeabilityModel("spin"))):
         s = plasma_state_from_distance(L, model)
-        kappa = screening_wavevector(s.rho, s.mu_ep)
+        kappa = screening_wavevector(s.omega_ep, s.mu_ep)
         f0 = zero_freq_exact(kappa, L, s.T)
         print(f"  {label:>8}: kappa*L = {kappa * L:>7.3f}, "
               f"F0 per pair = {pair_energy_mev(f0):>12.4e} MeV")

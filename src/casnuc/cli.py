@@ -257,7 +257,7 @@ def _cmd_state(params: dict[str, object]) -> dict[str, object]:
         "rho_m3": state.rho,
         "omega_ep_rad_s": state.omega_ep,
         "mu_ep": state.mu_ep,
-        "kappa_1_m": lifshitz.screening_wavevector(state.rho, state.mu_ep),
+        "kappa_1_m": lifshitz.screening_wavevector(state.omega_ep, state.mu_ep),
         "kT_MeV": K_B * state.T / J_PER_MEV,
         "mu_model": params["mu_model"],
         "convention": params["convention"],
@@ -345,19 +345,23 @@ def _cmd_sweep(params: dict[str, object]) -> str:
 
 def _cmd_equilibrium(params: dict[str, object]) -> dict[str, object]:
     res = nuclear.equilibrium_distance(fm_to_m(params["R"], "plate radius", "R"))
+    L_eq_fm = res.L_eq / M_PER_FM
+    if L_eq_fm == math.inf:  # from about R = 5.7743e307 fm
+        raise DomainError(f"plate radius too large: R = {params['R']} fm, "
+                          f"L_eq = x_tilde R overflows in fm")
     return {
         "R_fm": params["R"],
         "D": res.D,
         "x_tilde": res.x_tilde,
         "L_eq_m": res.L_eq,
-        "L_eq_fm": res.L_eq / M_PER_FM,
+        "L_eq_fm": L_eq_fm,
         "residual": res.residual,
     }
 
 
 def _cmd_meson(params: dict[str, object]) -> dict[str, object]:
     state = _state_at_L(params)
-    yq = nuclear.yukawa_quantities(state.rho, state.mu_ep)
+    yq = nuclear.yukawa_quantities(state.omega_ep, state.mu_ep)
     return {
         "L_fm": params["L"],
         "mu_model": params["mu_model"],

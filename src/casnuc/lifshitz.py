@@ -19,11 +19,14 @@ closed forms and the Matsubara energies are evaluated a grid at a time, as
 columns: the closed forms each in one pass over the grid, with their
 constant factors folded once, at import, each in its display's own
 operation order so that no bit of a result moves; the Matsubara columns
-row by row, rows that share a state (T, rho) sharing its n > 0 scales.  A
+row by row, rows that share a state (T, omega_ep) sharing its n > 0 scales.  A
 coupled sweep reads its plasma states as columns of the same grid.  The
 tests check S against mpmath, the sum against the j-sum, mpmath, math.fsum
 and the Brown-Maclay law, and the closed forms against the plasma pipeline
 and, bit for bit, every grid against per-point replicas.
+
+The evaluators that need omega_ep or mu_ep take them as a PlasmaState holds
+them (plasma_state_grid derives them), never a density.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ from .plasma import (
     PermeabilityModel,
     _check_grid,
     _separation_cube,
-    plasma_frequency,
     plasma_state_from_distance,
     plasma_state_grid,
 )
@@ -235,38 +237,45 @@ def zero_freq_asymptote(kappa: float, L: float, T: float) -> float:
 
 
 def _check_state(L: float, T: float) -> None:
-    # the density is checked where it is read, by plasma_frequency or static_mu
     if not L > 0.0 or not T > 0.0:
         raise DomainError(f"L and T must be positive, got L={L}, T={T}")
     if L * L < sys.float_info.min:  # the n >= 0 prefactors divide by L^2
         raise DomainError(f"separation too small: L = {L} m, L^2 underflows")
 
 
-def _finite_freq_scales(Ls: Sequence[float], Ts: Sequence[float], rhos: Sequence[float]
+def _checked_omega(omega_ep: float) -> float:
+    # omega_ep as a state holds it, checked where it enters: the n > 0 terms
+    # read it only through nu^2, so a negative one would act as |omega_ep|
+    if not 0.0 <= omega_ep < math.inf:  # a nan fails it too
+        raise DomainError(f"plasma frequency must be non-negative and finite, got {omega_ep}")
+    return omega_ep
+
+
+def _finite_freq_scales(Ls: Sequence[float], Ts: Sequence[float], omegas: Sequence[float]
                         ) -> Iterator[tuple[float, float, float, list[float]]]:
-    """Yield (prefactor, b, nu, ys) for each row (Ls[i], Ts[i], rhos[i]), in
+    """Yield (prefactor, b, nu, ys) for each row (Ls[i], Ts[i], omegas[i]), in
     row order: the scales of the n > 0 terms prefactor S(b sqrt(n^2 + nu^2)),
     prefactor = -k_B T/(4 pi L^2), b = 2 L xi_1/c and nu = omega_ep/xi_1, with
     xi_1 = 2 pi k_B T/hbar the first Matsubara frequency, and the list ys of
     y_n = sqrt(n^2 + nu^2) (ys[0] = nu) that the sums extend as they reach n.
-    The only n > 0 code that computes xi_1 or omega_ep; b = 2 pi xbar and
-    nu^2 = rhobar.  A row whose state (T, rho) is that of the row before
-    shares its xi_1, nu and ys, so a pinned sweep computes them once.
+    The only n > 0 code that computes xi_1 or reads omega_ep; b = 2 pi xbar
+    and nu^2 = rhobar.  A row whose state (T, omega_ep) is that of the row
+    before shares its xi_1, nu and ys, so a pinned sweep computes them once.
 
     Each row is checked before it is yielded, in the order of the one-point
-    case: L and T, then k_B T, rho (plasma_frequency) and b.  A b that is not
-    a normal double (L T below about 4e-312 m K, or above about 3e304 m K)
-    raises DomainError: the sum's tail divides by b."""
-    T_state = rho_state = math.nan  # matches no row: the first computes its state
-    for L, T, rho in zip(Ls, Ts, rhos, strict=True):
+    case: L and T, then k_B T, omega_ep (non-negative and finite) and b.  A
+    b that is not a normal double (L T below about 4e-312 m K, or above about
+    3e304 m K) raises DomainError: the sum's tail divides by b."""
+    T_state = omega_state = math.nan  # matches no row: the first computes its state
+    for L, T, omega in zip(Ls, Ts, omegas, strict=True):
         _check_state(L, T)
-        if T != T_state or rho != rho_state:
+        if T != T_state or omega != omega_state:
             if K_B * T < sys.float_info.min:
                 raise DomainError(f"temperature too small: T = {T} K, k_B T underflows")
             xi_1 = 2.0 * math.pi * K_B * T / HBAR
-            nu = plasma_frequency(rho) / xi_1
+            nu = _checked_omega(omega) / xi_1
             ys = [nu]
-            T_state, rho_state = T, rho
+            T_state, omega_state = T, omega
         b = 2.0 * L * xi_1 / C
         if not sys.float_info.min <= b <= sys.float_info.max:
             raise DomainError(f"L and T out of range: L = {L} m, T = {T} K, b = 2 L xi_1/c = {b}")
@@ -274,43 +283,41 @@ def _finite_freq_scales(Ls: Sequence[float], Ts: Sequence[float], rhos: Sequence
 
 
 def _finite_freq_asymptotes(Ls: Sequence[float], Ts: Sequence[float],
-                            rhos: Sequence[float]) -> list[float]:
+                            omegas: Sequence[float]) -> list[float]:
     # finite_freq_asymptote at each row, in row order
     return [prefactor * b * math.exp(-b * (1.0 + 0.5 * nu * nu))
-            for prefactor, b, nu, _ in _finite_freq_scales(Ls, Ts, rhos)]
+            for prefactor, b, nu, _ in _finite_freq_scales(Ls, Ts, omegas)]
 
 
-def finite_freq_asymptote(L: float, T: float, rho: float) -> float:
+def finite_freq_asymptote(L: float, T: float, omega_ep: float) -> float:
     """Leading large-x asymptote of the summed n > 0 Matsubara terms.
 
     Fn/A = -((k_B T)^2 / hbar c) e^(-pi rhobar xbar) e^(-2 pi xbar) / L with
     xbar = 2 k_B T L/(hbar c) and rhobar = rho e^2 hbar^2/(4 pi^2 m eps0 (k_B T)^2),
     evaluated as prefactor b e^(-b (1 + nu^2/2)) in the scales of
-    _finite_freq_scales (b = 2 pi xbar, nu^2 = rhobar).  The untracked
-    remainder of the source expansion is dropped.  The one-point case of the
+    _finite_freq_scales (b = 2 pi xbar, nu^2 = rhobar = (omega_ep/xi_1)^2).
+    The untracked remainder of the source expansion is dropped.  The one-point case of the
     column the exact sweeps evaluate a grid at a time.
     """
-    return _finite_freq_asymptotes([L], [T], [rho])[0]
+    return _finite_freq_asymptotes([L], [T], [omega_ep])[0]
 
 
-def matsubara_term(
-    n: int, L: float, T: float, rho: float, model: PermeabilityModel = PermeabilityModel()
-) -> float:
-    """Single Matsubara term of the free energy per area (n = 0 at half weight).
+def matsubara_term(n: int, L: float, T: float, omega_ep: float, mu_ep: float) -> float:
+    """Single Matsubara term of the free energy per area (n = 0 at half weight)
+    at the state (T, omega_ep, mu_ep) of a PlasmaState.
 
-    n = 0 delegates to zero_freq_exact with the model's static permeability.
-    Every n > 0 term has mu = 1 whatever the model: the spin response has
+    n = 0 delegates to zero_freq_exact with the static permeability mu_ep.
+    Every n > 0 term has mu = 1 whatever mu_ep is: the spin response has
     died out far below the first Matsubara frequency xi_1 = 2 pi k_B T/hbar,
     and the term is prefactor S(b sqrt(n^2 + nu^2)) (see _finite_freq_scales).
     """
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"Matsubara index n must be a non-negative integer, got {n!r}")
     if n > 0:
-        prefactor, b, nu, _ = next(_finite_freq_scales([L], [T], [rho]))
+        prefactor, b, nu, _ = next(_finite_freq_scales([L], [T], [omega_ep]))
         return prefactor * _mode_series(b * math.sqrt(n * n + nu * nu))
     _check_state(L, T)
-    mu = model.static_mu(rho, T)
-    return zero_freq_exact(screening_wavevector(rho, mu), L, T)
+    return zero_freq_exact(screening_wavevector(omega_ep, mu_ep), L, T)
 
 
 def _finite_freq_sum(prefactor: float, b: float, nu: float,
@@ -364,9 +371,9 @@ def _finite_freq_sum(prefactor: float, b: float, nu: float,
 
 
 def finite_freq_sum(Ls: Sequence[float], Ts: Sequence[float],
-                    rhos: Sequence[float]) -> list[float]:
-    """Sum of all n > 0 Matsubara terms at each row (Ls[i], Ts[i], rhos[i])
-    of a grid [m, K, 1/m^3], in grid order: prefactor sum_n S(b sqrt(n^2 +
+                    omegas: Sequence[float]) -> list[float]:
+    """Sum of all n > 0 Matsubara terms at each row (Ls[i], Ts[i], omegas[i])
+    of a grid [m, K, rad/s], in grid order: prefactor sum_n S(b sqrt(n^2 +
     nu^2)) in the scales of _finite_freq_scales, with the neglected remainder
     bounded below 1e-12 of the sum.  The one-point grid is the sum at one
     state; rows that share a state (a pinned sweep) share its nu and y_n.
@@ -380,26 +387,25 @@ def finite_freq_sum(Ls: Sequence[float], Ts: Sequence[float],
     and _matsubara_tail), so the work does not grow as b = 2 pi xbar falls:
     at most 37 terms for nu <= 10 at any b, about nu/2 above that.
     """
-    return [_finite_freq_sum(*scales)[0] for scales in _finite_freq_scales(Ls, Ts, rhos)]
+    return [_finite_freq_sum(*scales)[0] for scales in _finite_freq_scales(Ls, Ts, omegas)]
 
 
-def full_matsubara(
-    L: float, T: float, rho: float, model: PermeabilityModel = PermeabilityModel()
-) -> float:
-    """Full Lifshitz free energy per area between perfect conductors.
+def full_matsubara(L: float, T: float, omega_ep: float, mu_ep: float) -> float:
+    """Full Lifshitz free energy per area between perfect conductors at the
+    state (T, omega_ep, mu_ep).
 
     F/A = k_B T sum'_{n>=0} (1/2 pi) int dk k 2 ln(1 - e^(-2 kappa_2 L)),
     the n = 0 term at half weight.  Both polarizations contribute equally in
     the perfect-conductor limit.
     """
-    return matsubara_term(0, L, T, rho, model) + finite_freq_sum([L], [T], [rho])[0]
+    return matsubara_term(0, L, T, omega_ep, mu_ep) + finite_freq_sum([L], [T], [omega_ep])[0]
 
 
-def screening_wavevector(rho: float, mu_ep: float) -> float:
-    """kappa = sqrt(mu_ep) omega_ep / c for the state (rho, mu_ep)."""
+def screening_wavevector(omega_ep: float, mu_ep: float) -> float:
+    """kappa = sqrt(mu_ep) omega_ep / c for the state (omega_ep, mu_ep)."""
     if mu_ep < 1.0:
         raise DomainError(f"mu_ep must be >= 1, got {mu_ep}")
-    return math.sqrt(mu_ep) * plasma_frequency(rho) / C
+    return math.sqrt(mu_ep) * _checked_omega(omega_ep) / C
 
 
 def distance_coupled_breakdown(
@@ -481,7 +487,7 @@ def sweep_rows(
         raise DomainError(f"unknown sweep method {method!r}")
     if mode == "fixed":
         pinned = plasma_state_from_distance(L_init, model)
-        pinned_kappa = screening_wavevector(pinned.rho, pinned.mu_ep)
+        pinned_kappa = screening_wavevector(pinned.omega_ep, pinned.mu_ep)
 
     def columns(Ls: Sequence[float]) -> tuple[list[float], ...]:
         if mode == "fixed":
@@ -492,11 +498,11 @@ def sweep_rows(
             if method == "asymptote":  # the closed forms, with their own kappa
                 b = distance_coupled_breakdown(Ls, model)
                 return (*state, b.kappa, b.zero_freq, b.finite_freq)
-            kappas = [screening_wavevector(rho, mu) for rho, mu in zip(state[1], state[3])]
-        Ts, rhos = state[0], state[1]
+            kappas = list(map(screening_wavevector, state[2], state[3]))
+        Ts, omegas = state[0], state[2]
         zeros = (list(map(zero_freq_asymptote, kappas, Ls, Ts)) if method == "asymptote"
                  else _zero_freq_column(kappas, Ls, Ts))
-        finites = (finite_freq_sum if method == "full" else _finite_freq_asymptotes)(Ls, Ts, rhos)
+        finites = (finite_freq_sum if method == "full" else _finite_freq_asymptotes)(Ls, Ts, omegas)
         return (*state, kappas, zeros, finites)
 
     try:

@@ -5,7 +5,9 @@ quantities carried by the screened zero-frequency interaction.
 Each observable has one evaluator returning one record:
 equilibrium_distance (EquilibriumResult), yukawa_quantities
 (YukawaQuantities) and plasmon_linewidth (PlasmonLinewidth, at the one
-wavevector ratio q/q_F = Q_RATIO)."""
+wavevector ratio q/q_F = Q_RATIO).  yukawa_quantities reads omega_ep and
+mu_ep from a PlasmaState; plasmon_linewidth evaluates the plasma frequency
+at its own density n, one species' share of the pairs."""
 
 from __future__ import annotations
 
@@ -120,21 +122,20 @@ def equilibrium_distance(R: float) -> EquilibriumResult:
     return EquilibriumResult(_D, _X_TILDE, L_eq, _RESIDUAL)
 
 
-def yukawa_quantities(rho: float, mu_ep: float) -> YukawaQuantities:
-    """Meson rest energy, its range, and the screening wavevector they share.
+def yukawa_quantities(omega_ep: float, mu_ep: float) -> YukawaQuantities:
+    """Meson rest energy, its range, and the screening wavevector they share,
+    at the state (omega_ep, mu_ep) of a PlasmaState.
 
     The rest energy 2 hbar sqrt(mu_ep) omega_ep of the effective exchange
     boson is twice the screening scale: the Yukawa range of the
     zero-frequency interaction is hbar c/(2 hbar c kappa) = 1/(2 kappa).
+    screening_wavevector checks mu_ep >= 1 and omega_ep.
     """
-    if rho < 0.0:
-        raise DomainError(f"density must be non-negative, got {rho}")
-    if mu_ep < 1.0:
-        raise DomainError(f"mu_ep must be >= 1, got {mu_ep}")
-    mass = 2.0 * HBAR * math.sqrt(mu_ep) * plasma_frequency(rho)
+    kappa = screening_wavevector(omega_ep, mu_ep)
+    mass = 2.0 * HBAR * math.sqrt(mu_ep) * omega_ep
     if not mass > 0.0:
         raise DomainError(f"mass energy must be positive, got {mass}")
-    return YukawaQuantities(mass, HBAR_C / mass, screening_wavevector(rho, mu_ep))
+    return YukawaQuantities(mass, HBAR_C / mass, kappa)
 
 
 # the one wavevector ratio q/q_F at which plasmon_linewidth is evaluated

@@ -8,7 +8,7 @@ separations this holds by orders of magnitude (see state_assumptions()).
 
 Every permeability model here is a static (zero-frequency) response: the
 spin paramagnetism, with or without Langevin saturation in an applied
-field.  PermeabilityModel.static_mu is the one evaluator of its
+field.  PermeabilityModel.static_mu_column is the one evaluator of its
 susceptibility, chi = mu0 rho mu_B^2/(k_B T) times the convention scale (and,
 in a field, times the saturation 3 L(y)/y).  It enters the Lifshitz sum only
 through its n = 0 term; by the first Matsubara frequency,
@@ -17,7 +17,9 @@ died out, so every n > 0 term uses mu = 1.
 
 The balance states are evaluated a grid of separations at a time
 (plasma_state_grid): each quantity is one pass over the grid, and the
-one-point state is the grid of one point.  The constant factors of the closed
+one-point state is the grid of one point.  The state is the one source of
+omega_ep and mu_ep: the Lifshitz energies, the screening wavevector and the
+meson quantities read them from it.  The constant factors of the closed
 forms are folded once, at import, each in its display's own operation order,
 so that no bit of a result moves.
 """
@@ -104,17 +106,9 @@ class PermeabilityModel(namedtuple("PermeabilityModel", "kind convention H",
             raise DomainError("field permeability requires H > 0")
         return self
 
-    def static_mu(self, rho: float, T: float) -> float:
-        """Zero-frequency permeability of the plasma state (rho, T)."""
-        if self.kind != "unity":
-            if not T > 0.0:
-                raise DomainError(f"temperature must be positive, got {T}")
-            if rho < 0.0:
-                raise DomainError(f"density must be non-negative, got {rho}")
-        return self.static_mu_column([rho], [T])[0]
-
     def static_mu_column(self, rhos: Sequence[float], Ts: Sequence[float]) -> list[float]:
-        """static_mu over the states (rhos[i], Ts[i]), unchecked: the one
+        """Zero-frequency permeability at each state (rhos[i], Ts[i]),
+        unchecked (T > 0 and rho >= 0 hold on every balance state): the one
         evaluator of the susceptibility."""
         if self.kind == "unity":
             return [1.0] * len(rhos)
@@ -217,10 +211,9 @@ def _check_grid(Ls: Sequence[float], point: Callable[[float], object]) -> None:
 
 
 def _check_balance(L: float) -> None:
-    # every check of one balance state, in the order the state meets them
-    # (static_mu's hold on every balance state); k_B gamma L is no longer a
-    # normal double below about 6.1e-286 m, 8 pi^2 L^3 overflows above
-    # about 1.3e102 m
+    # every check of one balance state, in the order the state meets them;
+    # k_B gamma L is no longer a normal double below about 6.1e-286 m,
+    # 8 pi^2 L^3 overflows above about 1.3e102 m
     if not L > 0.0:
         raise DomainError(f"separation must be positive, got {L}")
     if _KB_GAMMA * L < sys.float_info.min:
@@ -237,8 +230,8 @@ def plasma_state_grid(
     """The balance states at the separations Ls [m] as one PlasmaState of
     columns in grid order (its L is Ls), the only route from a separation to
     a state: at each L, T = hbar c/(k_B 48^(1/4) L), the pair density
-    rho = 3^(1/4) zeta(3)/(8 pi^2 L^3), plasma_frequency(rho) and
-    model.static_mu(rho, T).
+    rho = 3^(1/4) zeta(3)/(8 pi^2 L^3), plasma_frequency(rho) and the
+    permeability of model.static_mu_column at (rho, T).
 
     Each column is one pass in one operation order, so an entry's bits do
     not depend on the grid.  The checks (_check_balance) run at the ends of

@@ -317,13 +317,10 @@ def plasma_frequency_unfolded(rho: float) -> float:
 
 
 def static_mu_unfolded(model, rho: float, T: float) -> float:
-    """PermeabilityModel.static_mu for the unity and spin kinds, unfolded."""
+    """PermeabilityModel.static_mu_column at one state, for the unity and spin
+    kinds, unfolded."""
     if model.kind == "unity":
         return 1.0
-    if not T > 0.0:
-        raise DomainError(f"temperature must be positive, got {T}")
-    if rho < 0.0:
-        raise DomainError(f"density must be non-negative, got {rho}")
     return 1.0 + MU_0 * rho * MU_B**2 / (K_B * T) * _UNFOLDED_SCALE[model.convention]
 
 

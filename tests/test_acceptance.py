@@ -99,11 +99,9 @@ def test_criterion_3_equilibrium_separation():
 
 
 def test_criterion_4_meson_masses_1fm():
-    state = plasma_state_from_distance(1e-15)
-    rho, T = state.rho, state.T
-    mu = SPIN.static_mu(rho, T)
-    unity_mev = 2.0 * HBAR_C * screening_wavevector(rho, 1.0) / J_PER_MEV
-    spin_mev = 2.0 * HBAR_C * screening_wavevector(rho, mu) / J_PER_MEV
+    state = plasma_state_from_distance(1e-15, SPIN)
+    unity_mev = 2.0 * HBAR_C * screening_wavevector(state.omega_ep, 1.0) / J_PER_MEV
+    spin_mev = 2.0 * HBAR_C * screening_wavevector(state.omega_ep, state.mu_ep) / J_PER_MEV
     ok = abs(unity_mev - 329.0) / 329.0 < 0.03
     ok = ok and abs(spin_mev - 6242.0) / 6242.0 < 0.03
     _line(
@@ -157,25 +155,25 @@ def test_criterion_7_matsubara_structure():
     for L_fm in (1.0, 2.0, 3.0):
         L = L_fm * 1e-15
         s = plasma_state_from_distance(L, SPIN)
-        kappa = screening_wavevector(s.rho, s.mu_ep)
+        kappa = screening_wavevector(s.omega_ep, s.mu_ep)
         worst0 = max(
             worst0,
-            _rel(matsubara_term(0, L, s.T, s.rho, SPIN), zero_freq_series(kappa, L, s.T)),
+            _rel(matsubara_term(0, L, s.T, s.omega_ep, s.mu_ep), zero_freq_series(kappa, L, s.T)),
         )
 
     L = 1e-15
     T_cl = 5.0 * HBAR_C / (2.0 * K_B * L)
     classical_dev = _rel(
-        full_matsubara(L, T_cl, 0.0, UNITY),
+        full_matsubara(L, T_cl, 0.0, 1.0),
         -ZETA_3 * K_B * T_cl / (8.0 * math.pi * L**2),
     )
 
-    rho = plasma_state_from_distance(L).rho
+    omega = plasma_state_from_distance(L).omega_ep
 
     def asymptote_dev(xbar: float) -> float:
         T = xbar * HBAR_C / (2.0 * K_B * L)
-        full = finite_freq_sum([L], [T], [rho])[0]
-        return abs(finite_freq_asymptote(L, T, rho) - full) / abs(full)
+        full = finite_freq_sum([L], [T], [omega])[0]
+        return abs(finite_freq_asymptote(L, T, omega) - full) / abs(full)
 
     pinned = XBAR_CROSSOVER_10PCT
     at_pin = asymptote_dev(pinned)
@@ -204,8 +202,8 @@ def test_criterion_8_figure_content():
     L = 1e-15
     s = plasma_state_from_distance(L, SPIN)
     direct = {
-        "spin": full_matsubara(L, s.T, s.rho, SPIN) * DEFAULT_PLATE_AREA / J_PER_MEV,
-        "unity": full_matsubara(L, s.T, s.rho, UNITY) * DEFAULT_PLATE_AREA / J_PER_MEV,
+        "spin": full_matsubara(L, s.T, s.omega_ep, s.mu_ep) * DEFAULT_PLATE_AREA / J_PER_MEV,
+        "unity": full_matsubara(L, s.T, s.omega_ep, 1.0) * DEFAULT_PLATE_AREA / J_PER_MEV,
     }
     in_window = all(-10.0 <= v <= -0.5 for v in direct.values())
 

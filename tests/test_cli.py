@@ -102,6 +102,10 @@ HOSTILE_ARGV = [
     # a subnormal radius in metres has too few bits for L_eq = x R
     (["equilibrium", "--R", "3e-309"], 2, "radius too small: R = 5e-324 m is subnormal"),
     (["equilibrium", "--R", "2.2e-293"], 2, "radius too small: R = 2.2e-308 m is subnormal"),
+    # from about 5.7743e307 fm L_eq = x R is finite in metres but not in fm
+    (["equilibrium", "--R", "5.7743e307"], 2,
+     "plate radius too large: R = 5.7743e+307 fm, L_eq = x_tilde R overflows in fm"),
+    (["equilibrium", "--R", "6e307"], 2, "plate radius too large: R = 6e+307 fm"),
     # linewidth is evaluated at the one wavevector ratio, over the per-species density
     (["linewidth", "--q-ratio", "0.2"], 2,
      "casnuc linewidth: error: unrecognized arguments: --q-ratio 0.2"),
@@ -209,7 +213,7 @@ class TestParsing:
         ids=["state-json", "sweep-csv"],
     )
     def test_non_finite_json_exits_3(self, argv, capsys, monkeypatch):
-        monkeypatch.setattr(lifshitz, "screening_wavevector", lambda rho, mu: math.inf)
+        monkeypatch.setattr(lifshitz, "screening_wavevector", lambda omega, mu: math.inf)
         code, out, err = run_cli(argv, capsys)
         assert code == 3
         assert out == ""
@@ -538,6 +542,12 @@ class TestEquilibrium:
     def test_negative_radius(self, capsys):
         code, _, _ = run_cli(["equilibrium", "--R", "-1"], capsys)
         assert code == 2
+
+    def test_largest_radius_in_fm(self, capsys):
+        # the last radius whose L_eq is finite in fm; the next is a domain error
+        code, out, _ = run_cli(["equilibrium", "--R", "5.7742e307"], capsys)
+        assert code == 0
+        assert json.loads(out)["L_eq_fm"] == pytest.approx(1.7976646357696348e308, rel=1e-15)
 
 
 class TestMeson:
@@ -940,6 +950,36 @@ def _check_document(fmt, out):
                     assert cell.isidentifier()  # the table's quantity names
     else:
         ET.fromstring(out)
+
+
+class TestOneState:
+    """The plasma state is derived once: the energies, kappa and the meson
+    quantities read its omega_ep and mu_ep instead of evaluating the plasma
+    frequency again from the density."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["sweep", "--method", "full", "--points", "2000"], 2),
+        (["sweep", "--method", "exact", "--points", "2000"], 2),
+        (["sweep", "--method", "full", "--mode", "fixed", "--Linit", "10", "--points", "2000"],
+         1),
+        (["meson"], 1),
+        (["state"], 1),
+    ], ids=["coupled-full", "coupled-exact", "pinned-full", "meson", "state"])
+    def test_plasma_frequency_calls(self, argv, calls, capsys, monkeypatch):
+        # a coupled grid checks its two ends; one state is evaluated once
+        original, counted = plasma.plasma_frequency, []
+
+        def counting(rho):
+            counted.append(rho)
+            return original(rho)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "casnuc" and vars(module).get(
+                    "plasma_frequency") is original:
+                monkeypatch.setattr(module, "plasma_frequency", counting)
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert len(counted) == calls
 
 
 class TestHostileArgv:

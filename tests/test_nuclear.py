@@ -17,11 +17,7 @@ from casnuc.nuclear import (
     plasmon_linewidth,
     yukawa_quantities,
 )
-from casnuc.plasma import (
-    PermeabilityModel,
-    _separation_cube,
-    plasma_state_from_distance,
-)
+from casnuc.plasma import _separation_cube, plasma_state_from_distance
 from casnuc.units import J_PER_MEV
 
 from _oracles import balance_cubic_bisection, balance_cubic_residual, blackbody_energy
@@ -196,35 +192,32 @@ class TestEquilibrium:
 class TestYukawaQuantities:
     def test_frozen_meson_mass_1fm(self):
         state = plasma_state_from_distance(1e-15)
-        rho, T = state.rho, state.T
 
-        unity = yukawa_quantities(rho, 1.0).meson_mass_energy / J_PER_MEV
+        unity = yukawa_quantities(state.omega_ep, 1.0).meson_mass_energy / J_PER_MEV
         assert unity == pytest.approx(332.4260872027714, rel=1e-12)
         assert unity == pytest.approx(329.0, rel=0.03)
 
-        mu = PermeabilityModel().static_mu(rho, T)
-        magnetic = yukawa_quantities(rho, mu).meson_mass_energy / J_PER_MEV
+        magnetic = yukawa_quantities(state.omega_ep, state.mu_ep).meson_mass_energy / J_PER_MEV
         assert magnetic == pytest.approx(6321.184956045245, rel=1e-12)
         assert magnetic == pytest.approx(6242.0, rel=0.03)
 
     @given(
-        rho=st.floats(min_value=1e40, max_value=1e45),
+        omega=st.floats(min_value=5e20, max_value=2e23),
         mu=st.floats(min_value=1.0, max_value=1e3),
     )
-    def test_mass_is_twice_screening_scale(self, rho, mu):
-        q = yukawa_quantities(rho, mu)
+    def test_mass_is_twice_screening_scale(self, omega, mu):
+        q = yukawa_quantities(omega, mu)
         assert q.meson_mass_energy == pytest.approx(
-            2.0 * HBAR_C * screening_wavevector(rho, mu), rel=1e-12
+            2.0 * HBAR_C * screening_wavevector(omega, mu), rel=1e-12
         )
-        assert q.kappa_source == screening_wavevector(rho, mu)
+        assert q.kappa_source == screening_wavevector(omega, mu)
         assert q.screening_length * q.meson_mass_energy == pytest.approx(HBAR_C, rel=1e-14)
 
     def test_consistency(self):
         state = plasma_state_from_distance(1e-15)
-        rho, T = state.rho, state.T
-        mu = PermeabilityModel().static_mu(rho, T)
-        q = yukawa_quantities(rho, mu)
-        assert q.kappa_source == pytest.approx(screening_wavevector(rho, mu), rel=1e-15)
+        q = yukawa_quantities(state.omega_ep, state.mu_ep)
+        assert q.kappa_source == pytest.approx(
+            screening_wavevector(state.omega_ep, state.mu_ep), rel=1e-15)
         assert q.meson_mass_energy == pytest.approx(
             2.0 * HBAR_C * q.kappa_source, rel=1e-14
         )
@@ -233,11 +226,13 @@ class TestYukawaQuantities:
             HBAR_C / q.meson_mass_energy, rel=1e-14
         )
 
-    def test_domain(self):
-        with pytest.raises(DomainError, match="density must be non-negative"):
-            yukawa_quantities(-1.0, 1.0)
+    @pytest.mark.parametrize("omega", [-1.0, math.inf, math.nan])
+    def test_domain(self, omega):
+        # screening_wavevector checks both inputs, mu_ep first
+        with pytest.raises(DomainError, match="plasma frequency must be non-negative and finite"):
+            yukawa_quantities(omega, 1.0)
         with pytest.raises(DomainError, match="mu_ep must be >= 1"):
-            yukawa_quantities(1e43, 0.5)
+            yukawa_quantities(omega, 0.5)
 
     def test_massless_at_zero_density(self):
         # omega_ep = 0 at rho = 0: no mass, so no range

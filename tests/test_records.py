@@ -12,7 +12,7 @@ MODEL = PermeabilityModel()
 
 def _yukawa():
     state = plasma_state_from_distance(1e-15)
-    return yukawa_quantities(state.rho, state.mu_ep)
+    return yukawa_quantities(state.omega_ep, state.mu_ep)
 
 
 RECORDS = {
